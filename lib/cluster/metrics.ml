@@ -200,14 +200,29 @@ let snapshot t cursor ~at ~final =
       (counters t)
   in
   let upto_bucket = if final then max_int else bucket_of t at in
+  let from = cursor.next_series_bucket in
+  (* A periodic cut probes only the buckets it closes, so its cost does
+     not grow with the run.  A window wider than the whole series (the
+     final cut's open tail, say) scans the series instead. *)
+  let window_cells buckets =
+    if upto_bucket - from > Hashtbl.length buckets then
+      Hashtbl.fold
+        (fun b c acc -> if b >= from && b < upto_bucket then (b, !c) :: acc else acc)
+        buckets []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    else
+      let cells = ref [] in
+      for b = upto_bucket - 1 downto from do
+        match Hashtbl.find_opt buckets b with
+        | Some c -> cells := (b, !c) :: !cells
+        | None -> ()
+      done;
+      !cells
+  in
   let snap_series =
     List.filter_map
       (fun name ->
-        match
-          List.filter
-            (fun (b, _) -> b >= cursor.next_series_bucket && b < upto_bucket)
-            (series t name)
-        with
+        match window_cells (Hashtbl.find t.serieses name) with
         | [] -> None
         | cells -> Some (name, cells))
       (series_names t)

@@ -820,36 +820,34 @@ module Run (P : Site.S) = struct
               prof_leave state
             end);
     (* The open-loop arrival process: [load] transfers per 100T, evenly
-       spaced, sites drawn from a seed-derived stream. *)
+       spaced, sites drawn from a seed-derived stream.  The arrivals are
+       one engine stream: they keep the order they would have if all
+       were queued now, while the heap holds only the next one. *)
     let wl_rng = Rng.create (Int64.logxor config.seed 0x9E3779B97F4A7C15L) in
     let spacing_num = 100 * Vtime.to_int config.t_unit in
-    let offered = ref 0 in
-    let rec schedule_arrival i =
-      let at = Vtime.of_int (i * spacing_num / config.load) in
-      if Vtime.( < ) at config.duration then begin
-        incr offered;
-        ignore
-          (Engine.schedule_at engine ~at ~label:(Label.Static "arrival") (fun () ->
-               let tid = i + 1 in
-               let debtor =
-                 Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n)
-               in
-               let creditor =
-                 let rec pick () =
-                   let s = Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n) in
-                   if Site_id.equal s debtor then pick () else s
-                 in
-                 pick ()
-               in
-               let spec =
-                 Workload.transfer ~tid ~start_at:(now state) ~debtor ~creditor
-                   ~balance:config.balance ~amount:config.amount
-               in
-               submit state spec));
-        schedule_arrival (i + 1)
-      end
+    let arrival_at i = Vtime.of_int (i * spacing_num / config.load) in
+    let offered =
+      let rec count i =
+        if Vtime.( < ) (arrival_at i) config.duration then count (i + 1) else i
+      in
+      count 0
     in
-    schedule_arrival 0;
+    Engine.schedule_stream engine ~count:offered ~at:arrival_at
+      ~label:(Label.Static "arrival") (fun i ->
+        let tid = i + 1 in
+        let debtor = Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n) in
+        let creditor =
+          let rec pick () =
+            let s = Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n) in
+            if Site_id.equal s debtor then pick () else s
+          in
+          pick ()
+        in
+        let spec =
+          Workload.transfer ~tid ~start_at:(now state) ~debtor ~creditor
+            ~balance:config.balance ~amount:config.amount
+        in
+        submit state spec);
     (* A once-per-T pump so queued arrivals drain on window slots and on
        heals even when no completion fires. *)
     let rec pump_loop () =
@@ -902,7 +900,7 @@ module Run (P : Site.S) = struct
     {
       config;
       horizon;
-      offered = !offered;
+      offered;
       admitted = Scheduler.admitted state.scheduler;
       rejected = Scheduler.rejected state.scheduler;
       starved;
@@ -1072,19 +1070,24 @@ let pp_timeline fmt report =
   let bucket = Vtime.to_int (Metrics.bucket_ticks m) in
   let unit_t = Vtime.to_int report.config.t_unit in
   let last_bucket = (Vtime.to_int report.horizon - 1) / bucket in
-  let count series b =
-    match List.assoc_opt b (Metrics.series m series) with
-    | Some c -> c
-    | None -> 0
+  (* One dense per-bucket column per series, read once.  Marks at the
+     horizon instant may fall one bucket past the table. *)
+  let column series =
+    let counts = Array.make (last_bucket + 1) 0 in
+    List.iter
+      (fun (b, c) -> if b <= last_bucket then counts.(b) <- c)
+      (Metrics.series m series);
+    counts
   in
+  let arrivals = column "arrivals" and commits = column "commits" in
+  let aborts = column "aborts" and terminations = column "terminations" in
   Format.fprintf fmt "  %-12s %-9s %-9s %-9s %-13s@." "interval" "arrivals"
     "commits" "aborts" "terminations";
   for b = 0 to last_bucket do
     let lo = b * bucket and hi = (b + 1) * bucket in
     let mid = Vtime.of_int (lo + (bucket / 2)) in
     Format.fprintf fmt "  %4dT-%4dT  %-9d %-9d %-9d %-13d%s@." (lo / unit_t)
-      (hi / unit_t) (count "arrivals" b) (count "commits" b)
-      (count "aborts" b) (count "terminations" b)
+      (hi / unit_t) arrivals.(b) commits.(b) aborts.(b) terminations.(b)
       (if Partition.active_at report.config.timeline mid then
          "  | partition up"
        else "")

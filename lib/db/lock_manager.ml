@@ -82,6 +82,14 @@ let promote key e =
   go ();
   List.rev !granted
 
+(* An entry nobody holds or waits on is dropped, so the table only ever
+   holds live keys and a release scans those, not every key ever locked.
+   Lookups treat a missing key as an empty entry. *)
+let promote_or_drop t key e =
+  let granted = promote key e in
+  if e.holders = [] && e.queue = [] then t.table <- String_map.remove key t.table;
+  granted
+
 let release_all t ~tid =
   let granted = ref [] in
   String_map.iter
@@ -91,7 +99,7 @@ let release_all t ~tid =
       if held || queued_here then begin
         e.holders <- List.filter (fun (h, _) -> h <> tid) e.holders;
         e.queue <- List.filter (fun (h, _) -> h <> tid) e.queue;
-        granted := !granted @ promote key e
+        granted := !granted @ promote_or_drop t key e
       end)
     t.table;
   !granted
@@ -104,7 +112,7 @@ let purge t ~keep =
       if dropped e.holders || dropped e.queue then begin
         e.holders <- List.filter (fun (tid, _) -> keep tid) e.holders;
         e.queue <- List.filter (fun (tid, _) -> keep tid) e.queue;
-        granted := !granted @ promote key e
+        granted := !granted @ promote_or_drop t key e
       end)
     t.table;
   !granted

@@ -25,7 +25,9 @@ val holds : t -> tid:int -> key:string -> mode option
 
 val release_all : t -> tid:int -> grant list
 (** Frees every lock and queue entry of [tid]; returns the requests
-    granted as a consequence, in grant order. *)
+    granted as a consequence, in grant order.  Keys left with no holder
+    and no waiter are forgotten, so the cost follows the keys currently
+    locked, not every key ever locked. *)
 
 val purge : t -> keep:(int -> bool) -> grant list
 (** Frees every lock and queue entry whose tid fails [keep]; returns

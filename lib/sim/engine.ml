@@ -152,6 +152,42 @@ let schedule_at t ?(rank = Background) ~at ~label action =
 let schedule t ?rank ~delay ~label action =
   schedule_at t ?rank ~at:(Vtime.add t.clock delay) ~label action
 
+(* The whole stream's sequence numbers are reserved now, so element [i]
+   carries the key it would have had if all [count] were scheduled here
+   at once.  Only the next element sits in the heap: element [i + 1] is
+   pushed when element [i] pops, and it cannot have been due earlier,
+   because its time is no smaller and its key is larger.  Every pop
+   therefore picks the event it would have picked from the full
+   schedule. *)
+let schedule_stream t ?(rank = Background) ~count ~at ~label action =
+  if count < 0 then invalid_arg "Engine.schedule_stream: negative count";
+  if count > 0 then begin
+    let first = at 0 in
+    if Vtime.( < ) first t.clock then
+      invalid_arg
+        (Format.asprintf "Engine.schedule_stream: %a is before now (%a)"
+           Vtime.pp first Vtime.pp t.clock);
+    let base = (rank_code rank lsl key_bits) lor t.next_seq in
+    t.next_seq <- t.next_seq + count;
+    let rec element i time =
+      {
+        at = time;
+        key = base + i;
+        live = true;
+        label;
+        action =
+          (fun () ->
+            (if i + 1 < count then
+               let next = at (i + 1) in
+               if Vtime.( < ) next time then
+                 invalid_arg "Engine.schedule_stream: times must not decrease";
+               heap_push t (element (i + 1) next));
+            action i);
+      }
+    in
+    heap_push t (element 0 first)
+  end
+
 let cancel handle = handle.live <- false
 
 let cancelled handle = not handle.live

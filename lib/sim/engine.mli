@@ -60,6 +60,26 @@ val schedule_at :
 (** Absolute-time variant.  @raise Invalid_argument if [at] is in the
     past. *)
 
+val schedule_stream :
+  t ->
+  ?rank:rank ->
+  count:int ->
+  at:(int -> Vtime.t) ->
+  label:Label.t ->
+  (int -> unit) ->
+  unit
+(** [schedule_stream t ~count ~at ~label f] schedules [count] events,
+    the [i]-th running [f i] at [at i], and they execute in exactly the
+    order they would if each were scheduled with {!schedule_at} right
+    now, one after another: the call reserves [count] consecutive
+    sequence numbers.  Only the next pending element is queued at a
+    time, so a long stream costs the heap one slot instead of [count].
+    [at] must be nondecreasing in [i]; it is called once per element,
+    when the previous one runs.  Stream elements cannot be cancelled.
+    @raise Invalid_argument if [count] is negative or [at 0] is in the
+    past, and (when the offending element is due to be queued) if [at]
+    decreases. *)
+
 val cancel : handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op. *)
 

@@ -36,6 +36,11 @@ let append t record =
 
 let wal_records t = List.rev t.wal
 
+let of_stable ~wal ~db =
+  let t = { (create ()) with db } in
+  List.iter (append t) wal;
+  t
+
 let status t ~tid =
   match Hashtbl.find_opt t.index tid with
   | Some s -> (s :> [ `Unknown | `Active | `Prepared | `Committed | `Aborted | `Ended ])
@@ -101,52 +106,49 @@ let abort t ~tid =
   append t (Wal.Abort_log { tid });
   t.volatile_staged <- Int_map.remove tid t.volatile_staged
 
+(* What one pass over the WAL keeps per transaction: the updates of its
+   last commit record and of its last stage record. *)
+type replay = {
+  mutable committed_updates : Wal.update list option;
+  mutable staged_updates : Wal.update list option;
+}
+
 let recover ?(undecided = []) t =
   crash t;
-  let records = wal_records t in
-  let tids =
-    List.fold_left
-      (fun acc record ->
-        let tid = Wal.tid_of record in
-        if List.mem tid acc then acc else tid :: acc)
-      [] records
-    |> List.rev
-  in
+  let replays = Hashtbl.create 64 and tids = ref [] in
+  List.iter
+    (fun record ->
+      let tid = Wal.tid_of record in
+      let replay =
+        match Hashtbl.find_opt replays tid with
+        | Some replay -> replay
+        | None ->
+            let replay = { committed_updates = None; staged_updates = None } in
+            Hashtbl.add replays tid replay;
+            tids := tid :: !tids;
+            replay
+      in
+      match record with
+      | Wal.Commit_log { updates; _ } -> replay.committed_updates <- Some updates
+      | Wal.Stage { updates; _ } -> replay.staged_updates <- Some updates
+      | Wal.Begin _ | Wal.Prepared _ | Wal.Abort_log _ | Wal.End _ -> ())
+    (wal_records t);
   let redone = ref [] and in_doubt = ref [] and aborted = ref [] in
   List.iter
     (fun tid ->
+      let replay = Hashtbl.find replays tid in
       match status t ~tid with
       | `Ended | `Aborted | `Unknown -> ()
       | `Committed ->
           (* Redo every update from the commit log; idempotence makes
              replaying already-applied ones harmless. *)
-          let updates =
-            List.fold_left
-              (fun acc record ->
-                match record with
-                | Wal.Commit_log { tid = t'; updates } when t' = tid ->
-                    Some updates
-                | Wal.Commit_log _ | Wal.Stage _ | Wal.Begin _
-                | Wal.Prepared _ | Wal.Abort_log _ | Wal.End _ ->
-                    acc)
-              None records
-          in
-          apply_updates t (Option.value updates ~default:[]);
+          apply_updates t (Option.value replay.committed_updates ~default:[]);
           append t (Wal.End { tid });
           redone := tid :: !redone
       | `Prepared ->
           (* Re-stage the update information from the forced Stage
              record so a later group-commit can still apply it. *)
-          let staged_updates =
-            List.fold_left
-              (fun acc record ->
-                match record with
-                | Wal.Stage { tid = t'; updates } when t' = tid ->
-                    Some updates
-                | _ -> acc)
-              None records
-          in
-          (match staged_updates with
+          (match replay.staged_updates with
           | Some updates ->
               t.volatile_staged <- Int_map.add tid updates t.volatile_staged
           | None -> ());
@@ -162,7 +164,7 @@ let recover ?(undecided = []) t =
             append t (Wal.Abort_log { tid });
             aborted := tid :: !aborted
           end)
-    tids;
+    (List.rev !tids);
   {
     redone = List.rev !redone;
     in_doubt = List.rev !in_doubt;

@@ -27,6 +27,11 @@ type recovery_report = {
 
 val create : unit -> t
 
+val of_stable : wal:Wal.record list -> db:Kv.t -> t
+(** A site restarted from its stable storage alone: the WAL (in append
+    order, taken as is) and the database it owns from now on.  No
+    volatile state survives, so {!recover} is the next thing to call. *)
+
 val begin_transaction : t -> tid:int -> unit
 (** @raise Invalid_argument if the tid was already begun. *)
 

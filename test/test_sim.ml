@@ -480,6 +480,118 @@ let engine_pops_in_compare_event_order =
       in
       executed = expected)
 
+let rank_of_code = function
+  | 0 -> Engine.Delivery
+  | 1 -> Engine.Timer
+  | _ -> Engine.Background
+
+(* A stream must pop exactly where the same events scheduled all at once
+   would.  Plain events are scheduled before and after the stream, and
+   every event that runs may schedule a child (delay 0..2, any rank), so
+   same-instant ties against later-sequenced events are common at all
+   three ranks.  Children are drawn from one list in execution order:
+   if the two runs ever diverge, their logs differ. *)
+let engine_stream_matches_all_at_once =
+  let gen =
+    QCheck.Gen.(
+      let plain = pair (int_bound 4) (int_bound 2) in
+      let child = opt (pair (int_bound 2) (int_bound 2)) in
+      tup5
+        (list_size (int_bound 6) plain)
+        (pair (list_size (int_bound 12) (int_bound 4)) (int_bound 2))
+        (list_size (int_bound 6) plain)
+        (list_size (int_bound 40) child)
+        (int_bound 2))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"Engine.schedule_stream pops as if all were scheduled at once"
+    (QCheck.make gen)
+    (* [start]: the stream is scheduled from an event at that instant,
+       so the clock is not always zero. *)
+    (fun (before, (times, stream_rank), after, children, start) ->
+      let times = Array.of_list (List.sort Int.compare times) in
+      let run streamed =
+        let e = Engine.create () in
+        let log = ref [] and pending = ref children and spawned = ref 0 in
+        let label = Label.Static "x" in
+        let rec fire name () =
+          log := name :: !log;
+          match !pending with
+          | [] -> ()
+          | next :: rest -> (
+              pending := rest;
+              match next with
+              | None -> ()
+              | Some (delay, r) ->
+                  incr spawned;
+                  ignore
+                    (Engine.schedule e ~rank:(rank_of_code r)
+                       ~delay:(Vtime.of_int delay) ~label
+                       (fire ("c" ^ string_of_int !spawned))))
+        in
+        let plain prefix =
+          List.iteri (fun j (at, r) ->
+              ignore
+                (Engine.schedule_at e ~rank:(rank_of_code r)
+                   ~at:(Vtime.of_int (start + at)) ~label
+                   (fire (prefix ^ string_of_int j))))
+        in
+        ignore
+          (Engine.schedule_at e ~at:(Vtime.of_int start) ~label (fun () ->
+               plain "b" before;
+               let rank = rank_of_code stream_rank in
+               let at i = Vtime.of_int (start + times.(i)) in
+               let name i = "s" ^ string_of_int i in
+               if streamed then
+                 Engine.schedule_stream e ~rank ~count:(Array.length times) ~at
+                   ~label (fun i -> fire (name i) ())
+               else
+                 Array.iteri
+                   (fun i _ ->
+                     ignore
+                       (Engine.schedule_at e ~rank ~at:(at i) ~label
+                          (fire (name i))))
+                   times;
+               plain "a" after));
+        Engine.run e;
+        (List.rev !log, Engine.events_run e, Engine.now e)
+      in
+      run true = run false)
+
+let test_engine_stream_queues_one () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  Engine.schedule_stream e ~count:1000
+    ~at:(fun i -> Vtime.of_int (i / 3))
+    ~label:(Label.Static "arrival")
+    (fun i -> seen := i :: !seen);
+  check Alcotest.int "one queued element" 1 (Engine.pending e);
+  Engine.run e;
+  check Alcotest.int "all ran" 1000 (Engine.events_run e);
+  check Alcotest.(list int) "in index order" (List.init 1000 Fun.id)
+    (List.rev !seen);
+  check Alcotest.int "clock at the last element" 333 (Engine.now e)
+
+let test_engine_stream_rejects () =
+  let e = Engine.create () in
+  let label = Label.Static "x" in
+  let raises name f =
+    check Alcotest.bool name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  raises "negative count" (fun () ->
+      Engine.schedule_stream e ~count:(-1) ~at:(fun _ -> 0) ~label ignore);
+  ignore (Engine.schedule e ~delay:(Vtime.of_int 5) ~label ignore);
+  Engine.run e;
+  raises "first element in the past" (fun () ->
+      Engine.schedule_stream e ~count:2 ~at:(fun _ -> 1) ~label ignore);
+  Engine.schedule_stream e ~count:0 ~at:(fun _ -> 0) ~label ignore;
+  check Alcotest.int "empty stream queues nothing" 0 (Engine.pending e);
+  Engine.schedule_stream e ~count:2
+    ~at:(fun i -> Vtime.of_int (10 - i))
+    ~label ignore;
+  raises "decreasing times" (fun () -> Engine.run e)
+
 let () =
   Alcotest.run "commit_sim"
     [
@@ -551,5 +663,10 @@ let () =
             test_engine_events_run_counts;
           qtest engine_executes_in_time_order;
           qtest engine_pops_in_compare_event_order;
+          Alcotest.test_case "stream queues one element" `Quick
+            test_engine_stream_queues_one;
+          Alcotest.test_case "stream argument checks" `Quick
+            test_engine_stream_rejects;
+          qtest engine_stream_matches_all_at_once;
         ] );
     ]

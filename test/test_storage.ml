@@ -428,6 +428,135 @@ let durable_model_property =
         statuses;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* One-pass recovery vs. the quadratic replay it replaced              *)
+(* ------------------------------------------------------------------ *)
+
+(* The replay [Durable_site.recover] used to run, restated over plain
+   values: dedupe tids with [List.mem], read each tid's status off the
+   WAL, and fold the whole WAL again for each redone or in-doubt tid.
+   Returns the report, the WAL after recovery, the database snapshot and
+   the staging of tids 1..4. *)
+let reference_recover ~undecided records db_bindings =
+  let status tid =
+    List.fold_left
+      (fun acc record ->
+        match record with
+        | Wal.Stage _ -> acc
+        | record when Wal.tid_of record <> tid -> acc
+        | Wal.Begin _ -> `Active
+        | Wal.Prepared _ -> `Prepared
+        | Wal.Commit_log _ -> `Committed
+        | Wal.Abort_log _ -> `Aborted
+        | Wal.End _ -> `Ended)
+      `Unknown records
+  in
+  let tids =
+    List.fold_left
+      (fun acc record ->
+        let tid = Wal.tid_of record in
+        if List.mem tid acc then acc else tid :: acc)
+      [] records
+    |> List.rev
+  in
+  let db = Kv.restore db_bindings in
+  let appended = ref [] and staged = ref [] in
+  let redone = ref [] and in_doubt = ref [] and aborted = ref [] in
+  List.iter
+    (fun tid ->
+      match status tid with
+      | `Ended | `Aborted | `Unknown -> ()
+      | `Committed ->
+          let updates =
+            List.fold_left
+              (fun acc record ->
+                match record with
+                | Wal.Commit_log { tid = t'; updates } when t' = tid -> Some updates
+                | _ -> acc)
+              None records
+          in
+          List.iter
+            (fun (u : Wal.update) -> Kv.set db ~key:u.key ~value:u.value)
+            (Option.value updates ~default:[]);
+          appended := Wal.End { tid } :: !appended;
+          redone := tid :: !redone
+      | `Prepared ->
+          let updates =
+            List.fold_left
+              (fun acc record ->
+                match record with
+                | Wal.Stage { tid = t'; updates } when t' = tid -> Some updates
+                | _ -> acc)
+              None records
+          in
+          Option.iter (fun u -> staged := (tid, u) :: !staged) updates;
+          in_doubt := tid :: !in_doubt
+      | `Active ->
+          if List.mem tid undecided then in_doubt := tid :: !in_doubt
+          else begin
+            appended := Wal.Abort_log { tid } :: !appended;
+            aborted := tid :: !aborted
+          end)
+    tids;
+  ( {
+      Durable_site.redone = List.rev !redone;
+      in_doubt = List.rev !in_doubt;
+      aborted = List.rev !aborted;
+    },
+    records @ List.rev !appended,
+    Kv.snapshot db,
+    List.init 4 (fun i ->
+        Option.value (List.assoc_opt (i + 1) !staged) ~default:[]) )
+
+(* Arbitrary WALs over four tids and three keys: records in any order,
+   with repeated Stage and Commit_log records per tid, so "the last one
+   wins" is exercised. *)
+let wal_gen =
+  let open QCheck.Gen in
+  let update =
+    map2
+      (fun key v -> { Wal.key; value = string_of_int v })
+      (oneofl [ "a"; "b"; "c" ])
+      (int_bound 9)
+  in
+  let updates = list_size (int_bound 3) update in
+  let record =
+    int_range 1 4 >>= fun tid ->
+    frequency
+      [
+        (2, return (Wal.Begin { tid }));
+        (3, map (fun updates -> Wal.Stage { tid; updates }) updates);
+        (2, return (Wal.Prepared { tid }));
+        (3, map (fun updates -> Wal.Commit_log { tid; updates }) updates);
+        (1, return (Wal.Abort_log { tid }));
+        (1, return (Wal.End { tid }));
+      ]
+  in
+  triple
+    (list_size (int_bound 40) record)
+    (list_size (int_bound 3) (int_range 1 4))
+    (list_size (int_bound 3) (pair (oneofl [ "a"; "b"; "c" ]) (return "0")))
+
+let recover_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"one-pass recover = quadratic reference (report, WAL, db, staging)"
+    (QCheck.make
+       ~print:(fun (wal, undecided, _) ->
+         Format.asprintf "undecided=[%s]@.%a"
+           (String.concat ";" (List.map string_of_int undecided))
+           (Format.pp_print_list Wal.pp) wal)
+       wal_gen)
+    (fun (wal, undecided, db_bindings) ->
+      let s = Durable_site.of_stable ~wal ~db:(Kv.restore db_bindings) in
+      let report = Durable_site.recover ~undecided s in
+      let actual =
+        ( report,
+          Durable_site.wal_records s,
+          Kv.snapshot (Durable_site.database s),
+          List.init 4 (fun i -> Durable_site.staged s ~tid:(i + 1)) )
+      in
+      actual = reference_recover ~undecided wal db_bindings)
+
 let () =
   Alcotest.run "commit_storage"
     [
@@ -466,5 +595,6 @@ let () =
           qtest crash_point_equivalence;
           qtest recover_idempotent;
           qtest durable_model_property;
+          qtest recover_matches_reference;
         ] );
     ]

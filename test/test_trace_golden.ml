@@ -1,4 +1,5 @@
-(* Golden-output tests for the trace and span layers.
+(* Golden-output tests for the trace and span layers, plus the cluster's
+   text report.
 
    Each scenario renders observable trace output — [Trace.pp] text,
    Perfetto trace_event JSON, the causality DAG — and compares it
@@ -202,6 +203,32 @@ let cluster_trace ?crashes () =
   let report = Cluster.Runtime.run config in
   Format.asprintf "%a" Trace.pp report.Commit_cluster.Runtime.trace
 
+(* The CLI's text report: [pp_report] then [pp_timeline] for a run with
+   a cut, a crash-recover window and periodic snapshot cuts, so every
+   timeline column and the partition marker are pinned. *)
+let cluster_report () =
+  let module Cluster = Commit_cluster in
+  let cut =
+    Partition.make
+      ~group2:(Site_id.set_of_ints [ 3 ])
+      ~starts_at:(Vtime.of_int (t 40))
+      ~heals_at:(Vtime.of_int (t 120))
+      ~n:3 ()
+  in
+  let config =
+    {
+      (Cluster.Runtime.default_config ()) with
+      Cluster.Runtime.duration = Vtime.of_int (t 200);
+      timeline = cut;
+      crashes = [ (Site_id.of_int 2, Vtime.of_int (t 150)) ];
+      recoveries = [ (Site_id.of_int 2, Vtime.of_int (t 170)) ];
+      snapshot_every = Some (Vtime.of_int (t 50));
+    }
+  in
+  let report = Cluster.Runtime.run config in
+  Format.asprintf "%a%a" Cluster.Runtime.pp_report report
+    Cluster.Runtime.pp_timeline report
+
 let db_scenarios =
   [
     ("tm-termination-cut", tm_trace (module Termination.Static : Site.S));
@@ -210,6 +237,7 @@ let db_scenarios =
     ( "cluster-crash",
       fun () ->
         cluster_trace ~crashes:[ (Site_id.of_int 2, Vtime.of_int (t 30)) ] () );
+    ("cluster-report-timeline", cluster_report);
   ]
 
 (* ------------------------------------------------------------------ *)
