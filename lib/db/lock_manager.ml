@@ -128,6 +128,8 @@ let queued t ~key =
 let wait_depth t =
   String_map.fold (fun _ e n -> n + List.length e.queue) t.table 0
 
+let live_keys t = String_map.cardinal t.table
+
 let waits_for_edges t =
   String_map.fold
     (fun _ e acc ->

@@ -44,6 +44,10 @@ val wait_depth : t -> int
 (** Total queued (waiting) lock requests across every key — the
     lock-wait-depth gauge sampled at telemetry cuts. *)
 
+val live_keys : t -> int
+(** Number of keys in the table.  Only keys with a holder or a waiter
+    are kept, so this is also the number of keys a release walks. *)
+
 val waits_for_edges : t -> (int * int) list
 (** [(waiter, holder)] pairs. *)
 

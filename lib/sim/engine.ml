@@ -158,8 +158,8 @@ let schedule t ?rank ~delay ~label action =
    pushed when element [i] pops, and it cannot have been due earlier,
    because its time is no smaller and its key is larger.  Every pop
    therefore picks the event it would have picked from the full
-   schedule. *)
-let schedule_stream t ?(rank = Background) ~count ~at ~label action =
+   schedule.  Streams run at [Background] rank. *)
+let schedule_stream t ~count ~at ~label action =
   if count < 0 then invalid_arg "Engine.schedule_stream: negative count";
   if count > 0 then begin
     let first = at 0 in
@@ -167,7 +167,7 @@ let schedule_stream t ?(rank = Background) ~count ~at ~label action =
       invalid_arg
         (Format.asprintf "Engine.schedule_stream: %a is before now (%a)"
            Vtime.pp first Vtime.pp t.clock);
-    let base = (rank_code rank lsl key_bits) lor t.next_seq in
+    let base = (rank_code Background lsl key_bits) lor t.next_seq in
     t.next_seq <- t.next_seq + count;
     let rec element i time =
       {

@@ -62,17 +62,16 @@ val schedule_at :
 
 val schedule_stream :
   t ->
-  ?rank:rank ->
   count:int ->
   at:(int -> Vtime.t) ->
   label:Label.t ->
   (int -> unit) ->
   unit
 (** [schedule_stream t ~count ~at ~label f] schedules [count] events,
-    the [i]-th running [f i] at [at i], and they execute in exactly the
-    order they would if each were scheduled with {!schedule_at} right
-    now, one after another: the call reserves [count] consecutive
-    sequence numbers.  Only the next pending element is queued at a
+    the [i]-th running [f i] at [at i] with rank [Background], and they
+    execute in exactly the order they would if each were scheduled with
+    {!schedule_at} right now, one after another: the call reserves
+    [count] consecutive sequence numbers.  Only the next pending element is queued at a
     time, so a long stream costs the heap one slot instead of [count].
     [at] must be nondecreasing in [i]; it is called once per element,
     when the previous one runs.  Stream elements cannot be cancelled.

@@ -100,6 +100,27 @@ let test_waits_for_and_cycle () =
     (List.exists (fun g -> g.Lock_manager.tid = 1 && g.key = "b") granted);
   check Alcotest.bool "cycle gone" true (Lock_manager.find_cycle lm = None)
 
+let test_released_keys_dropped () =
+  let lm = Lock_manager.create () in
+  let x = Lock_manager.Exclusive in
+  ignore (Lock_manager.acquire lm ~tid:1 ~key:"a" ~mode:x);
+  ignore (Lock_manager.acquire lm ~tid:1 ~key:"b" ~mode:x);
+  ignore (Lock_manager.acquire lm ~tid:2 ~key:"b" ~mode:x);
+  ignore (Lock_manager.acquire lm ~tid:3 ~key:"c" ~mode:x);
+  check Alcotest.int "three keys" 3 (Lock_manager.live_keys lm);
+  (* "a" empties; "b" passes to the waiting t2 and stays. *)
+  ignore (Lock_manager.release_all lm ~tid:1);
+  check Alcotest.int "a dropped, b kept" 2 (Lock_manager.live_keys lm);
+  check Alcotest.bool "a granted at once" true
+    (Lock_manager.acquire lm ~tid:4 ~key:"a" ~mode:x = `Granted);
+  ignore (Lock_manager.release_all lm ~tid:4);
+  ignore (Lock_manager.release_all lm ~tid:2);
+  check Alcotest.int "only c left" 1 (Lock_manager.live_keys lm);
+  ignore (Lock_manager.purge lm ~keep:(fun tid -> tid <> 3));
+  check Alcotest.int "purge empties the table" 0 (Lock_manager.live_keys lm);
+  check Alcotest.bool "c granted at once" true
+    (Lock_manager.acquire lm ~tid:5 ~key:"c" ~mode:x = `Granted)
+
 (* ------------------------------------------------------------------ *)
 (* Transaction manager: failure-free                                   *)
 (* ------------------------------------------------------------------ *)
@@ -702,6 +723,8 @@ let () =
             test_upgrade_waits_with_other_readers;
           Alcotest.test_case "waits-for cycle detection" `Quick
             test_waits_for_and_cycle;
+          Alcotest.test_case "released keys are dropped" `Quick
+            test_released_keys_dropped;
         ] );
       ( "tm",
         [

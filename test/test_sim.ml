@@ -498,7 +498,7 @@ let engine_stream_matches_all_at_once =
       let child = opt (pair (int_bound 2) (int_bound 2)) in
       tup5
         (list_size (int_bound 6) plain)
-        (pair (list_size (int_bound 12) (int_bound 4)) (int_bound 2))
+        (list_size (int_bound 12) (int_bound 4))
         (list_size (int_bound 6) plain)
         (list_size (int_bound 40) child)
         (int_bound 2))
@@ -508,7 +508,7 @@ let engine_stream_matches_all_at_once =
     (QCheck.make gen)
     (* [start]: the stream is scheduled from an event at that instant,
        so the clock is not always zero. *)
-    (fun (before, (times, stream_rank), after, children, start) ->
+    (fun (before, times, after, children, start) ->
       let times = Array.of_list (List.sort Int.compare times) in
       let run streamed =
         let e = Engine.create () in
@@ -539,17 +539,16 @@ let engine_stream_matches_all_at_once =
         ignore
           (Engine.schedule_at e ~at:(Vtime.of_int start) ~label (fun () ->
                plain "b" before;
-               let rank = rank_of_code stream_rank in
                let at i = Vtime.of_int (start + times.(i)) in
                let name i = "s" ^ string_of_int i in
                if streamed then
-                 Engine.schedule_stream e ~rank ~count:(Array.length times) ~at
+                 Engine.schedule_stream e ~count:(Array.length times) ~at
                    ~label (fun i -> fire (name i) ())
                else
                  Array.iteri
                    (fun i _ ->
                      ignore
-                       (Engine.schedule_at e ~rank ~at:(at i) ~label
+                       (Engine.schedule_at e ~at:(at i) ~label
                           (fire (name i))))
                    times;
                plain "a" after));
