@@ -179,6 +179,31 @@ let tm_trace protocol () =
   let report = Tm.run config w.Workload.txns in
   Format.asprintf "%a" Trace.pp report.Commit_db.Tm.trace
 
+(* Four writers of one hot key, with site3 cut off from 1.5T to 9T:
+   lock waits, grants on release and the q-watchdog all show up. *)
+let tm_hot_spot ?obs () =
+  let module Tm = Commit_db.Tm in
+  let module Workload = Commit_db.Workload in
+  let w = Workload.hot_spot ~n:3 ~txns:4 ~spacing:(Vtime.of_int 500) in
+  let config =
+    {
+      (Tm.default_config ~protocol:(module Termination.Transient) ()) with
+      Tm.initial = w.Workload.initial;
+      partition = partition ~heals_after:7500 ~g2:[ 3 ] ~at:1500 ~n:3 ();
+      delay = full;
+      trace_enabled = true;
+    }
+  in
+  Tm.run ?obs config w.Workload.txns
+
+let tm_hot_spot_trace () =
+  Format.asprintf "%a" Trace.pp (tm_hot_spot ()).Commit_db.Tm.trace
+
+let tm_hot_spot_spans () =
+  let obs = Obs.create () in
+  ignore (tm_hot_spot ~obs ());
+  Obs.to_trace_event_json obs
+
 let cluster_trace ?crashes () =
   let module Cluster = Commit_cluster in
   let cut =
@@ -233,6 +258,7 @@ let db_scenarios =
   [
     ("tm-termination-cut", tm_trace (module Termination.Static : Site.S));
     ("tm-2pc-cut", tm_trace (module Two_phase));
+    ("tm-hot-spot-cut", tm_hot_spot_trace);
     ("cluster-cut", fun () -> cluster_trace ());
     ( "cluster-crash",
       fun () ->
@@ -294,6 +320,7 @@ let obs_scenarios =
     ( "causality-termination-partition",
       spans_export `Causality (module Termination.Transient) cut_term );
     ("spans-cluster-cut", cluster_spans `Trace_event);
+    ("spans-tm-hot-spot", tm_hot_spot_spans);
     ("causality-cluster-cut", cluster_spans `Causality);
   ]
 
