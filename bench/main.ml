@@ -935,7 +935,7 @@ let db_cost () =
         (Tm.count_status report Tm.Txn_blocked)
         (Tm.count_status report Tm.Txn_torn)
         (Tm.count_status report Tm.Txn_waiting_locks)
-        (Tm.balance_total report ~prefix:"acct:")
+        (Commit_db.Txn_core.money ~prefix:"acct:" report.Tm.stores)
         expected)
     [
       ("2pc", (module Two_phase : Site.S));

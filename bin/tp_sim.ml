@@ -562,7 +562,7 @@ let db_cmd =
     (match workload with
     | `Bank ->
         Format.printf "money: %d on disk, %d expected@."
-          (Tm.balance_total report ~prefix:"acct:")
+          (Commit_db.Txn_core.money ~prefix:"acct:" report.Tm.stores)
           (Workload.expected_total w ~prefix:"acct:")
     | `Hot | `Mix -> ());
     if Tm.count_status report Tm.Txn_torn = 0 then 0 else 1

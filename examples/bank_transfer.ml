@@ -12,6 +12,7 @@
 
 module Tm = Commit_db.Tm
 module Workload = Commit_db.Workload
+module Txn_core = Commit_db.Txn_core
 
 let t_unit = Vtime.of_int 1000
 
@@ -39,7 +40,7 @@ let run protocol =
 
 let describe name report =
   let count s = Tm.count_status report s in
-  let total = Tm.balance_total report ~prefix:"acct:" in
+  let total = Txn_core.money ~prefix:"acct:" report.Tm.stores in
   Format.printf "%-22s committed=%d aborted=%d blocked=%d starved=%d@." name
     (count Tm.Txn_committed) (count Tm.Txn_aborted) (count Tm.Txn_blocked)
     (count Tm.Txn_waiting_locks);

@@ -10,6 +10,7 @@
 
 module Tm = Commit_db.Tm
 module Workload = Commit_db.Workload
+module Txn_core = Commit_db.Txn_core
 
 
 let t mult = mult * 1000
@@ -94,7 +95,7 @@ let () =
         (Tm.count_status report Tm.Txn_aborted)
         (Tm.count_status report Tm.Txn_blocked)
         (Tm.count_status report Tm.Txn_waiting_locks)
-        (Tm.balance_total report ~prefix:"acct:")
+        (Txn_core.money ~prefix:"acct:" report.Tm.stores)
         expected)
     reports;
   Format.printf

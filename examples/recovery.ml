@@ -6,11 +6,12 @@
    A transfer is mid-commit when site3 dies.  The survivors terminate
    (the transfer commits); site3 restarts later with a prepared,
    undecided transaction in its log.  Local recovery replays what it
-   can, reports the in-doubt transaction, and the resolver settles it
-   from the peers' stable state — after which the books balance. *)
+   can and reports the in-doubt transaction; the recovery rule adopts
+   the first decision found in a peer's stable log — after which the
+   books balance. *)
 
 module Tm = Commit_db.Tm
-module Resolver = Commit_db.Resolver
+module Txn_core = Commit_db.Txn_core
 
 let t_unit = Vtime.of_int 1000
 
@@ -46,16 +47,16 @@ let () =
     (fun r -> Format.printf "  %a@." Wal.pp r)
     (Durable_site.wal_records store3);
   Format.printf "@.recovery at site3:@.";
-  let resolved =
-    Resolver.resolve_all ~stores:report.Tm.stores ~self:(Site_id.of_int 3)
-      ~reachable:(fun _ -> true)
-  in
+  let site3 = Site_id.of_int 3 in
   List.iter
-    (fun (tid, outcome) ->
-      Format.printf "  t%d is in doubt -> peers say: %a@." tid
-        Resolver.pp_outcome outcome;
-      Resolver.apply store3 ~tid ~updates:updates_site3 outcome)
-    resolved;
+    (fun tid ->
+      match Txn_core.peer_decision report.Tm.stores ~site:site3 ~tid with
+      | Some decision ->
+          Format.printf "  t%d is in doubt -> peers say: %a@." tid
+            Types.pp_decision decision;
+          Txn_core.adopt store3 ~tid ~writes:updates_site3 decision
+      | None -> Format.printf "  t%d is in doubt -> no peer has decided yet@." tid)
+    (Durable_site.recover store3).in_doubt;
   Format.printf "@.after resolution:@.";
   Format.printf "  acct:a at site2 = %s@."
     (Option.value
@@ -64,7 +65,7 @@ let () =
   Format.printf "  acct:b at site3 = %s@."
     (Option.value (Durable_site.read store3 "acct:b") ~default:"?");
   Format.printf "  total = %d (started at 2000)@."
-    (Tm.balance_total report ~prefix:"acct:");
+    (Txn_core.money ~prefix:"acct:" report.Tm.stores);
   Format.printf
     "@.the paper's division of labour, in one run: the termination protocol@.";
   Format.printf

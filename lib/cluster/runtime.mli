@@ -13,17 +13,20 @@
     the configured protocol's UD/timeout machinery; swap in plain 2PC
     or 3PC to watch the same timeline strand transactions instead).
 
-    Coordinators other than site 1 are realised by relabeling: a
-    transaction coordinated by physical site [m] runs its protocol
-    instances over {e logical} site ids rotated so that [m] is logical
-    site 1 (the paper's protocols hard-wire "site 1 masters"); the wire
-    and the partition operate on physical ids throughout, and envelopes
-    are translated at the boundary.
+    Each admitted transaction runs on the {!Commit_db.Txn_core}
+    transaction core, the same one {!Commit_db.Tm} uses: it stages the
+    writes, relabels sites so the chosen coordinator masters, forces
+    prepare records, decides durably, and crashes, fences and recovers
+    sites by the core's single recovery rule.  The runtime adds what a
+    long-lived service needs on top: arrivals, the scheduler, the
+    continuous {!Auditor}, metrics, snapshots and rendering.  It takes
+    no locks: every {!Commit_db.Workload.transfer} writes two keys of
+    its own, so there is nothing to contend for.
 
     Everything observable flows into the {!Metrics} pipeline and the
-    continuous {!Auditor}; {!to_json} drains both plus the run summary
-    into one deterministic document — same config and seed, byte-
-    identical JSON. *)
+    {!Auditor}; {!to_json} drains both plus the run summary into one
+    deterministic document — same config and seed, byte-identical
+    JSON. *)
 
 type config = {
   protocol : Site.packed;
@@ -50,11 +53,11 @@ type config = {
   recoveries : (Site_id.t * Vtime.t) list;
       (** crash-recover schedule: at each instant the (currently dead)
           site replays its WAL ({!Commit_storage.Durable_site.recover}),
-          applies the paper's recovery rule — redo
-          committed-but-unfinished work, abort what never prepared,
-          adopt the group outcome for in-doubt [Prepared] transactions
-          (waiting for one if the group is still deciding) — and
-          rejoins scheduling, settlement and the auditor.  Its
+          redoing committed-but-unfinished work; every transaction the
+          replay leaves undecided then follows the core's recovery rule
+          (adopt the first decision in a peer's stable log, or wait for
+          the group's first decision; see {!Commit_db.Txn_core}), and
+          the site rejoins scheduling, settlement and the auditor.  Its
           pre-crash protocol instances stay fenced: their volatile
           state died with the crash, so the recovery rule speaks for
           the site on every transaction open across the outage.  Each
@@ -135,8 +138,10 @@ val run : ?obs:Obs.t -> ?scratch:scratch -> config -> report
     spans on each physical site's track — plus every message-flow edge.
     [scratch] reuses a per-domain engine via {!Engine.reset}; the
     returned [report.trace] is always a fresh store.
-    @raise Invalid_argument on a non-positive load/window or
-    [amount >= balance]. *)
+    @raise Invalid_argument on a non-positive load/window,
+    [amount >= balance], or a crash or recovery schedule the core
+    rejects (a site outside [1..n], a recovery without an earlier
+    crash). *)
 
 val atomic : report -> bool
 (** No torn transactions, no conservation breaches, and the durable

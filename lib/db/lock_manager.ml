@@ -70,12 +70,14 @@ let promote key e =
         e.queue <- rest;
         granted := { tid; key; mode } :: !granted;
         go ()
-    | (tid, Exclusive) :: rest
-      when List.for_all (fun (h, _) -> h = tid) e.holders && e.holders <> [] ->
-        (* Queued upgrade whose blockers have gone. *)
-        e.holders <- [ (tid, Exclusive) ];
+    | (tid, mode) :: rest
+      when e.holders <> [] && List.for_all (fun (h, _) -> h = tid) e.holders ->
+        (* The request's only holder is its own transaction: a queued
+           upgrade whose blockers have gone, or a read queued behind the
+           same transaction's write. *)
+        if mode = Exclusive then e.holders <- [ (tid, Exclusive) ];
         e.queue <- rest;
-        granted := { tid; key; mode = Exclusive } :: !granted;
+        granted := { tid; key; mode } :: !granted;
         go ()
     | _ -> ()
   in
@@ -142,8 +144,7 @@ let waits_for_edges t =
         acc e.queue)
     t.table []
 
-let find_cycle t =
-  let edges = waits_for_edges t in
+let find_cycle edges =
   let nodes =
     List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) edges)
   in

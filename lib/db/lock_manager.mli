@@ -4,8 +4,8 @@
     the owning transaction's commit protocol decides (strictness), which
     is exactly why a {e blocked} commit protocol is expensive: the
     blocked transaction's locks pin its data until the partition heals.
-    The transaction manager uses {!waits_for_edges}/{!find_cycle} for
-    deadlock detection. *)
+    The transaction manager runs {!find_cycle} over every site's
+    {!waits_for_edges} for deadlock detection. *)
 
 type mode = Shared | Exclusive
 
@@ -19,7 +19,9 @@ val create : unit -> t
 
 val acquire : t -> tid:int -> key:string -> mode:mode -> [ `Granted | `Waiting ]
 (** Re-acquiring a lock already held is granted immediately; a sole
-    shared holder requesting exclusive is upgraded. *)
+    shared holder requesting exclusive is upgraded.  A queued request
+    is granted once its own transaction is the key's only holder, so a
+    transaction that writes and reads one key never waits on itself. *)
 
 val holds : t -> tid:int -> key:string -> mode option
 
@@ -51,8 +53,9 @@ val live_keys : t -> int
 val waits_for_edges : t -> (int * int) list
 (** [(waiter, holder)] pairs. *)
 
-val find_cycle : t -> int list option
-(** Some deadlocked cycle of tids (each waits for the next, the last for
-    the first), if any. *)
+val find_cycle : (int * int) list -> int list option
+(** Some deadlocked cycle of tids in a waits-for graph given as
+    [(waiter, holder)] edges, possibly the union of several sites' (each
+    waits for the next, the last for the first), if any. *)
 
 val pp : Format.formatter -> t -> unit

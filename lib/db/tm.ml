@@ -1,4 +1,4 @@
-type txn_spec = {
+type txn_spec = Txn_core.txn_spec = {
   tid : int;
   start_at : Vtime.t;
   writes : (Site_id.t * Wal.update list) list;
@@ -76,27 +76,9 @@ type report = {
   crashed : Site_id.t list;
 }
 
-(* Wire payload: protocol messages multiplexed by transaction. *)
-type wire = { wtid : int; body : Types.msg }
-
-let pp_wire fmt w = Format.fprintf fmt "t%d:%a" w.wtid Types.pp_msg w.body
-
-(* Binary wire codec: the transaction id rides in bits 40+ above the
-   packed message (see Types.msg_code's layout). *)
-let wire_code w = Types.msg_code w.body lor (w.wtid lsl 40)
-
-let buf_wire_code b code =
-  Buffer.add_char b 't';
-  Buffer.add_string b (string_of_int (code lsr 40));
-  Buffer.add_char b ':';
-  Types.buf_msg_code b (code land ((1 lsl 40) - 1))
-
-let wire_renderer = Network.register_payload_renderer buf_wire_code
-
-let wire_codec = (wire_renderer, wire_code)
-
-(* Manager-side trace templates ("tm" topic).  Registered here, not in
-   [Run] — the functor is applied per run and templates are global. *)
+(* Manager-side trace templates, in the core's "tm" topic.  Registered
+   here, not in [Run]: the functor is applied per run and templates are
+   global. *)
 
 let buf_tid b tid =
   Buffer.add_char b 't';
@@ -107,13 +89,6 @@ let tmpl_locks_granted =
       buf_tid b tid;
       Buffer.add_string b ": all locks granted; starting ";
       Buffer.add_string b (lookup name))
-
-let tmpl_never_reached =
-  Trace.register_template (fun b _ tid site _ _ _ ->
-      buf_tid b tid;
-      Buffer.add_string b ": ";
-      Site_id.buf b (Site_id.of_int site);
-      Buffer.add_string b " never reached by the transaction; local abort")
 
 let tmpl_deadlock_victim =
   Trace.register_template (fun b _ tid _ _ _ _ ->
@@ -128,28 +103,22 @@ let tmpl_lock_wait =
       Buffer.add_string b " locks")
 
 module Run (P : Site.S) = struct
-  type txn_rt = {
-    spec : txn_spec;
+  module Core = Txn_core.Make (P)
+
+  (* Tm's per-transaction state, carried in the core's record. *)
+  type locking = {
     mutable pending_locks : int;
-    mutable granted_at : Vtime.t option;
-    mutable instances : P.t array option;  (* created at activation *)
-    decisions : Types.decision option array;
-    decided_ats : Vtime.t option array;
     mutable victim : bool;
+    decided_at : Vtime.t option array;  (* index i = site i+1 *)
   }
 
   type state = {
     config : config;
     engine : Engine.t;
-    trace_store : Trace.t;
-    tracing : bool;
-    topic_tm : Trace.topic;
+    core : locking Core.t;
     obs : Obs.t;
     obs_on : bool;  (* cached Obs.enabled *)
-    net : wire Network.t;
-    stores : Durable_site.t array;
     locks : Lock_manager.t array;
-    txns : (int, txn_rt) Hashtbl.t;
     mutable deadlocks : int;
     prof : Prof.t option;  (* wall-time bracket for lock work, or None *)
     on_gauge : (string -> int -> unit) option;
@@ -157,9 +126,9 @@ module Run (P : Site.S) = struct
            the metrics pipeline, so gauges flow out via callback *)
   }
 
-  let store state site = state.stores.(Site_id.to_int site - 1)
-
   let locks_at state site = state.locks.(Site_id.to_int site - 1)
+
+  let now state = Engine.now state.engine
 
   let prof_enter state b =
     match state.prof with Some p -> Prof.enter p b | None -> ()
@@ -178,27 +147,6 @@ module Run (P : Site.S) = struct
              (fun n lm -> n + Lock_manager.wait_depth lm)
              0 state.locks)
 
-  (* Call sites guard with [state.tracing]. *)
-  let log1 state tmpl a0 =
-    Trace.log1 state.trace_store ~at:(Engine.now state.engine)
-      ~topic:state.topic_tm tmpl a0
-
-  let log2 state tmpl a0 a1 =
-    Trace.log2 state.trace_store ~at:(Engine.now state.engine)
-      ~topic:state.topic_tm tmpl a0 a1
-
-  (* Transaction-lifecycle spans live on track 0 (the manager's own
-     timeline): txn ⊃ lock-wait, protocol.  Sealed when the last site
-     decides, or by [close_open_spans] for transactions still blocked
-     at the horizon. *)
-  let obs_track_done state rt =
-    let at = Engine.now state.engine in
-    while Obs.open_depth state.obs ~site:0 ~tid:rt.spec.tid > 0 do
-      Obs.span_end state.obs ~at ~site:0 ~tid:rt.spec.tid
-    done
-
-  let all_decided rt = not (Array.exists (( = ) None) rt.decisions)
-
   let lock_requests (spec : txn_spec) =
     List.concat_map
       (fun (site, updates) ->
@@ -211,119 +159,57 @@ module Run (P : Site.S) = struct
           List.map (fun key -> (site, key, Lock_manager.Shared)) keys)
         spec.reads
 
-  (* Activation: begin + stage at every site, then start the protocol. *)
-  let rec activate state rt =
-    rt.granted_at <- Some (Engine.now state.engine);
+  let release_site state site tid =
+    prof_enter state Prof.Locks;
+    let grants = Lock_manager.release_all (locks_at state site) ~tid in
+    prof_leave state;
+    grants
+
+  (* Transaction-lifecycle spans live on track 0 (the manager's own
+     timeline): txn ⊃ lock-wait, protocol.  The core seals them when
+     the last live site decides; [close_open_spans] catches
+     transactions still blocked at the horizon. *)
+  let rec activate state (txn : locking Core.txn) =
+    let tid = txn.spec.tid in
     if state.obs_on then begin
-      let at = Engine.now state.engine in
-      if Obs.open_depth state.obs ~site:0 ~tid:rt.spec.tid > 1 then
-        Obs.span_end state.obs ~at ~site:0 ~tid:rt.spec.tid;  (* lock-wait *)
-      Obs.span_begin state.obs ~at ~site:0 ~tid:rt.spec.tid ~cat:"lifecycle"
-        "protocol"
+      let at = now state in
+      if Obs.open_depth state.obs ~site:0 ~tid > 1 then
+        Obs.span_end state.obs ~at ~site:0 ~tid;  (* lock-wait *)
+      Obs.span_begin state.obs ~at ~site:0 ~tid ~cat:"lifecycle" "protocol"
     end;
-    if state.tracing then
-      log2 state tmpl_locks_granted rt.spec.tid
-        (Trace.intern state.trace_store P.name);
-    let writes_of site =
-      match List.assoc_opt site rt.spec.writes with
-      | Some updates -> updates
-      | None -> []
-    in
-    let release_site site =
-      prof_enter state Prof.Locks;
-      let grants = Lock_manager.release_all (locks_at state site) ~tid:rt.spec.tid in
-      prof_leave state;
-      grants
-    in
-    let instances =
-      Array.init state.config.n (fun i ->
-          let site = Site_id.of_int (i + 1) in
-          let durable = store state site in
-          Durable_site.begin_transaction durable ~tid:rt.spec.tid;
-          Durable_site.stage durable ~tid:rt.spec.tid (writes_of site);
-          let ctx =
-            Ctx.make ~engine:state.engine ~n:state.config.n
-              ~t_unit:state.config.t_unit ~self:site ~trans_id:rt.spec.tid
-              ~send:(fun dst body ->
-                Network.send state.net ~src:site ~dst
-                  { wtid = rt.spec.tid; body })
-              ~on_decide:(fun decision ->
-                rt.decisions.(i) <- Some decision;
-                rt.decided_ats.(i) <- Some (Engine.now state.engine);
-                (match decision with
-                | Types.Commit -> Durable_site.commit durable ~tid:rt.spec.tid ()
-                | Types.Abort -> Durable_site.abort durable ~tid:rt.spec.tid);
-                if state.obs_on && all_decided rt then obs_track_done state rt;
-                let grants = release_site site in
-                on_grants state grants)
-              ~on_reason:(fun _ -> ())
-              ~obs:state.obs ()
-          in
-          let role =
-            if Site_id.is_master site then Site.Master_role
-            else
-              Site.Slave_role
-                { vote_yes = not (List.mem site rt.spec.vote_no) }
-          in
-          P.create ctx role)
-    in
-    rt.instances <- Some instances;
-    (* A site cut off before the xact reaches it stays in its initial
-       state forever; its FSA's q-timeout aborts the local transaction
-       (releasing its locks).  12T is far beyond any legitimate quiet
-       period — the xact otherwise arrives within T of activation. *)
-    Array.iteri
-      (fun i instance ->
-        let site = Site_id.of_int (i + 1) in
-        ignore
-          (Engine.schedule state.engine ~rank:Engine.Timer
-             ~delay:(Vtime.of_int (12 * Vtime.to_int state.config.t_unit))
-             ~label:(Label.Static "q-watchdog")
-             (fun () ->
-               let initial =
-                 match P.state_name instance with
-                 | "q" | "q1" -> true
-                 | _ -> false
-               in
-               if rt.decisions.(i) = None && initial && not rt.victim then begin
-                 if state.tracing then
-                   log2 state tmpl_never_reached rt.spec.tid
-                     (Site_id.to_int site);
-                 rt.decisions.(i) <- Some Types.Abort;
-                 rt.decided_ats.(i) <- Some (Engine.now state.engine);
-                 Durable_site.abort (store state site) ~tid:rt.spec.tid;
-                 if state.obs_on && all_decided rt then obs_track_done state rt;
-                 on_grants state (release_site site)
-               end)))
-      instances;
-    P.begin_transaction instances.(0)
+    if Core.tracing state.core then
+      Core.log2 state.core tmpl_locks_granted tid
+        (Trace.intern (Core.trace state.core) P.name);
+    Core.start state.core txn ~master:Site_id.master
 
   and on_grants state grants =
     List.iter
       (fun (g : Lock_manager.grant) ->
-        match Hashtbl.find_opt state.txns g.tid with
+        match Core.find state.core g.tid with
         | None -> ()
-        | Some rt ->
-            if not rt.victim then begin
-              rt.pending_locks <- rt.pending_locks - 1;
-              if rt.pending_locks = 0 then activate state rt
+        | Some txn ->
+            let l = txn.client in
+            if not l.victim then begin
+              l.pending_locks <- l.pending_locks - 1;
+              if l.pending_locks = 0 then activate state txn
             end)
       grants;
     sample_lock_gauge state
 
-  let kill_victim state rt =
-    rt.victim <- true;
+  let kill_victim state (txn : locking Core.txn) =
+    let tid = txn.spec.tid in
+    txn.client.victim <- true;
     state.deadlocks <- state.deadlocks + 1;
     if state.obs_on then begin
-      Obs.instant state.obs ~at:(Engine.now state.engine) ~site:0
-        ~tid:rt.spec.tid ~cat:"lifecycle" "deadlock-victim";
-      obs_track_done state rt
+      Obs.instant state.obs ~at:(now state) ~site:0 ~tid ~cat:"lifecycle"
+        "deadlock-victim";
+      Core.seal state.core tid
     end;
-    if state.tracing then log1 state tmpl_deadlock_victim rt.spec.tid;
+    if Core.tracing state.core then Core.log1 state.core tmpl_deadlock_victim tid;
     prof_enter state Prof.Locks;
     let grants =
       List.concat_map
-        (fun site -> Lock_manager.release_all (locks_at state site) ~tid:rt.spec.tid)
+        (fun site -> Lock_manager.release_all (locks_at state site) ~tid)
         (Site_id.all ~n:state.config.n)
     in
     prof_leave state;
@@ -335,73 +221,40 @@ module Run (P : Site.S) = struct
       Array.to_list state.locks |> List.concat_map Lock_manager.waits_for_edges
     in
     prof_leave state;
-    if edges <> [] then begin
-      (* A cycle in the union graph is a (possibly cross-site) deadlock;
-         the youngest transaction (largest tid) dies. *)
-      let nodes =
-        List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) edges)
-      in
-      let successors v =
-        List.filter_map (fun (a, b) -> if a = v then Some b else None) edges
-      in
-      let visited = Hashtbl.create 16 in
-      let rec dfs path v =
-        if List.mem v path then
-          let rec cut = function
-            | [] -> []
-            | x :: rest -> if x = v then [ x ] else x :: cut rest
-          in
-          Some (cut path)
-        else if Hashtbl.mem visited v then None
-        else begin
-          Hashtbl.add visited v ();
-          List.fold_left
-            (fun acc s -> match acc with Some _ -> acc | None -> dfs (v :: path) s)
-            None (successors v)
-        end
-      in
-      let cycle =
-        List.fold_left
-          (fun acc v ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                Hashtbl.reset visited;
-                dfs [] v)
-          None nodes
-      in
-      match cycle with
-      | None -> ()
-      | Some tids -> (
-          let victim = List.fold_left Stdlib.max min_int tids in
-          match Hashtbl.find_opt state.txns victim with
-          | Some rt when not rt.victim -> kill_victim state rt
-          | Some _ | None -> ())
-    end
+    (* A cycle in the union graph is a (possibly cross-site) deadlock;
+       the youngest transaction (largest tid) dies. *)
+    match Lock_manager.find_cycle edges with
+    | None -> ()
+    | Some tids -> (
+        let victim = List.fold_left Stdlib.max min_int tids in
+        match Core.find state.core victim with
+        | Some txn when not txn.client.victim -> kill_victim state txn
+        | Some _ | None -> ())
 
-  let start_txn state rt =
+  let start_txn state (txn : locking Core.txn) =
+    let tid = txn.spec.tid in
     if state.obs_on then
-      Obs.span_begin state.obs ~at:(Engine.now state.engine) ~site:0
-        ~tid:rt.spec.tid ~cat:"txn" "txn";
-    let requests = lock_requests rt.spec in
-    if requests = [] then activate state rt
+      Obs.span_begin state.obs ~at:(now state) ~site:0 ~tid ~cat:"txn" "txn";
+    let requests = lock_requests txn.spec in
+    if requests = [] then activate state txn
     else begin
       let waiting = ref 0 in
       prof_enter state Prof.Locks;
       List.iter
         (fun (site, key, mode) ->
-          match Lock_manager.acquire (locks_at state site) ~tid:rt.spec.tid ~key ~mode with
+          match Lock_manager.acquire (locks_at state site) ~tid ~key ~mode with
           | `Granted -> ()
           | `Waiting -> incr waiting)
         requests;
       prof_leave state;
-      rt.pending_locks <- !waiting;
-      if !waiting = 0 then activate state rt
+      txn.client.pending_locks <- !waiting;
+      if !waiting = 0 then activate state txn
       else begin
         if state.obs_on then
-          Obs.span_begin state.obs ~at:(Engine.now state.engine) ~site:0
-            ~tid:rt.spec.tid ~cat:"lifecycle" "lock-wait";
-        if state.tracing then log2 state tmpl_lock_wait rt.spec.tid !waiting;
+          Obs.span_begin state.obs ~at:(now state) ~site:0 ~tid ~cat:"lifecycle"
+            "lock-wait";
+        if Core.tracing state.core then
+          Core.log2 state.core tmpl_lock_wait tid !waiting;
         sample_lock_gauge state;
         (* Waits can only deadlock when a new waiter arrives. *)
         ignore
@@ -410,6 +263,41 @@ module Run (P : Site.S) = struct
       end
     end
 
+  let report_of state (spec : txn_spec) =
+    let core = state.core in
+    let txn = Option.get (Core.find core spec.tid) in
+    let status =
+      if txn.client.victim then Txn_deadlock_victim
+      else if not (Core.started txn) then Txn_waiting_locks
+      else
+        match Core.outcome core txn with
+        | Txn_core.Committed -> Txn_committed
+        | Txn_core.Aborted -> Txn_aborted
+        | Txn_core.Open -> Txn_blocked
+        | Txn_core.Torn -> Txn_torn
+    in
+    (* Like the status, latency counts the sites alive at the horizon. *)
+    let all_decided_at =
+      List.fold_left
+        (fun acc site ->
+          match (acc, txn.client.decided_at.(Site_id.to_int site - 1)) with
+          | Some a, Some b -> Some (Vtime.max a b)
+          | None, _ | _, None -> None)
+        (Some spec.start_at)
+        (List.filter (Core.alive core) (Site_id.all ~n:state.config.n))
+    in
+    let locks_granted_at =
+      if Core.started txn then Some txn.started_at else None
+    in
+    {
+      spec;
+      status;
+      locks_granted_at;
+      all_decided_at;
+      lock_wait = Option.map (fun g -> Vtime.sub g spec.start_at) locks_granted_at;
+      latency = Option.map (fun d -> Vtime.sub d spec.start_at) all_decided_at;
+    }
+
   let run ~obs ~prof ~on_gauge config specs =
     let tids = List.map (fun s -> s.tid) specs in
     let distinct = List.sort_uniq Int.compare tids in
@@ -417,163 +305,75 @@ module Run (P : Site.S) = struct
       invalid_arg "Tm.run: duplicate tids";
     let trace_store = Trace.create ~enabled:config.trace_enabled () in
     let engine = Engine.create ~trace:trace_store () in
-    let net =
-      Network.create ~engine ~n:config.n ~t_max:config.t_unit ~mode:config.mode
-        ~partition:config.partition ~delay:config.delay ~seed:config.seed
-        ~pp_payload:pp_wire ~payload_codec:wire_codec ~obs
-        ~obs_tid:(fun w -> w.wtid)
-        ?prof ()
+    let core =
+      Core.create ~engine ~obs ?prof ~topic:"tm" ~n:config.n
+        ~t_unit:config.t_unit ~mode:config.mode ~partition:config.partition
+        ~delay:config.delay ~seed:config.seed ~initial:config.initial ()
     in
     let state =
       {
         config;
         engine;
-        trace_store;
-        tracing = Trace.enabled trace_store;
-        topic_tm = Trace.topic trace_store "tm";
+        core;
         obs;
         obs_on = Obs.enabled obs;
-        net;
-        stores =
-          Array.init config.n (fun i ->
-              let store = Durable_site.create () in
-              (match List.assoc_opt (Site_id.of_int (i + 1)) config.initial with
-              | Some kvs ->
-                  List.iter
-                    (fun (key, value) ->
-                      Kv.set (Durable_site.database store) ~key ~value)
-                    kvs
-              | None -> ());
-              store);
         locks = Array.init config.n (fun _ -> Lock_manager.create ());
-        txns = Hashtbl.create 64;
         deadlocks = 0;
         prof;
         on_gauge;
       }
     in
-    Network.set_handler net (fun site delivery ->
-        let wtid =
-          match delivery with
-          | Network.Msg e | Network.Undeliverable e -> e.payload.wtid
-        in
-        match Hashtbl.find_opt state.txns wtid with
-        | None -> ()
-        | Some rt -> (
-            match rt.instances with
-            | None -> ()
-            | Some instances ->
-                let unwrap = function
-                  | Network.Msg e -> Network.Msg { e with payload = e.payload.body }
-                  | Network.Undeliverable e ->
-                      Network.Undeliverable { e with payload = e.payload.body }
-                in
-                let instance = instances.(Site_id.to_int site - 1) in
-                P.on_delivery instance (unwrap delivery);
-                (* Reaching the prepared state must survive a restart
-                   (the paper's p / p1 states); persist it on the
-                   transition. *)
-                (match P.state_name instance with
-                | "p" | "p1" ->
-                    let durable = store state site in
-                    if Durable_site.status durable ~tid:wtid = `Active then
-                      Durable_site.prepare durable ~tid:wtid
-                | _ -> ())));
-    List.iter
-      (fun (site, at) ->
-        ignore
-          (Engine.schedule_at engine ~at ~label:(Label.Static "crash") (fun () ->
-               Network.crash net site;
-               (* The site loses volatile state: staged updates and the
-                  lock table.  Only in-doubt (prepared) transactions
-                  keep their locks — the WAL pins their data until the
-                  group outcome is known; everything else is released,
-                  waking compatible waiters. *)
-               let durable = store state site in
-               Durable_site.crash durable;
-               prof_enter state Prof.Locks;
-               let grants =
-                 Lock_manager.purge (locks_at state site) ~keep:(fun tid ->
-                     Durable_site.status durable ~tid = `Prepared)
-               in
-               prof_leave state;
-               on_grants state grants)))
-      config.crashes;
+    Core.set_hooks core
+      {
+        decided =
+          (fun txn site _ ->
+            txn.client.decided_at.(Site_id.to_int site - 1) <- Some (now state);
+            on_grants state (release_site state site txn.spec.tid));
+        settled = ignore;
+        reason = (fun _ _ -> ());
+        crashed =
+          (fun site ->
+            (* The site's lock table is volatile too.  Only in-doubt
+               (prepared) transactions keep their locks — the WAL pins
+               their data until the group outcome is known; everything
+               else is released, waking compatible waiters. *)
+            let durable = (Core.stores core).(Site_id.to_int site - 1) in
+            prof_enter state Prof.Locks;
+            let grants =
+              Lock_manager.purge (locks_at state site) ~keep:(fun tid ->
+                  Durable_site.status durable ~tid = `Prepared)
+            in
+            prof_leave state;
+            on_grants state grants);
+        restarted = ignore;
+        recovered = (fun _ _ -> ());
+      };
+    Core.schedule_faults core ~crashes:config.crashes ~recoveries:[];
     List.iter
       (fun spec ->
-        let rt =
-          {
-            spec;
-            pending_locks = 0;
-            granted_at = None;
-            instances = None;
-            decisions = Array.make config.n None;
-            decided_ats = Array.make config.n None;
-            victim = false;
-          }
+        let txn =
+          Core.add core spec
+            {
+              pending_locks = 0;
+              victim = false;
+              decided_at = Array.make config.n None;
+            }
         in
-        Hashtbl.add state.txns spec.tid rt;
         ignore
-          (Engine.schedule_at engine ~at:spec.start_at ~label:(Label.Static "txn-start")
-             (fun () -> start_txn state rt)))
+          (Engine.schedule_at engine ~at:spec.start_at
+             ~label:(Label.Static "txn-start") (fun () -> start_txn state txn)))
       specs;
     Engine.run ~until:config.horizon engine;
     Obs.close_open_spans obs ~at:(Engine.now engine);
-    let reports =
-      List.map
-        (fun spec ->
-          let rt = Hashtbl.find state.txns spec.tid in
-          let decisions =
-            List.filteri
-              (fun i _ -> Network.alive net (Site_id.of_int (i + 1)))
-              (Array.to_list rt.decisions)
-          in
-          let status =
-            if rt.victim then Txn_deadlock_victim
-            else if rt.instances = None then Txn_waiting_locks
-            else if List.for_all (( = ) (Some Types.Commit)) decisions then
-              Txn_committed
-            else if List.for_all (( = ) (Some Types.Abort)) decisions then
-              Txn_aborted
-            else if List.exists (( = ) None) decisions then Txn_blocked
-            else Txn_torn
-          in
-          let all_decided_at =
-            if Array.exists (( = ) None) rt.decided_ats then None
-            else
-              Array.fold_left
-                (fun acc at ->
-                  match (acc, at) with
-                  | None, x -> x
-                  | Some a, Some b -> Some (Vtime.max a b)
-                  | Some a, None -> Some a)
-                None rt.decided_ats
-          in
-          let lock_wait =
-            Option.map (fun g -> Vtime.sub g spec.start_at) rt.granted_at
-          in
-          let latency =
-            Option.map (fun d -> Vtime.sub d spec.start_at) all_decided_at
-          in
-          {
-            spec;
-            status;
-            locks_granted_at = rt.granted_at;
-            all_decided_at;
-            lock_wait;
-            latency;
-          })
-        specs
-    in
     {
-      txns = reports;
-      stores = state.stores;
+      txns = List.map (report_of state) specs;
+      stores = Core.stores core;
       trace = trace_store;
-      net_stats = Network.stats net;
+      net_stats = Network.stats (Core.net core);
       deadlocks_resolved = state.deadlocks;
       crashed =
         List.filter
-          (fun site -> not (Network.alive net site))
+          (fun site -> not (Core.alive core site))
           (Site_id.all ~n:config.n);
     }
 end
@@ -582,19 +382,6 @@ let run ?(obs = Obs.disabled) ?prof ?on_gauge config specs =
   let (module P : Site.S) = config.protocol in
   let module R = Run (P) in
   R.run ~obs ~prof ~on_gauge config specs
-
-let balance_total report ~prefix =
-  Array.fold_left
-    (fun acc store ->
-      List.fold_left
-        (fun acc (key, value) ->
-          if String.length key >= String.length prefix
-             && String.equal (String.sub key 0 (String.length prefix)) prefix
-          then acc + int_of_string value
-          else acc)
-        acc
-        (Kv.snapshot (Durable_site.database store)))
-    0 report.stores
 
 let count_status report status =
   List.length (List.filter (fun r -> r.status = status) report.txns)

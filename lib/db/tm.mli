@@ -1,21 +1,25 @@
-(** The distributed transaction manager: locks, storage and a pluggable
-    commit protocol, multiplexed over one simulated network.
+(** The distributed transaction manager: strict-2PL locks over the
+    {!Txn_core} transaction core, for a batch of transactions.
 
     Every transaction spans all [n] sites (sites it does not write
     still vote — the paper's protocols assume a fixed participant set;
-    narrowing participation is orthogonal to termination).  The flow per
-    transaction: acquire strict-2PL locks at every touched site; stage
-    the updates; run the commit protocol (site 1 mastering); on each
-    site's decision, commit/abort the site's durable store and release
-    its locks.  Cross-site deadlocks are detected on a global waits-for
-    graph and resolved by aborting the youngest transaction.
+    narrowing participation is orthogonal to termination).  Tm adds the
+    locks: a transaction acquires its whole lock set at every touched
+    site before it starts (conservative 2PL, FIFO queues), and each
+    site releases the transaction's locks when it decides (strictness).
+    Everything between start and decision — staging, the commit
+    protocol with site 1 mastering, the durable commit or abort,
+    crashes — is the core's.  A crash also wipes the site's lock table
+    except for prepared transactions, whose data the WAL pins.
+    Cross-site deadlocks are detected on a global waits-for graph and
+    resolved by aborting the youngest transaction.
 
     This layer is what turns the paper's abstract cost of blocking into
     a measurable one: a blocked commit protocol keeps its locks, and
     every later transaction touching those keys waits with it (the
     fig1/thm9 lock-availability benches). *)
 
-type txn_spec = {
+type txn_spec = Txn_core.txn_spec = {
   tid : int;  (** unique, >= 1 *)
   start_at : Vtime.t;
   writes : (Site_id.t * Wal.update list) list;
@@ -66,10 +70,12 @@ type config = {
       (** pre-loaded per-site database contents (a restored snapshot,
           not WAL-logged) *)
   crashes : (Site_id.t * Vtime.t) list;
-      (** site failures; a dead site neither sends nor receives.  Its
-          durable store survives and can be taken through
-          {!Commit_storage.Durable_site.recover} and {!Resolver} after
-          the run — the end-to-end recovery tests do exactly that. *)
+      (** crash-stop failures: from its instant a site neither sends,
+          receives nor decides.  Its durable store survives and can be
+          taken through {!Commit_storage.Durable_site.recover} and the
+          core's recovery rule ({!Txn_core.peer_decision},
+          {!Txn_core.adopt}) after the run — the end-to-end recovery
+          tests do exactly that.  Checked up front by {!run}. *)
 }
 
 val default_config : protocol:Site.packed -> ?n:int -> unit -> config
@@ -81,8 +87,8 @@ type report = {
   net_stats : Network.stats;
   deadlocks_resolved : int;
   crashed : Site_id.t list;
-      (** sites dead at the horizon; transaction statuses are computed
-          over the surviving sites *)
+      (** sites dead at the horizon; transaction statuses and latencies
+          are computed over the surviving sites *)
 }
 
 val run :
@@ -95,18 +101,17 @@ val run :
 (** [obs] (default {!Obs.disabled}) records, besides the per-site
     protocol spans and message flows, a transaction-lifecycle timeline
     on track 0: a root txn span containing lock-wait and protocol
-    phases, sealed when the last site decides.
+    phases, sealed when the last live site decides.
 
     [prof] brackets lock-manager work (acquire / release / deadlock
-    checks) with the [Locks] profiler bucket and the network with
-    [Network].  [on_gauge] receives point-in-time samples — today
+    checks) with the [Locks] profiler bucket, protocol steps with
+    [Protocol] and the network with [Network].  [on_gauge] receives point-in-time samples — today
     ["gauge.lock_waiters"], the cross-site lock-wait queue depth —
     whenever the wait graph may have changed; Tm sits below the metrics
-    pipeline, so gauges flow out through this callback. *)
+    pipeline, so gauges flow out through this callback.
 
-val balance_total : report -> prefix:string -> int
-(** Sum of the integer values of all keys starting with [prefix] across
-    all stores — the conservation invariant of the bank workload. *)
+    @raise Invalid_argument on duplicate tids or a crash site outside
+    [1..n]. *)
 
 val count_status : report -> txn_status -> int
 

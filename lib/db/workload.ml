@@ -80,16 +80,8 @@ let transfer_contributions spec =
     spec.Tm.writes
 
 let expected_total t ~prefix =
-  List.fold_left
-    (fun acc (_, kvs) ->
-      List.fold_left
-        (fun acc (key, value) ->
-          if String.length key >= String.length prefix
-             && String.equal (String.sub key 0 (String.length prefix)) prefix
-          then acc + int_of_string value
-          else acc)
-        acc kvs)
-    0 t.initial
+  Txn_core.money ~prefix
+    (Array.of_list (List.map (fun (_, kvs) -> Txn_core.load kvs) t.initial))
 
 let hot_spot ~n ~txns ~spacing =
   if n < 2 then invalid_arg "Workload.hot_spot: need two sites";

@@ -6,6 +6,7 @@
 module Lock_manager = Commit_db.Lock_manager
 module Tm = Commit_db.Tm
 module Workload = Commit_db.Workload
+module Txn_core = Commit_db.Txn_core
 
 let check = Alcotest.check
 
@@ -87,9 +88,9 @@ let test_waits_for_and_cycle () =
   ignore (Lock_manager.acquire lm ~tid:1 ~key:"a" ~mode:Lock_manager.Exclusive);
   ignore (Lock_manager.acquire lm ~tid:2 ~key:"b" ~mode:Lock_manager.Exclusive);
   ignore (Lock_manager.acquire lm ~tid:1 ~key:"b" ~mode:Lock_manager.Exclusive);
-  check Alcotest.bool "no cycle yet" true (Lock_manager.find_cycle lm = None);
+  check Alcotest.bool "no cycle yet" true (Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) = None);
   ignore (Lock_manager.acquire lm ~tid:2 ~key:"a" ~mode:Lock_manager.Exclusive);
-  (match Lock_manager.find_cycle lm with
+  (match Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) with
   | None -> Alcotest.fail "deadlock not detected"
   | Some cycle ->
       check Alcotest.(list int) "cycle members" [ 1; 2 ]
@@ -98,7 +99,7 @@ let test_waits_for_and_cycle () =
   let granted = Lock_manager.release_all lm ~tid:2 in
   check Alcotest.bool "t1 unblocked on b" true
     (List.exists (fun g -> g.Lock_manager.tid = 1 && g.key = "b") granted);
-  check Alcotest.bool "cycle gone" true (Lock_manager.find_cycle lm = None)
+  check Alcotest.bool "cycle gone" true (Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) = None)
 
 let test_released_keys_dropped () =
   let lm = Lock_manager.create () in
@@ -120,6 +121,19 @@ let test_released_keys_dropped () =
   check Alcotest.int "purge empties the table" 0 (Lock_manager.live_keys lm);
   check Alcotest.bool "c granted at once" true
     (Lock_manager.acquire lm ~tid:5 ~key:"c" ~mode:x = `Granted)
+
+let test_read_behind_own_write () =
+  (* t2 queues a write and then a read of the same key behind t1; once
+     t1 leaves, t2 holds X, and its queued S must not wait on itself. *)
+  let lm = Lock_manager.create () in
+  ignore (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Exclusive);
+  ignore (Lock_manager.acquire lm ~tid:2 ~key:"k" ~mode:Lock_manager.Exclusive);
+  ignore (Lock_manager.acquire lm ~tid:2 ~key:"k" ~mode:Lock_manager.Shared);
+  let granted = Lock_manager.release_all lm ~tid:1 in
+  check Alcotest.int "both of t2's requests granted" 2 (List.length granted);
+  check Alcotest.int "queue empty" 0 (List.length (Lock_manager.queued lm ~key:"k"));
+  check Alcotest.bool "t2 holds X" true
+    (Lock_manager.holds lm ~tid:2 ~key:"k" = Some Lock_manager.Exclusive)
 
 (* ------------------------------------------------------------------ *)
 (* Transaction manager: failure-free                                   *)
@@ -153,7 +167,7 @@ let test_bank_conserves_failure_free () =
       check Alcotest.int
         (name ^ ": total conserved")
         (Workload.expected_total w ~prefix:"acct:")
-        (Tm.balance_total report ~prefix:"acct:"))
+        (Txn_core.money ~prefix:"acct:" report.Tm.stores))
     protocols_under_test
 
 let test_tm_no_vote_aborts_cleanly () =
@@ -176,7 +190,7 @@ let test_tm_no_vote_aborts_cleanly () =
   (* The aborted transfer moved nothing; the committed ones conserve. *)
   check Alcotest.int "total conserved"
     (Workload.expected_total w ~prefix:"acct:")
-    (Tm.balance_total report ~prefix:"acct:")
+    (Txn_core.money ~prefix:"acct:" report.Tm.stores)
 
 let test_tm_duplicate_tids_rejected () =
   let config = Tm.default_config ~protocol:(module Two_phase) () in
@@ -206,6 +220,49 @@ let test_tm_stores_durable () =
       check Alcotest.(list int) "nothing redone" [] r.redone;
       check Alcotest.(list int) "nothing in doubt" [] r.in_doubt)
     report.Tm.stores
+
+let test_tm_crashed_site_writes_nothing () =
+  (* Site3 dies at 7T, in the middle of t1's commit.  Whatever its
+     ghost instances and watchdogs do afterwards, and whichever later
+     transactions start, its WAL must stay as the crash left it. *)
+  let w =
+    Workload.bank_transfers ~n:3 ~pairs:6 ~balance:1000 ~amount:70
+      ~spacing:(Vtime.of_int 6000) ~seed:1L
+  in
+  let wal_of_site3 horizon =
+    let config =
+      {
+        (Tm.default_config ~protocol:(module Termination.Static) ()) with
+        Tm.initial = w.Workload.initial;
+        crashes = [ (site 3, Vtime.of_int 7000) ];
+        horizon;
+      }
+    in
+    Durable_site.wal_records (Tm.run config w.Workload.txns).Tm.stores.(2)
+  in
+  let record = Alcotest.testable Wal.pp ( = ) in
+  check
+    Alcotest.(list record)
+    "no record after the crash"
+    (wal_of_site3 (Vtime.of_int 7000))
+    (wal_of_site3 (Tm.default_config ~protocol:(module Two_phase) ()).Tm.horizon)
+
+let test_tm_crash_schedule_checked () =
+  (* Site 5 of 3, crashing after the horizon: rejected before the run,
+     not when (or if) the crash fires. *)
+  let config =
+    {
+      (Tm.default_config ~protocol:(module Two_phase) ()) with
+      Tm.crashes = [ (site 5, Vtime.of_int 1_000_000) ];
+    }
+  in
+  let raised =
+    try
+      ignore (Tm.run config [ Tm.txn ~tid:1 ~start_at:Vtime.zero [] ]);
+      false
+    with Invalid_argument _ -> true
+  in
+  check Alcotest.bool "out-of-range crash site rejected" true raised
 
 (* ------------------------------------------------------------------ *)
 (* Hot-spot contention: blocking holds locks, termination releases     *)
@@ -307,7 +364,7 @@ let test_ext2pc_partition_breaks_conservation () =
   let torn =
     List.exists
       (fun at ->
-        Tm.balance_total (run (module Ext_two_phase) at) ~prefix:"acct:" <> 2000)
+        Txn_core.money ~prefix:"acct:" (run (module Ext_two_phase) at).Tm.stores <> 2000)
       instants
   in
   check Alcotest.bool "ext2pc tears a transfer at some instant" true torn;
@@ -316,7 +373,7 @@ let test_ext2pc_partition_breaks_conservation () =
       check Alcotest.int
         (Printf.sprintf "termination conserves at %d" at)
         2000
-        (Tm.balance_total (run (module Termination.Static) at) ~prefix:"acct:"))
+        (Txn_core.money ~prefix:"acct:" (run (module Termination.Static) at).Tm.stores))
     instants
 
 (* ------------------------------------------------------------------ *)
@@ -346,7 +403,7 @@ let conservation_property =
         }
       in
       let report = Tm.run config w.Workload.txns in
-      Tm.balance_total report ~prefix:"acct:"
+      Txn_core.money ~prefix:"acct:" report.Tm.stores
       = Workload.expected_total w ~prefix:"acct:")
 
 let test_readers_and_writers () =
@@ -400,6 +457,26 @@ let test_concurrent_readers_share () =
         0
         (Option.value r.lock_wait ~default:(-1)))
     report.Tm.txns
+
+let test_read_and_write_same_key () =
+  (* t2 writes and reads the key t1 writes: once t1 commits, t2 gets
+     both locks and commits too. *)
+  let initial = [ (site 2, [ ("k", "0") ]) ] in
+  let txns =
+    [
+      Tm.txn ~tid:1 ~start_at:Vtime.zero [ (site 2, [ { Wal.key = "k"; value = "1" } ]) ];
+      Tm.txn ~tid:2 ~start_at:(Vtime.of_int 100)
+        ~reads:[ (site 2, [ "k" ]) ]
+        [ (site 2, [ { Wal.key = "k"; value = "2" } ]) ];
+    ]
+  in
+  let config =
+    { (Tm.default_config ~protocol:(module Termination.Static) ()) with Tm.initial }
+  in
+  let report = Tm.run config txns in
+  check Alcotest.int "both committed" 2 (Tm.count_status report Tm.Txn_committed);
+  check Alcotest.(option string) "t2's write applied" (Some "2")
+    (Durable_site.read report.Tm.stores.(1) "k")
 
 (* ------------------------------------------------------------------ *)
 (* Inventory workload: cross-site owner/receipt invariant              *)
@@ -465,10 +542,8 @@ let test_inventory_ext2pc_can_tear () =
   check Alcotest.bool "ext2pc tears an order at some instant" true torn
 
 (* ------------------------------------------------------------------ *)
-(* Resolver: in-doubt transactions after recovery                      *)
+(* The recovery rule: in-doubt transactions after a restart            *)
 (* ------------------------------------------------------------------ *)
-
-module Resolver = Commit_db.Resolver
 
 let updates = [ { Wal.key = "x"; value = "1" } ]
 
@@ -499,60 +574,62 @@ let in_doubt_world ~peer1 ~peer3 =
   shape stores.(2) peer3;
   stores
 
-let everyone _ = true
+let decision_t : Types.decision option Alcotest.testable =
+  Alcotest.option (Alcotest.testable Types.pp_decision Types.equal_decision)
 
-let outcome_t : Resolver.outcome Alcotest.testable =
-  Alcotest.testable Resolver.pp_outcome (fun a b ->
-      match (a, b) with
-      | Resolver.Resolved_commit, Resolver.Resolved_commit
-      | Resolver.Resolved_abort, Resolver.Resolved_abort ->
-          true
-      | Resolver.Still_in_doubt _, Resolver.Still_in_doubt _ -> true
-      | _, _ -> false)
+let peer_decision stores = Txn_core.peer_decision stores ~site:(site 2) ~tid:1
 
 let test_resolver_commit_found () =
   let stores = in_doubt_world ~peer1:`Committed ~peer3:`Prepared in
-  check outcome_t "peer committed -> commit" Resolver.Resolved_commit
-    (Resolver.resolve ~stores ~self:(site 2) ~reachable:everyone ~tid:1)
+  check decision_t "peer committed -> commit" (Some Types.Commit)
+    (peer_decision stores)
 
 let test_resolver_abort_found () =
   let stores = in_doubt_world ~peer1:`Aborted ~peer3:`Prepared in
-  check outcome_t "peer aborted -> abort" Resolver.Resolved_abort
-    (Resolver.resolve ~stores ~self:(site 2) ~reachable:everyone ~tid:1)
-
-let test_resolver_nobody_prepared () =
-  (* site3 never even began: the master cannot have committed. *)
-  let stores = in_doubt_world ~peer1:`Prepared ~peer3:`Unknown in
-  check outcome_t "unprepared peer -> abort" Resolver.Resolved_abort
-    (Resolver.resolve ~stores ~self:(site 2) ~reachable:everyone ~tid:1)
+  check decision_t "peer aborted -> abort" (Some Types.Abort)
+    (peer_decision stores)
 
 let test_resolver_all_prepared_in_doubt () =
   let stores = in_doubt_world ~peer1:`Prepared ~peer3:`Prepared in
-  check outcome_t "all prepared -> in doubt"
-    (Resolver.Still_in_doubt "")
-    (Resolver.resolve ~stores ~self:(site 2) ~reachable:everyone ~tid:1)
+  check decision_t "all prepared -> in doubt" None (peer_decision stores)
 
-let test_resolver_unreachable_in_doubt () =
-  (* A peer with the deciding evidence is unreachable: stay in doubt
-     rather than guess. *)
-  let stores = in_doubt_world ~peer1:`Committed ~peer3:`Prepared in
-  let reachable s = Site_id.to_int s <> 1 in
-  check outcome_t "decision unreachable -> in doubt"
-    (Resolver.Still_in_doubt "")
-    (Resolver.resolve ~stores ~self:(site 2) ~reachable ~tid:1)
+let test_resolver_unprepared_peer_in_doubt () =
+  (* site3 never began, yet the termination protocol may still commit
+     over the others: no decision is logged, so site2 stays in doubt. *)
+  let stores = in_doubt_world ~peer1:`Prepared ~peer3:`Unknown in
+  check decision_t "unprepared peer -> still in doubt" None
+    (peer_decision stores)
 
 let test_resolver_resolve_all_and_apply () =
   let stores = in_doubt_world ~peer1:`Committed ~peer3:`Prepared in
-  let resolved =
-    Resolver.resolve_all ~stores ~self:(site 2) ~reachable:everyone
-  in
-  (match resolved with
-  | [ (1, Resolver.Resolved_commit) ] -> ()
-  | _ -> Alcotest.fail "expected t1 resolved to commit");
-  Resolver.apply stores.(1) ~tid:1 ~updates Resolver.Resolved_commit;
+  let report = Durable_site.recover stores.(1) in
+  check Alcotest.(list int) "t1 in doubt" [ 1 ] report.in_doubt;
+  (match peer_decision stores with
+  | Some decision -> Txn_core.adopt stores.(1) ~tid:1 ~writes:[] decision
+  | None -> Alcotest.fail "expected a peer decision");
   check Alcotest.(option string) "updates applied" (Some "1")
     (Durable_site.read stores.(1) "x");
   check Alcotest.bool "ended" true (Durable_site.status stores.(1) ~tid:1 = `Ended)
+
+let test_adopt_follows_the_log () =
+  (* Active: the vote was never forced, so a commit re-stages; Unknown:
+     the site never heard of the transaction, so a commit begins it and
+     an abort writes nothing. *)
+  let d = Durable_site.create () in
+  Durable_site.begin_transaction d ~tid:1;
+  Txn_core.adopt d ~tid:1 ~writes:updates Types.Commit;
+  check Alcotest.(option string) "active commit re-staged" (Some "1")
+    (Durable_site.read d "x");
+  Txn_core.adopt d ~tid:2 ~writes:[ { Wal.key = "y"; value = "2" } ] Types.Commit;
+  check Alcotest.(option string) "unknown commit begun" (Some "2")
+    (Durable_site.read d "y");
+  let before = List.length (Durable_site.wal_records d) in
+  Txn_core.adopt d ~tid:3 ~writes:updates Types.Abort;
+  check Alcotest.int "unknown abort logs nothing" before
+    (List.length (Durable_site.wal_records d));
+  Txn_core.adopt d ~tid:1 ~writes:[] Types.Abort;
+  check Alcotest.bool "decided stays decided" true
+    (Durable_site.status d ~tid:1 = `Ended)
 
 let test_crash_recover_resolve_end_to_end () =
   (* One transfer; site3 dies after acknowledging its prepare (ack in
@@ -593,19 +670,17 @@ let test_crash_recover_resolve_end_to_end () =
     (Durable_site.status store3 ~tid:1 = `Prepared);
   check Alcotest.(option string) "update not applied yet" (Some "1000")
     (Durable_site.read store3 "acct:b");
-  (* Recovery + resolution against the surviving peers. *)
-  let resolved =
-    Commit_db.Resolver.resolve_all ~stores:report.Tm.stores ~self:(site 3)
-      ~reachable:(fun _ -> true)
-  in
-  (match resolved with
-  | [ (1, Commit_db.Resolver.Resolved_commit) ] -> ()
-  | _ -> Alcotest.fail "expected t1 resolved to commit");
-  Commit_db.Resolver.apply store3 ~tid:1
-    ~updates:[ { Wal.key = "acct:b"; value = "1070" } ]
-    Commit_db.Resolver.Resolved_commit;
+  (* Replay, then the recovery rule against the surviving peers. *)
+  let replay = Durable_site.recover store3 in
+  check Alcotest.(list int) "t1 in doubt" [ 1 ] replay.in_doubt;
+  (match Txn_core.peer_decision report.Tm.stores ~site:(site 3) ~tid:1 with
+  | Some Types.Commit ->
+      Txn_core.adopt store3 ~tid:1
+        ~writes:[ { Wal.key = "acct:b"; value = "1070" } ]
+        Types.Commit
+  | Some Types.Abort | None -> Alcotest.fail "expected t1 resolved to commit");
   check Alcotest.int "money conserved after resolution" 2000
-    (Tm.balance_total report ~prefix:"acct:")
+    (Txn_core.money ~prefix:"acct:" report.Tm.stores)
 
 let conservation_any_atomic_protocol =
   QCheck.Test.make ~count:50
@@ -647,7 +722,7 @@ let conservation_any_atomic_protocol =
         || Tm.count_status report Tm.Txn_waiting_locks > 0
       then Tm.count_status report Tm.Txn_torn = 0
       else
-        Tm.balance_total report ~prefix:"acct:"
+        Txn_core.money ~prefix:"acct:" report.Tm.stores
         = Workload.expected_total w ~prefix:"acct:")
 
 let test_tm_multi_partition_quorum () =
@@ -681,7 +756,7 @@ let test_tm_multi_partition_quorum () =
   if Tm.count_status report Tm.Txn_blocked = 0 then
     check Alcotest.int "money conserved"
       (Workload.expected_total w ~prefix:"acct:")
-      (Tm.balance_total report ~prefix:"acct:")
+      (Txn_core.money ~prefix:"acct:" report.Tm.stores)
 
 (* ------------------------------------------------------------------ *)
 (* uniform_mix smoke: queueing resolves                                *)
@@ -725,6 +800,8 @@ let () =
             test_waits_for_and_cycle;
           Alcotest.test_case "released keys are dropped" `Quick
             test_released_keys_dropped;
+          Alcotest.test_case "read behind own write" `Quick
+            test_read_behind_own_write;
         ] );
       ( "tm",
         [
@@ -736,6 +813,10 @@ let () =
             test_tm_duplicate_tids_rejected;
           Alcotest.test_case "stores durable after run" `Quick
             test_tm_stores_durable;
+          Alcotest.test_case "crashed site writes nothing" `Quick
+            test_tm_crashed_site_writes_nothing;
+          Alcotest.test_case "crash schedule checked up front" `Quick
+            test_tm_crash_schedule_checked;
         ] );
       ( "contention",
         [
@@ -770,6 +851,8 @@ let () =
             test_readers_and_writers;
           Alcotest.test_case "concurrent readers share" `Quick
             test_concurrent_readers_share;
+          Alcotest.test_case "read and write one key" `Quick
+            test_read_and_write_same_key;
         ] );
       ( "resolver",
         [
@@ -777,14 +860,14 @@ let () =
             test_resolver_commit_found;
           Alcotest.test_case "abort found at a peer" `Quick
             test_resolver_abort_found;
-          Alcotest.test_case "unprepared peer implies abort" `Quick
-            test_resolver_nobody_prepared;
           Alcotest.test_case "all prepared stays in doubt" `Quick
             test_resolver_all_prepared_in_doubt;
-          Alcotest.test_case "unreachable evidence stays in doubt" `Quick
-            test_resolver_unreachable_in_doubt;
+          Alcotest.test_case "unprepared peer stays in doubt" `Quick
+            test_resolver_unprepared_peer_in_doubt;
           Alcotest.test_case "resolve_all and apply" `Quick
             test_resolver_resolve_all_and_apply;
+          Alcotest.test_case "adopt follows the log" `Quick
+            test_adopt_follows_the_log;
           Alcotest.test_case "crash -> recover -> resolve, end to end" `Quick
             test_crash_recover_resolve_end_to_end;
         ] );
