@@ -152,16 +152,7 @@ module Run (P : Site.S) = struct
     scheduler : Tm.txn_spec Scheduler.t;
     metrics : Metrics.t;
     auditor : Auditor.t;
-    prof : Prof.t option;  (* Some only when [config.profile] *)
   }
-
-  (* Profiler brackets; no-ops (no closure, no allocation) when
-     profiling is off. *)
-  let prof_enter state b =
-    match state.prof with Some p -> Prof.enter p b | None -> ()
-
-  let prof_leave state =
-    match state.prof with Some p -> Prof.leave p | None -> ()
 
   let now state = Engine.now state.engine
 
@@ -198,10 +189,10 @@ module Run (P : Site.S) = struct
     end;
     Metrics.mark state.metrics ~at "admissions";
     Metrics.observe state.metrics "wait.queue" (Vtime.sub at spec.Tm.start_at);
-    prof_enter state Prof.Auditor;
+    Core.prof_enter state.core Prof.Auditor;
     Auditor.begin_txn state.auditor ~tid
       ~contributions:(Workload.transfer_contributions spec);
-    prof_leave state;
+    Core.prof_leave state.core;
     Core.start state.core (Core.add state.core spec false) ~master
 
   and pump state =
@@ -245,9 +236,9 @@ module Run (P : Site.S) = struct
     {
       Core.decided =
         (fun txn site decision ->
-          prof_enter state Prof.Auditor;
+          Core.prof_enter state.core Prof.Auditor;
           Auditor.record auditor ~tid:txn.spec.tid ~site decision;
-          prof_leave state);
+          Core.prof_leave state.core);
       settled = settle state;
       reason =
         (fun txn r ->
@@ -314,7 +305,6 @@ module Run (P : Site.S) = struct
             ~n:config.n ();
         metrics;
         auditor = Auditor.create ~n:config.n ();
-        prof;
       }
     in
     Core.set_hooks core (hooks state);

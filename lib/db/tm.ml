@@ -120,7 +120,6 @@ module Run (P : Site.S) = struct
     obs_on : bool;  (* cached Obs.enabled *)
     locks : Lock_manager.t array;
     mutable deadlocks : int;
-    prof : Prof.t option;  (* wall-time bracket for lock work, or None *)
     on_gauge : (string -> int -> unit) option;
         (* telemetry gauge sink ("gauge.lock_waiters") — Tm sits below
            the metrics pipeline, so gauges flow out via callback *)
@@ -129,12 +128,6 @@ module Run (P : Site.S) = struct
   let locks_at state site = state.locks.(Site_id.to_int site - 1)
 
   let now state = Engine.now state.engine
-
-  let prof_enter state b =
-    match state.prof with Some p -> Prof.enter p b | None -> ()
-
-  let prof_leave state =
-    match state.prof with Some p -> Prof.leave p | None -> ()
 
   (* Sample the cross-site lock-wait queue depth into the gauge sink;
      called whenever the wait graph may have changed shape. *)
@@ -160,9 +153,9 @@ module Run (P : Site.S) = struct
         spec.reads
 
   let release_site state site tid =
-    prof_enter state Prof.Locks;
+    Core.prof_enter state.core Prof.Locks;
     let grants = Lock_manager.release_all (locks_at state site) ~tid in
-    prof_leave state;
+    Core.prof_leave state.core;
     grants
 
   (* Transaction-lifecycle spans live on track 0 (the manager's own
@@ -206,21 +199,21 @@ module Run (P : Site.S) = struct
       Core.seal state.core tid
     end;
     if Core.tracing state.core then Core.log1 state.core tmpl_deadlock_victim tid;
-    prof_enter state Prof.Locks;
+    Core.prof_enter state.core Prof.Locks;
     let grants =
       List.concat_map
         (fun site -> Lock_manager.release_all (locks_at state site) ~tid)
         (Site_id.all ~n:state.config.n)
     in
-    prof_leave state;
+    Core.prof_leave state.core;
     on_grants state grants
 
   let check_deadlock state =
-    prof_enter state Prof.Locks;
+    Core.prof_enter state.core Prof.Locks;
     let edges =
       Array.to_list state.locks |> List.concat_map Lock_manager.waits_for_edges
     in
-    prof_leave state;
+    Core.prof_leave state.core;
     (* A cycle in the union graph is a (possibly cross-site) deadlock;
        the youngest transaction (largest tid) dies. *)
     match Lock_manager.find_cycle edges with
@@ -239,14 +232,14 @@ module Run (P : Site.S) = struct
     if requests = [] then activate state txn
     else begin
       let waiting = ref 0 in
-      prof_enter state Prof.Locks;
+      Core.prof_enter state.core Prof.Locks;
       List.iter
         (fun (site, key, mode) ->
           match Lock_manager.acquire (locks_at state site) ~tid ~key ~mode with
           | `Granted -> ()
           | `Waiting -> incr waiting)
         requests;
-      prof_leave state;
+      Core.prof_leave state.core;
       txn.client.pending_locks <- !waiting;
       if !waiting = 0 then activate state txn
       else begin
@@ -319,7 +312,6 @@ module Run (P : Site.S) = struct
         obs_on = Obs.enabled obs;
         locks = Array.init config.n (fun _ -> Lock_manager.create ());
         deadlocks = 0;
-        prof;
         on_gauge;
       }
     in
@@ -338,12 +330,12 @@ module Run (P : Site.S) = struct
                their data until the group outcome is known; everything
                else is released, waking compatible waiters. *)
             let durable = (Core.stores core).(Site_id.to_int site - 1) in
-            prof_enter state Prof.Locks;
+            Core.prof_enter state.core Prof.Locks;
             let grants =
               Lock_manager.purge (locks_at state site) ~keep:(fun tid ->
                   Durable_site.status durable ~tid = `Prepared)
             in
-            prof_leave state;
+            Core.prof_leave state.core;
             on_grants state grants);
         restarted = ignore;
         recovered = (fun _ _ -> ());

@@ -169,6 +169,12 @@ module Make (P : Site.S) : sig
   (** Close every span still open on the transaction's track 0 (done
       by the core when a transaction settles). *)
 
+  val prof_enter : 'c t -> Prof.bucket -> unit
+  (** Bracket client work with the core's profiler; no-ops (no
+      allocation) when it has none. *)
+
+  val prof_leave : 'c t -> unit
+
   val net : 'c t -> wire Network.t
 
   val stores : 'c t -> Durable_site.t array
