@@ -317,12 +317,11 @@ module Run (P : Site.S) = struct
     in
     Core.set_hooks core
       {
+        Core.no_hooks with
         decided =
           (fun txn site _ ->
             txn.client.decided_at.(Site_id.to_int site - 1) <- Some (now state);
             on_grants state (release_site state site txn.spec.tid));
-        settled = ignore;
-        reason = (fun _ _ -> ());
         crashed =
           (fun site ->
             (* The site's lock table is volatile too.  Only in-doubt
@@ -337,8 +336,6 @@ module Run (P : Site.S) = struct
             in
             Core.prof_leave state.core;
             on_grants state grants);
-        restarted = ignore;
-        recovered = (fun _ _ -> ());
       };
     Core.schedule_faults core ~crashes:config.crashes ~recoveries:[];
     List.iter

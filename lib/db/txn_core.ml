@@ -273,7 +273,10 @@ module Make (P : Site.S) = struct
 
   (* The one decision path.  Recovered sites waiting for the group
      adopt the first decision made after their restart; all-or-nothing
-     agreement makes "first" equal "the" group decision. *)
+     agreement makes "first" equal "the" group decision.  The client
+     hears of the decision last, so work it triggers (Tm's lock release
+     starting the next transaction) follows this transaction's
+     settlement and the sealing of its spans. *)
   let rec apply t txn i decision ~durable =
     txn.decisions.(i) <- Some decision;
     if durable then write_decision t.stores.(i) ~tid:txn.spec.tid decision;

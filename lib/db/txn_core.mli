@@ -125,9 +125,12 @@ module Make (P : Site.S) : sig
     unit ->
     'c t
   (** A core over a fresh network and fresh stores ([initial] loaded),
-      with hooks that do nothing until {!set_hooks}.  Trace lines go to
+      with {!no_hooks} until {!set_hooks}.  Trace lines go to
       [topic] of the engine's trace.  [prof] brackets protocol steps
       with the [Protocol] bucket and the network with [Network]. *)
+
+  val no_hooks : 'c hooks
+  (** Hooks that do nothing. *)
 
   val set_hooks : 'c t -> 'c hooks -> unit
   (** Hooks usually close over a client state that holds the core, so
