@@ -39,10 +39,6 @@ type txn_spec = {
   vote_no : Site_id.t list;  (** slaves that will vote no *)
 }
 
-val writes_at : txn_spec -> Site_id.t -> Wal.update list
-(** The updates [spec] stages at one site ([[]] if it writes nothing
-    there). *)
-
 type wire = { wtid : int; body : Types.msg }
 (** A protocol message tagged with its transaction. *)
 
@@ -56,7 +52,7 @@ val peer_decision :
   Durable_site.t array -> site:Site_id.t -> tid:int -> Types.decision option
 (** The recovery rule: the first decision any site other than [site]
     has in its stable log (commit log or end record: commit; abort
-    record: abort), in site order.  [stores] is indexed by site
+    record: abort), in site order.  The stores are indexed by site
     (position i = site i+1).  [None] means no peer has decided yet. *)
 
 val adopt :

@@ -664,6 +664,8 @@ let test_crash_recover_resolve_end_to_end () =
     (List.map Site_id.to_int report.Tm.crashed);
   check Alcotest.bool "survivors committed" true
     (Tm.count_status report Tm.Txn_committed = 1);
+  check Alcotest.bool "latency over the survivors" true
+    ((List.hd report.Tm.txns).latency <> None);
   (* site3's store: prepared, no decision. *)
   let store3 = report.Tm.stores.(2) in
   check Alcotest.bool "prepared persisted" true
