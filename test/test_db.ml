@@ -88,9 +88,10 @@ let test_waits_for_and_cycle () =
   ignore (Lock_manager.acquire lm ~tid:1 ~key:"a" ~mode:Lock_manager.Exclusive);
   ignore (Lock_manager.acquire lm ~tid:2 ~key:"b" ~mode:Lock_manager.Exclusive);
   ignore (Lock_manager.acquire lm ~tid:1 ~key:"b" ~mode:Lock_manager.Exclusive);
-  check Alcotest.bool "no cycle yet" true (Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) = None);
+  let cycle () = Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) in
+  check Alcotest.bool "no cycle yet" true (cycle () = None);
   ignore (Lock_manager.acquire lm ~tid:2 ~key:"a" ~mode:Lock_manager.Exclusive);
-  (match Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) with
+  (match cycle () with
   | None -> Alcotest.fail "deadlock not detected"
   | Some cycle ->
       check Alcotest.(list int) "cycle members" [ 1; 2 ]
@@ -99,7 +100,7 @@ let test_waits_for_and_cycle () =
   let granted = Lock_manager.release_all lm ~tid:2 in
   check Alcotest.bool "t1 unblocked on b" true
     (List.exists (fun g -> g.Lock_manager.tid = 1 && g.key = "b") granted);
-  check Alcotest.bool "cycle gone" true (Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) = None)
+  check Alcotest.bool "cycle gone" true (cycle () = None)
 
 let test_released_keys_dropped () =
   let lm = Lock_manager.create () in
@@ -229,23 +230,23 @@ let test_tm_crashed_site_writes_nothing () =
     Workload.bank_transfers ~n:3 ~pairs:6 ~balance:1000 ~amount:70
       ~spacing:(Vtime.of_int 6000) ~seed:1L
   in
+  let config =
+    {
+      (Tm.default_config ~protocol:(module Termination.Static) ()) with
+      Tm.initial = w.Workload.initial;
+      crashes = [ (site 3, Vtime.of_int 7000) ];
+    }
+  in
   let wal_of_site3 horizon =
-    let config =
-      {
-        (Tm.default_config ~protocol:(module Termination.Static) ()) with
-        Tm.initial = w.Workload.initial;
-        crashes = [ (site 3, Vtime.of_int 7000) ];
-        horizon;
-      }
-    in
-    Durable_site.wal_records (Tm.run config w.Workload.txns).Tm.stores.(2)
+    let report = Tm.run { config with Tm.horizon } w.Workload.txns in
+    Durable_site.wal_records report.Tm.stores.(2)
   in
   let record = Alcotest.testable Wal.pp ( = ) in
   check
     Alcotest.(list record)
     "no record after the crash"
     (wal_of_site3 (Vtime.of_int 7000))
-    (wal_of_site3 (Tm.default_config ~protocol:(module Two_phase) ()).Tm.horizon)
+    (wal_of_site3 config.Tm.horizon)
 
 let test_tm_crash_schedule_checked () =
   (* Site 5 of 3, crashing after the horizon: rejected before the run,
