@@ -246,10 +246,26 @@ let spans_arg =
            (rendered only at export), so recording is cheap enough to \
            leave on for any single run.")
 
-(* Span JSON goes through open_out_bin so the bytes on disk are exactly
-   the bytes Obs emitted — the CI determinism gate cmp(1)s two runs. *)
-let write_file path contents =
-  let oc = open_out_bin path in
+(* Bad input surfaces as Invalid_argument from the library's own checks
+   (Partition.make, Runner.run, Tm.run, Runtime.run, Soak.run): one line
+   naming the problem on stderr, then exit 2. *)
+let or_exit_2 what f =
+  try f ()
+  with Invalid_argument msg ->
+    Format.eprintf "invalid %s: %s@." what msg;
+    exit 2
+
+(* Output files are opened before the run they record, so an unwritable
+   path costs one line and exit 2, not the whole run and an exception.
+   open_out_bin keeps the bytes on disk exactly the bytes emitted — the
+   CI determinism gate cmp(1)s two runs. *)
+let open_output path =
+  try open_out_bin path
+  with Sys_error msg ->
+    Format.eprintf "cannot write output file: %s@." msg;
+    exit 2
+
+let write_output oc contents =
   output_string oc contents;
   close_out oc
 
@@ -258,9 +274,22 @@ let causality_path path =
    else path)
   ^ ".causality.json"
 
-let write_span_files obs path =
-  write_file path (Obs.to_trace_event_json obs);
-  write_file (causality_path path) (Obs.to_causality_json obs)
+(* --spans FILE writes FILE and its .causality.json companion. *)
+let open_span_files path =
+  let events = open_output path in
+  (events, open_output (causality_path path))
+
+let write_span_files obs (events, causality) =
+  write_output events (Obs.to_trace_event_json obs);
+  write_output causality (Obs.to_causality_json obs)
+
+let write_lines oc lines =
+  List.iter
+    (fun line ->
+      output_string oc line;
+      output_char oc '\n')
+    lines;
+  close_out oc
 
 (* Satellite of the obs PR: the ring evicting entries used to be
    silent.  stderr only — stdout stays byte-identical. *)
@@ -303,23 +332,25 @@ let run_cmd =
   let doc = "Run one transaction under one scenario and print the trace." in
   let run protocol n t g2 at heal seed delay no_votes pessimistic quiet crashes
       spans =
-    let config =
-      make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes ~pessimistic
-    in
-    let config =
-      {
-        config with
-        Runner.trace_enabled = not quiet;
-        crashes = crash_stop_only ~subcommand:"run" crashes;
-      }
-    in
+    let span_files = Option.map open_span_files spans in
     let obs = match spans with Some _ -> Obs.create () | None -> Obs.disabled in
-    let result = Runner.run ~obs protocol config in
+    let result =
+      or_exit_2 "scenario" (fun () ->
+          let config =
+            make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes ~pessimistic
+          in
+          Runner.run ~obs protocol
+            {
+              config with
+              Runner.trace_enabled = not quiet;
+              crashes = crash_stop_only ~subcommand:"run" crashes;
+            })
+    in
     if not quiet then Format.printf "%a@." Trace.pp result.trace;
     Format.printf "%a" Runner.pp_result result;
     let verdict = Verdict.of_result result in
     Format.printf "verdict: %a@." Verdict.pp verdict;
-    Option.iter (write_span_files obs) spans;
+    Option.iter (write_span_files obs) span_files;
     warn_dropped (Trace.dropped result.trace);
     if Verdict.resilient verdict then 0 else 1
   in
@@ -355,24 +386,25 @@ let spans_cmd =
   in
   let run protocol n t g2 at heal seed delay no_votes pessimistic crashes
       format out =
-    let config =
-      make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes ~pessimistic
-    in
-    let config =
-      {
-        config with
-        Runner.trace_enabled = false;
-        crashes = crash_stop_only ~subcommand:"spans" crashes;
-      }
-    in
+    let out = Option.map open_output out in
     let obs = Obs.create () in
-    let (_ : Runner.result) = Runner.run ~obs protocol config in
+    or_exit_2 "scenario" (fun () ->
+        let config =
+          make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes ~pessimistic
+        in
+        ignore
+          (Runner.run ~obs protocol
+             {
+               config with
+               Runner.trace_enabled = false;
+               crashes = crash_stop_only ~subcommand:"spans" crashes;
+             }));
     let json =
       match format with
       | `Trace_event -> Obs.to_trace_event_json obs
       | `Causality -> Obs.to_causality_json obs
     in
-    (match out with None -> print_string json | Some file -> write_file file json);
+    (match out with None -> print_string json | Some oc -> write_output oc json);
     0
   in
   Cmd.v
@@ -517,47 +549,50 @@ let db_cmd =
   let run protocol n t g2 at heal seed delay workload txns =
     let module Tm = Commit_db.Tm in
     let module Workload = Commit_db.Workload in
-    let t_unit = Vtime.of_int t in
-    let spacing = Vtime.of_int (6 * t) in
-    let w =
-      match workload with
-      | `Bank ->
-          Workload.bank_transfers ~n ~pairs:txns ~balance:1000 ~amount:70
-            ~spacing ~seed
-      | `Hot -> Workload.hot_spot ~n ~txns ~spacing
-      | `Mix ->
-          Workload.uniform_mix ~n ~txns ~keys_per_txn:3 ~key_space:(2 * n)
-            ~spacing ~seed
+    let w, report =
+      or_exit_2 "workload" (fun () ->
+          let t_unit = Vtime.of_int t in
+          let spacing = Vtime.of_int (6 * t) in
+          let w =
+            match workload with
+            | `Bank ->
+                Workload.bank_transfers ~n ~pairs:txns ~balance:1000 ~amount:70
+                  ~spacing ~seed
+            | `Hot -> Workload.hot_spot ~n ~txns ~spacing
+            | `Mix ->
+                Workload.uniform_mix ~n ~txns ~keys_per_txn:3
+                  ~key_space:(2 * n) ~spacing ~seed
+          in
+          let partition =
+            match g2 with
+            | [] -> Partition.none
+            | sites ->
+                let starts_at = Vtime.of_int (Option.value at ~default:0) in
+                Partition.make
+                  ?heals_at:
+                    (Option.map
+                       (fun h -> Vtime.add starts_at (Vtime.of_int h))
+                       heal)
+                  ~group2:(Site_id.set_of_ints sites) ~starts_at ~n ()
+          in
+          let delay =
+            match delay with
+            | `Minimal -> Delay.minimal
+            | `Full -> Delay.full ~t_max:t_unit
+            | `Uniform -> Delay.uniform ~t_max:t_unit
+          in
+          let config =
+            {
+              (Tm.default_config ~protocol ~n ()) with
+              Tm.t_unit;
+              partition;
+              delay;
+              seed;
+              initial = w.Workload.initial;
+            }
+          in
+          (w, Tm.run config w.Workload.txns))
     in
-    let partition =
-      match g2 with
-      | [] -> Partition.none
-      | sites ->
-          let starts_at = Vtime.of_int (Option.value at ~default:0) in
-          Partition.make
-            ?heals_at:
-              (Option.map
-                 (fun h -> Vtime.add starts_at (Vtime.of_int h))
-                 heal)
-            ~group2:(Site_id.set_of_ints sites) ~starts_at ~n ()
-    in
-    let delay =
-      match delay with
-      | `Minimal -> Delay.minimal
-      | `Full -> Delay.full ~t_max:t_unit
-      | `Uniform -> Delay.uniform ~t_max:t_unit
-    in
-    let config =
-      {
-        (Tm.default_config ~protocol ~n ()) with
-        Tm.t_unit;
-        partition;
-        delay;
-        seed;
-        initial = w.Workload.initial;
-      }
-    in
-    let report = Tm.run config w.Workload.txns in
     Format.printf "%a" Tm.pp_report report;
     (match workload with
     | `Bank ->
@@ -880,7 +915,7 @@ let cluster_cmd =
     end;
     let g2 = match g2 with [] -> [ n ] | sites -> sites in
     let timeline =
-      try
+      or_exit_2 "partition timeline" @@ fun () ->
         match cuts with
         | [] -> Partition.none
         | cuts ->
@@ -897,9 +932,6 @@ let cluster_cmd =
                      ~group2:(Site_id.set_of_ints g2) ~starts_at:(resolve cut)
                      ~n ())
                  cuts heals)
-      with Invalid_argument msg ->
-        Format.eprintf "invalid partition timeline: %s@." msg;
-        exit 2
     in
     let delay =
       match delay with
@@ -960,14 +992,13 @@ let cluster_cmd =
     in
     match seeds with
     | [] ->
+        let span_files = Option.map open_span_files spans in
+        let metrics_file = Option.map open_output metrics_out in
         let obs =
           match spans with Some _ -> Obs.create () | None -> Obs.disabled
         in
         let report =
-          try Cluster.Runtime.run ~obs config
-          with Invalid_argument msg ->
-            Format.eprintf "invalid cluster config: %s@." msg;
-            exit 2
+          or_exit_2 "cluster config" (fun () -> Cluster.Runtime.run ~obs config)
         in
         if json then
           Format.printf "%a@." Export.pp (Cluster.Runtime.to_json report)
@@ -976,20 +1007,17 @@ let cluster_cmd =
           if not quiet then
             Format.printf "%a" Cluster.Runtime.pp_timeline report
         end;
-        Option.iter (write_span_files obs) spans;
-        (match metrics_out with
-        | None -> ()
-        | Some file ->
-            let buffer = Buffer.create 4096 in
-            List.iter
-              (fun snap ->
-                Buffer.add_string buffer
-                  (Export.to_string
+        Option.iter (write_span_files obs) span_files;
+        Option.iter
+          (fun oc ->
+            write_lines oc
+              (List.map
+                 (fun snap ->
+                   Export.to_string
                      (Cluster.Metrics.snapshot_to_json
-                        report.Cluster.Runtime.metrics snap));
-                Buffer.add_char buffer '\n')
-              report.Cluster.Runtime.snapshots;
-            write_file file (Buffer.contents buffer));
+                        report.Cluster.Runtime.metrics snap))
+                 report.Cluster.Runtime.snapshots))
+          metrics_file;
         (* stderr: wall-clock attribution must never contaminate the
            deterministic stdout/JSON surface. *)
         (match report.Cluster.Runtime.profile with
@@ -1013,6 +1041,7 @@ let cluster_cmd =
           exit 2
         end;
         let jobs = resolve_jobs ~subcommand:"cluster" jobs in
+        let metrics_file = Option.map open_output metrics_out in
         let requested = (Format.asprintf "%a" Partition.pp timeline, timeline) in
         let grid =
           {
@@ -1034,21 +1063,11 @@ let cluster_cmd =
           }
         in
         let summary =
-          try Cluster.Cluster_sweep.run ~jobs grid
-          with Invalid_argument msg ->
-            Format.eprintf "invalid cluster sweep: %s@." msg;
-            exit 2
+          or_exit_2 "cluster sweep" (fun () -> Cluster.Cluster_sweep.run ~jobs grid)
         in
-        (match metrics_out with
-        | None -> ()
-        | Some file ->
-            let buffer = Buffer.create 4096 in
-            List.iter
-              (fun line ->
-                Buffer.add_string buffer line;
-                Buffer.add_char buffer '\n')
-              summary.Cluster.Cluster_sweep.snapshot_lines;
-            write_file file (Buffer.contents buffer));
+        Option.iter
+          (fun oc -> write_lines oc summary.Cluster.Cluster_sweep.snapshot_lines)
+          metrics_file;
         if json then
           Format.printf "%a@." Export.pp
             (Cluster.Cluster_sweep.to_json summary)
@@ -1159,22 +1178,11 @@ let soak_cmd =
       }
     in
     let jobs = resolve_jobs ~subcommand:"soak" jobs in
-    let summary =
-      try Cluster.Soak.run ~jobs config
-      with Invalid_argument msg ->
-        Format.eprintf "invalid soak config: %s@." msg;
-        exit 2
-    in
-    (match metrics_out with
-    | None -> ()
-    | Some file ->
-        let buffer = Buffer.create 4096 in
-        List.iter
-          (fun line ->
-            Buffer.add_string buffer line;
-            Buffer.add_char buffer '\n')
-          summary.Cluster.Soak.snapshot_lines;
-        write_file file (Buffer.contents buffer));
+    let metrics_file = Option.map open_output metrics_out in
+    let summary = or_exit_2 "soak config" (fun () -> Cluster.Soak.run ~jobs config) in
+    Option.iter
+      (fun oc -> write_lines oc summary.Cluster.Soak.snapshot_lines)
+      metrics_file;
     if json then
       Format.printf "%a@." Export.pp (Cluster.Soak.to_json config summary)
     else Format.printf "%a" Cluster.Soak.pp_summary (config, summary);

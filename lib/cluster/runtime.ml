@@ -105,9 +105,9 @@ let tmpl_torn =
       Buffer.add_string b " TORN")
 
 (* Per-domain reusable state for cluster sweeps: one engine whose heap
-   array survives (reset, not reallocated) across runtimes.  The trace
-   store is not part of the scratch — each run gets a fresh one so
-   [report.trace] never aliases a later run's data. *)
+   array survives (reset, not reallocated) across runtimes.  The log is
+   not part of the scratch — each run gets a fresh one (or the caller's
+   recorder) so [report.trace] never aliases a later run's data. *)
 type scratch = { scratch_engine : Engine.t }
 
 let make_scratch () =
@@ -146,8 +146,8 @@ module Run (P : Site.S) = struct
     config : config;
     engine : Engine.t;
     core : bool Core.t;
-    obs : Obs.t;
-    obs_on : bool;  (* cached Obs.enabled *)
+    log : Trace.t;  (* cached Engine.trace *)
+    on : bool;  (* cached Trace.on *)
     alive : Site_id.t -> bool;
     scheduler : Tm.txn_spec Scheduler.t;
     metrics : Metrics.t;
@@ -169,7 +169,7 @@ module Run (P : Site.S) = struct
         Metrics.mark m ~at "aborts"
     | Txn_core.Torn | Txn_core.Open (* never settles *) ->
         Metrics.incr m "txn.torn";
-        if Core.tracing state.core then Core.log1 state.core tmpl_torn txn.spec.tid);
+        if state.on then Core.log1 state.core tmpl_torn txn.spec.tid);
     Metrics.incr m "txn.settled";
     Metrics.observe m "latency.settle" (Vtime.sub at txn.started_at);
     if txn.client then begin
@@ -182,10 +182,10 @@ module Run (P : Site.S) = struct
   and start state spec master =
     let at = now state in
     let tid = spec.Tm.tid in
-    if state.obs_on then begin
-      if Obs.open_depth state.obs ~site:0 ~tid > 0 then
-        Obs.span_end state.obs ~at ~site:0 ~tid;  (* queued *)
-      Obs.span_begin state.obs ~at ~site:0 ~tid ~cat:"txn" "txn"
+    if state.on then begin
+      if Obs.open_depth state.log ~site:0 ~tid > 0 then
+        Obs.span_end state.log ~at ~site:0 ~tid;  (* queued *)
+      Obs.span_begin state.log ~at ~site:0 ~tid ~cat:"txn" "txn"
     end;
     Metrics.mark state.metrics ~at "admissions";
     Metrics.observe state.metrics "wait.queue" (Vtime.sub at spec.Tm.start_at);
@@ -218,12 +218,12 @@ module Run (P : Site.S) = struct
     with
     | `Admit master -> start state spec master
     | `Enqueued ->
-        if state.obs_on then
-          Obs.span_begin state.obs ~at ~site:0 ~tid:spec.Tm.tid
+        if state.on then
+          Obs.span_begin state.log ~at ~site:0 ~tid:spec.Tm.tid
             ~cat:"lifecycle" "queued"
     | `Rejected ->
-        if state.obs_on then
-          Obs.instant state.obs ~at ~site:0 ~tid:spec.Tm.tid ~cat:"lifecycle"
+        if state.on then
+          Obs.instant state.log ~at ~site:0 ~tid:spec.Tm.tid ~cat:"lifecycle"
             "rejected";
         Metrics.incr state.metrics "txn.rejected";
         Metrics.mark state.metrics ~at "rejections"
@@ -272,17 +272,17 @@ module Run (P : Site.S) = struct
     | Some every when Vtime.to_int every <= 0 ->
         invalid_arg "Runtime.run: snapshot_every must be positive"
     | Some _ | None -> ());
-    let trace_store = Trace.create ~enabled:config.trace_enabled () in
+    let log = Obs.log obs ~text:config.trace_enabled in
     let engine =
       match scratch with
       | Some s ->
-          Engine.reset ~trace:trace_store s.scratch_engine;
+          Engine.reset ~trace:log s.scratch_engine;
           s.scratch_engine
-      | None -> Engine.create ~trace:trace_store ()
+      | None -> Engine.create ~trace:log ()
     in
     let prof = if config.profile then Some (Prof.create ()) else None in
     let core =
-      Core.create ~engine ~obs ?prof ~topic:"cluster" ~n:config.n
+      Core.create ~engine ?prof ~topic:"cluster" ~n:config.n
         ~t_unit:config.t_unit ~mode:config.mode ~partition:config.timeline
         ~delay:config.delay ~seed:config.seed ~initial:[] ()
     in
@@ -295,8 +295,8 @@ module Run (P : Site.S) = struct
         config;
         engine;
         core;
-        obs;
-        obs_on = Obs.enabled obs;
+        log;
+        on = Trace.on log;
         alive = Core.alive core;
         scheduler =
           Scheduler.create ~policy:config.policy
@@ -312,7 +312,7 @@ module Run (P : Site.S) = struct
        Obs spans into "span.<cat>.<name>" histograms (it only exists
        when the recorder does, so trace-off runs pay nothing); gauges
        are sampled at every cut and once at the horizon. *)
-    let bridge = if Obs.enabled obs then Some (Span_bridge.create obs) else None in
+    let bridge = if Obs.enabled log then Some (Span_bridge.create log) else None in
     let flush_bridge () =
       match bridge with Some b -> Span_bridge.flush b metrics | None -> ()
     in
@@ -421,7 +421,7 @@ module Run (P : Site.S) = struct
       (Engine.schedule_at engine ~at:config.t_unit ~label:(Label.Static "pump") (fun () ->
            pump_loop ()));
     Engine.run ~until:horizon engine;
-    Obs.close_open_spans obs ~at:(Engine.now engine);
+    Obs.close_open_spans log ~at:(Engine.now engine);
     (* Shutdown accounting. *)
     let blocked =
       Core.fold core (fun (txn : txn) n -> if txn.settled then n else n + 1) 0
@@ -469,8 +469,8 @@ module Run (P : Site.S) = struct
       auditor = state.auditor;
       metrics;
       net_stats = Network.stats (Core.net core);
-      trace = trace_store;
-      trace_dropped = Trace.dropped trace_store;
+      trace = log;
+      trace_dropped = Trace.dropped log;
       events_run = Engine.events_run engine;
       snapshots = List.rev !snapshots;
       profile = Option.map Prof.report prof;

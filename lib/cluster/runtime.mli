@@ -136,8 +136,10 @@ val run : ?obs:Obs.t -> ?scratch:scratch -> config -> report
 (** [obs] (default {!Obs.disabled}) records per-transaction lifecycle
     spans — queued / admission-to-settlement on track 0, protocol state
     spans on each physical site's track — plus every message-flow edge.
+    An enabled [obs] is the run's log (see {!Obs.log}): [report.trace]
+    is [obs], its text view on exactly when [config.trace_enabled] is.
     [scratch] reuses a per-domain engine via {!Engine.reset}; the
-    returned [report.trace] is always a fresh store.
+    returned [report.trace] is never the scratch's.
     @raise Invalid_argument on a non-positive load/window,
     [amount >= balance], or a crash or recovery schedule the core
     rejects (a site outside [1..n], a recovery without an earlier

@@ -116,8 +116,8 @@ module Run (P : Site.S) = struct
     config : config;
     engine : Engine.t;
     core : locking Core.t;
-    obs : Obs.t;
-    obs_on : bool;  (* cached Obs.enabled *)
+    log : Trace.t;  (* cached Engine.trace *)
+    on : bool;  (* cached Trace.on *)
     locks : Lock_manager.t array;
     mutable deadlocks : int;
     on_gauge : (string -> int -> unit) option;
@@ -161,18 +161,25 @@ module Run (P : Site.S) = struct
   (* Transaction-lifecycle spans live on track 0 (the manager's own
      timeline): txn ⊃ lock-wait, protocol.  The core seals them when
      the last live site decides; [close_open_spans] catches
-     transactions still blocked at the horizon. *)
+     transactions still blocked at the horizon.  Entering lock-wait or
+     the protocol, and dying as a deadlock victim, are also a line
+     "t<tid>: ..." in the core's topic: [write] makes the two one
+     record. *)
+  let lifecycle state (write : unit Trace.writer) ~tid name tmpl arg =
+    let log = state.log in
+    write log ~at:(now state) ~site:0 ~tid ~cat:(Trace.intern log "lifecycle")
+      ~name:(Trace.intern log name) ~topic:(Core.topic state.core) tmpl tid arg
+      0 0
+
   let rec activate state (txn : locking Core.txn) =
     let tid = txn.spec.tid in
-    if state.obs_on then begin
-      let at = now state in
-      if Obs.open_depth state.obs ~site:0 ~tid > 1 then
-        Obs.span_end state.obs ~at ~site:0 ~tid;  (* lock-wait *)
-      Obs.span_begin state.obs ~at ~site:0 ~tid ~cat:"lifecycle" "protocol"
+    if state.on then begin
+      let log = state.log and at = now state in
+      if Obs.open_depth log ~site:0 ~tid > 1 then
+        Obs.span_end log ~at ~site:0 ~tid;  (* lock-wait *)
+      lifecycle state Trace.span_begin ~tid "protocol" tmpl_locks_granted
+        (Trace.intern log P.name)
     end;
-    if Core.tracing state.core then
-      Core.log2 state.core tmpl_locks_granted tid
-        (Trace.intern (Core.trace state.core) P.name);
     Core.start state.core txn ~master:Site_id.master
 
   and on_grants state grants =
@@ -193,12 +200,10 @@ module Run (P : Site.S) = struct
     let tid = txn.spec.tid in
     txn.client.victim <- true;
     state.deadlocks <- state.deadlocks + 1;
-    if state.obs_on then begin
-      Obs.instant state.obs ~at:(now state) ~site:0 ~tid ~cat:"lifecycle"
-        "deadlock-victim";
+    if state.on then begin
+      lifecycle state Trace.instant ~tid "deadlock-victim" tmpl_deadlock_victim 0;
       Core.seal state.core tid
     end;
-    if Core.tracing state.core then Core.log1 state.core tmpl_deadlock_victim tid;
     Core.prof_enter state.core Prof.Locks;
     let grants =
       List.concat_map
@@ -226,8 +231,8 @@ module Run (P : Site.S) = struct
 
   let start_txn state (txn : locking Core.txn) =
     let tid = txn.spec.tid in
-    if state.obs_on then
-      Obs.span_begin state.obs ~at:(now state) ~site:0 ~tid ~cat:"txn" "txn";
+    if state.on then
+      Obs.span_begin state.log ~at:(now state) ~site:0 ~tid ~cat:"txn" "txn";
     let requests = lock_requests txn.spec in
     if requests = [] then activate state txn
     else begin
@@ -243,11 +248,9 @@ module Run (P : Site.S) = struct
       txn.client.pending_locks <- !waiting;
       if !waiting = 0 then activate state txn
       else begin
-        if state.obs_on then
-          Obs.span_begin state.obs ~at:(now state) ~site:0 ~tid ~cat:"lifecycle"
-            "lock-wait";
-        if Core.tracing state.core then
-          Core.log2 state.core tmpl_lock_wait tid !waiting;
+        if state.on then
+          lifecycle state Trace.span_begin ~tid "lock-wait" tmpl_lock_wait
+            !waiting;
         sample_lock_gauge state;
         (* Waits can only deadlock when a new waiter arrives. *)
         ignore
@@ -296,10 +299,10 @@ module Run (P : Site.S) = struct
     let distinct = List.sort_uniq Int.compare tids in
     if List.length distinct <> List.length tids then
       invalid_arg "Tm.run: duplicate tids";
-    let trace_store = Trace.create ~enabled:config.trace_enabled () in
-    let engine = Engine.create ~trace:trace_store () in
+    let log = Obs.log obs ~text:config.trace_enabled in
+    let engine = Engine.create ~trace:log () in
     let core =
-      Core.create ~engine ~obs ?prof ~topic:"tm" ~n:config.n
+      Core.create ~engine ?prof ~topic:"tm" ~n:config.n
         ~t_unit:config.t_unit ~mode:config.mode ~partition:config.partition
         ~delay:config.delay ~seed:config.seed ~initial:config.initial ()
     in
@@ -308,8 +311,8 @@ module Run (P : Site.S) = struct
         config;
         engine;
         core;
-        obs;
-        obs_on = Obs.enabled obs;
+        log;
+        on = Trace.on log;
         locks = Array.init config.n (fun _ -> Lock_manager.create ());
         deadlocks = 0;
         on_gauge;
@@ -353,11 +356,11 @@ module Run (P : Site.S) = struct
              ~label:(Label.Static "txn-start") (fun () -> start_txn state txn)))
       specs;
     Engine.run ~until:config.horizon engine;
-    Obs.close_open_spans obs ~at:(Engine.now engine);
+    Obs.close_open_spans log ~at:(Engine.now engine);
     {
       txns = List.map (report_of state) specs;
       stores = Core.stores core;
-      trace = trace_store;
+      trace = log;
       net_stats = Network.stats (Core.net core);
       deadlocks_resolved = state.deadlocks;
       crashed =

@@ -101,7 +101,9 @@ val run :
 (** [obs] (default {!Obs.disabled}) records, besides the per-site
     protocol spans and message flows, a transaction-lifecycle timeline
     on track 0: a root txn span containing lock-wait and protocol
-    phases, sealed when the last live site decides.
+    phases, sealed when the last live site decides.  An enabled [obs]
+    is the run's log (see {!Obs.log}): [report.trace] is [obs], its
+    text view on exactly when [config.trace_enabled] is.
 
     [prof] brackets lock-manager work (acquire / release / deadlock
     checks) with the [Locks] profiler bucket, protocol steps with

@@ -171,11 +171,9 @@ module Make (P : Site.S) = struct
     engine : Engine.t;
     n : int;
     t_unit : Vtime.t;
-    trace_store : Trace.t;
-    tracing : bool;
+    log : Trace.t;  (* cached Engine.trace *)
+    on : bool;  (* cached Trace.on *)
     topic : Trace.topic;
-    obs : Obs.t;
-    obs_on : bool;  (* cached Obs.enabled *)
     prof : Prof.t option;
     net : wire Network.t;
     stores : Durable_site.t array;
@@ -204,21 +202,22 @@ module Make (P : Site.S) = struct
 
   let now t = Engine.now t.engine
 
-  (* Call sites guard with [t.tracing]. *)
-  let log1 t tmpl a0 = Trace.log1 t.trace_store ~at:(now t) ~topic:t.topic tmpl a0
+  (* Call sites guard with [t.on]. *)
+  let log1 t tmpl a0 = Trace.log1 t.log ~at:(now t) ~topic:t.topic tmpl a0
 
-  let log2 t tmpl a0 a1 =
-    Trace.log2 t.trace_store ~at:(now t) ~topic:t.topic tmpl a0 a1
+  let log2 t tmpl a0 a1 = Trace.log2 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1
 
   let log3 t tmpl a0 a1 a2 =
-    Trace.log3 t.trace_store ~at:(now t) ~topic:t.topic tmpl a0 a1 a2
+    Trace.log3 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1 a2
 
   let log4 t tmpl a0 a1 a2 a3 =
-    Trace.log4 t.trace_store ~at:(now t) ~topic:t.topic tmpl a0 a1 a2 a3
+    Trace.log4 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1 a2 a3
 
-  let tracing t = t.tracing
+  let on t = t.on
 
-  let trace t = t.trace_store
+  let log t = t.log
+
+  let topic t = t.topic
 
   let net t = t.net
 
@@ -238,8 +237,8 @@ module Make (P : Site.S) = struct
      timeline) end when it settles. *)
   let seal t tid =
     let at = now t in
-    while Obs.open_depth t.obs ~site:0 ~tid > 0 do
-      Obs.span_end t.obs ~at ~site:0 ~tid
+    while Obs.open_depth t.log ~site:0 ~tid > 0 do
+      Obs.span_end t.log ~at ~site:0 ~tid
     done
 
   (* Settlement is judged over live sites only: a crash-stopped site
@@ -268,7 +267,7 @@ module Make (P : Site.S) = struct
 
   let settle t (txn : _ txn) =
     txn.settled <- true;
-    if t.obs_on then seal t txn.spec.tid;
+    if t.on then seal t txn.spec.tid;
     t.hooks.settled txn
 
   (* The one decision path.  Recovered sites waiting for the group
@@ -297,7 +296,7 @@ module Make (P : Site.S) = struct
         ~writes:(writes_at txn.spec (Site_id.of_int (i + 1)))
         decision
     in
-    if t.tracing then
+    if t.on then
       log3 t tmpl_adopted tid (i + 1)
         (match decision with Types.Commit -> 1 | Types.Abort -> 0);
     apply t txn i decision ~durable
@@ -354,7 +353,7 @@ module Make (P : Site.S) = struct
                     { wtid = tid; body })
               ~on_decide:(fun decision -> record t txn i decision)
               ~on_reason:(fun r -> t.hooks.reason txn r)
-              ~obs:t.obs ~obs_site:(i + 1) ()
+              ~obs_site:(i + 1) ()
           in
           let role =
             if Site_id.is_master self then Site.Master_role
@@ -382,7 +381,7 @@ module Make (P : Site.S) = struct
                  | _ -> false
                in
                if Option.is_none txn.decisions.(i) && initial then begin
-                 if t.tracing then log2 t tmpl_never_reached tid (i + 1);
+                 if t.on then log2 t tmpl_never_reached tid (i + 1);
                  record t txn i Types.Abort
                end)))
       instances;
@@ -419,12 +418,12 @@ module Make (P : Site.S) = struct
           prof_leave t
         end
 
-  let create ~engine ~obs ?prof ~topic ~n ~t_unit ~mode ~partition ~delay ~seed
+  let create ~engine ?prof ~topic ~n ~t_unit ~mode ~partition ~delay ~seed
       ~initial () =
-    let trace_store = Engine.trace engine in
+    let log = Engine.trace engine in
     let net =
       Network.create ~engine ~n ~t_max:t_unit ~mode ~partition ~delay ~seed
-        ~pp_payload:pp_wire ~payload_codec:wire_codec ~obs
+        ~pp_payload:pp_wire ~payload_codec:wire_codec
         ~obs_tid:(fun w -> w.wtid)
         ?prof ()
     in
@@ -433,11 +432,9 @@ module Make (P : Site.S) = struct
         engine;
         n;
         t_unit;
-        trace_store;
-        tracing = Trace.enabled trace_store;
-        topic = Trace.topic trace_store topic;
-        obs;
-        obs_on = Obs.enabled obs;
+        log;
+        on = Trace.on log;
+        topic = Trace.topic log topic;
         prof;
         net;
         stores =
@@ -463,7 +460,7 @@ module Make (P : Site.S) = struct
       t.dead.(i) <- true;
       Network.crash t.net site;
       Durable_site.crash t.stores.(i);
-      if t.tracing then log1 t tmpl_crashed (i + 1);
+      if t.on then log1 t tmpl_crashed (i + 1);
       t.hooks.crashed site;
       fold t
         (fun txn acc ->
@@ -507,7 +504,7 @@ module Make (P : Site.S) = struct
           open_txns
       in
       let rep = Durable_site.recover ~undecided d in
-      if t.tracing then
+      if t.on then
         log4 t tmpl_recovered (i + 1) (List.length rep.redone)
           (List.length rep.in_doubt) (List.length rep.aborted);
       (* What the replay still aborted on its own (an active transaction

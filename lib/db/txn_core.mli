@@ -108,7 +108,6 @@ module Make (P : Site.S) : sig
 
   val create :
     engine:Engine.t ->
-    obs:Obs.t ->
     ?prof:Prof.t ->
     topic:string ->
     n:int ->
@@ -121,8 +120,9 @@ module Make (P : Site.S) : sig
     unit ->
     'c t
   (** A core over a fresh network and fresh stores ([initial] loaded),
-      with {!no_hooks} until {!set_hooks}.  Trace lines go to
-      [topic] of the engine's trace.  [prof] brackets protocol steps
+      with {!no_hooks} until {!set_hooks}.  Everything records into the
+      engine's log: trace lines under [topic], spans when the log keeps
+      them.  [prof] brackets protocol steps
       with the [Protocol] bucket and the network with [Network]. *)
 
   val no_hooks : 'c hooks
@@ -179,12 +179,15 @@ module Make (P : Site.S) : sig
   val stores : 'c t -> Durable_site.t array
   (** Index i = site i+1. *)
 
-  val tracing : 'c t -> bool
+  val on : 'c t -> bool
+  (** Cached [Trace.on] of the engine's log. *)
 
-  val trace : 'c t -> Trace.t
+  val log : 'c t -> Trace.t
+
+  val topic : 'c t -> Trace.topic
 
   val log1 : 'c t -> Trace.template -> int -> unit
-  (** A line in the core's topic; call sites guard with {!tracing}. *)
+  (** A line in the core's topic; call sites guard with {!on}. *)
 
   val log2 : 'c t -> Trace.template -> int -> int -> unit
 end

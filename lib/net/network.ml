@@ -21,50 +21,31 @@ type stats = { sent : int; delivered : int; bounced : int; lost : int }
 (* Binary trace templates                                              *)
 (*                                                                     *)
 (* The network's trace lines all have the shape "endpoints, verb,      *)
-(* payload [, hop]".  When the caller supplies a [payload_codec] the   *)
-(* payload travels through the trace as one packed int plus a renderer *)
-(* id from the registry below, and every line becomes a typed binary   *)
-(* record; without a codec the legacy eager [addf] path is kept (tests *)
-(* trace arbitrary payload types).  Renderer registration is           *)
-(* module-init-only, like {!Trace.register_template}.                  *)
+(* payload [, hop]".  The payload travels as one packed int plus the   *)
+(* template that renders it: the caller's [payload_codec], or, without *)
+(* one, [pp_payload]'s text interned in the log.  A message flow is    *)
+(* named by the same two arguments, so a send or a delivery is one     *)
+(* record that both views read.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let payload_renderers =
-  ref (Array.make 8 (None : (Buffer.t -> int -> unit) option))
-
-let n_payload_renderers = ref 0
-
-(* Each payload renderer doubles as an obs flow-name renderer, so coded
-   flow names share the registration; indexed by payload renderer id. *)
-let obs_name_ids = ref (Array.make 8 (-1))
-
 let register_payload_renderer r =
-  let i = !n_payload_renderers in
-  if i = Array.length !payload_renderers then begin
-    let grown = Array.make (2 * i) None in
-    Array.blit !payload_renderers 0 grown 0 i;
-    payload_renderers := grown;
-    let grown_ids = Array.make (2 * i) (-1) in
-    Array.blit !obs_name_ids 0 grown_ids 0 i;
-    obs_name_ids := grown_ids
-  end;
-  !payload_renderers.(i) <- Some r;
-  !obs_name_ids.(i) <- Obs.register_name_renderer r;
-  incr n_payload_renderers;
-  i
+  Trace.register_template (fun b _ code _ _ _ _ -> r b code)
 
-let buf_payload b rid code =
-  match !payload_renderers.(rid) with
-  | Some r -> r b code
-  | None -> Buffer.add_string b "<msg>"
-
-(* Endpoints pack as [src lsl 10 lor dst] in one argument. *)
+(* Endpoints pack as [src lsl 10 lor dst] in one argument; the payload
+   template and code follow in the next two. *)
 let buf_site b i = Site_id.buf b (Site_id.of_int i)
 
 let buf_src_arrow_dst b sd =
   buf_site b (sd lsr 10);
   Buffer.add_string b " -> ";
   buf_site b (sd land 0x3ff)
+
+(* A flow's span name: its payload, rendered from the record's own
+   renderer and code arguments. *)
+let flow_name =
+  Trace.template_name
+    (Trace.register_template (fun b lookup _ rid code _ _ ->
+         Trace.render_arg b lookup rid code))
 
 let tmpl_crashed =
   Trace.register_template (fun b _ site _ _ _ _ ->
@@ -79,10 +60,10 @@ let tmpl_recovered =
 (* "src -> dst payload: <suffix>" — lost (destination dead) / lost at
    boundary B / suppressed (sender dead) share one shape. *)
 let endpoints_payload_suffix suffix =
-  Trace.register_template (fun b _ sd rid code _ _ ->
+  Trace.register_template (fun b lookup sd rid code _ _ ->
       buf_src_arrow_dst b sd;
       Buffer.add_char b ' ';
-      buf_payload b rid code;
+      Trace.render_arg b lookup rid code;
       Buffer.add_string b suffix)
 
 let tmpl_lost_dest_dead = endpoints_payload_suffix ": lost (destination dead)"
@@ -92,53 +73,49 @@ let tmpl_lost_at_b = endpoints_payload_suffix ": lost at boundary B"
 let tmpl_suppressed = endpoints_payload_suffix ": suppressed (sender dead)"
 
 let tmpl_deliver =
-  Trace.register_template (fun b _ sd rid code _ _ ->
+  Trace.register_template (fun b lookup sd rid code _ _ ->
       buf_src_arrow_dst b sd;
       Buffer.add_string b ": deliver ";
-      buf_payload b rid code)
+      Trace.render_arg b lookup rid code)
 
 let tmpl_ud_lost =
-  Trace.register_template (fun b _ src rid code _ _ ->
+  Trace.register_template (fun b lookup src rid code _ _ ->
       Buffer.add_string b "UD(";
-      buf_payload b rid code;
+      Trace.render_arg b lookup rid code;
       Buffer.add_string b ") for ";
       buf_site b src;
       Buffer.add_string b ": lost (sender dead)")
 
 let tmpl_bounce =
-  Trace.register_template (fun b _ sd rid code _ _ ->
+  Trace.register_template (fun b lookup sd rid code _ _ ->
       Buffer.add_string b "return UD(";
       buf_src_arrow_dst b sd;
       Buffer.add_string b ": ";
-      buf_payload b rid code;
+      Trace.render_arg b lookup rid code;
       Buffer.add_string b ") to sender")
 
 let tmpl_send =
-  Trace.register_template (fun b _ sd rid code hop _ ->
+  Trace.register_template (fun b lookup sd rid code hop _ ->
       buf_src_arrow_dst b sd;
       Buffer.add_string b ": send ";
-      buf_payload b rid code;
+      Trace.render_arg b lookup rid code;
       Buffer.add_string b " (hop ";
       Vtime.buf b (Vtime.of_int hop);
       Buffer.add_char b ')')
 
 type 'a t = {
   engine : Engine.t;
-  trace : Trace.t;  (* cached Engine.trace *)
-  tracing : bool;  (* cached Trace.enabled: skip formatting entirely *)
+  log : Trace.t;  (* cached Engine.trace *)
+  on : bool;  (* cached Trace.on: skip every record argument when off *)
   n : int;
   t_max : Vtime.t;
   mode : mode;
   partition : Partition.t;
   delay : Delay.t;
   rng : Rng.t;
-  pp_payload : Format.formatter -> 'a -> unit;
-  topic_net : Trace.topic;  (* "net", interned once *)
-  enc : ('a -> int) option;  (* payload codec: binary records when present *)
-  renderer_id : int;
-  obs_renderer : int;  (* obs name renderer for coded flow names, or -1 *)
-  obs : Obs.t;
-  obs_on : bool;  (* cached Obs.enabled: keep the off path allocation-free *)
+  net : Trace.topic;  (* "net", interned once: lines' topic, spans' category *)
+  renderer : int;  (* the template that renders [enc]'s codes *)
+  enc : 'a -> int;
   obs_tid : 'a -> int;  (* payload -> transaction-id track for flow edges *)
   dead : bool array;  (* indexed by site id - 1 *)
   prof : Prof.t option;  (* wall-time attribution bracket, or None *)
@@ -151,38 +128,36 @@ type 'a t = {
 }
 
 let create ~engine ~n ~t_max ?(mode = Optimistic) ?(partition = Partition.none)
-    ?delay ?(seed = 1L) ?pp_payload ?payload_codec ?(obs = Obs.disabled)
-    ?obs_tid ?prof () =
+    ?delay ?(seed = 1L) ?pp_payload ?payload_codec ?obs_tid ?prof () =
   if n < 2 then invalid_arg "Network.create: need at least two sites";
   if Vtime.( < ) t_max (Vtime.of_int 1) then
     invalid_arg "Network.create: t_max must be at least one tick";
   let delay = match delay with Some d -> d | None -> Delay.uniform ~t_max in
+  let log = Engine.trace engine in
   let pp_payload =
     match pp_payload with
     | Some pp -> pp
     | None -> fun fmt _ -> Format.pp_print_string fmt "<msg>"
   in
-  let trace = Engine.trace engine in
   {
     engine;
-    trace;
-    tracing = Trace.enabled trace;
-    topic_net = Trace.topic trace "net";
-    enc = (match payload_codec with Some (_, enc) -> Some enc | None -> None);
-    renderer_id = (match payload_codec with Some (rid, _) -> rid | None -> -1);
-    obs_renderer =
+    log;
+    on = Trace.on log;
+    net = Trace.topic log "net";
+    renderer =
       (match payload_codec with
-      | Some (rid, _) -> !obs_name_ids.(rid)
-      | None -> -1);
+      | Some ((rid : Trace.template), _) -> (rid :> int)
+      | None -> (Trace.text_template :> int));
+    enc =
+      (match payload_codec with
+      | Some (_, enc) -> enc
+      | None -> fun p -> Trace.intern log (Format.asprintf "%a" pp_payload p));
     n;
     t_max;
     mode;
     partition;
     delay;
     rng = Rng.create seed;
-    pp_payload;
-    obs;
-    obs_on = Obs.enabled obs;
     obs_tid = (match obs_tid with Some f -> f | None -> fun _ -> 0);
     dead = Array.make n false;
     prof;
@@ -211,39 +186,23 @@ let stats t =
 
 let is_dead t site = t.dead.(Site_id.to_int site - 1)
 
+(* A site's crash or recovery: a line and an instant on its track 0. *)
+let mark_site t site name tmpl =
+  if t.on then
+    let s = Site_id.to_int site in
+    Trace.instant t.log ~at:(Engine.now t.engine) ~site:s ~tid:0
+      ~cat:(t.net :> int) ~name:(Trace.intern t.log name) ~topic:t.net tmpl s 0
+      0 0
+
 let crash t site =
   t.dead.(Site_id.to_int site - 1) <- true;
-  if t.obs_on then
-    Obs.instant t.obs ~at:(Engine.now t.engine) ~site:(Site_id.to_int site)
-      ~tid:0 ~cat:"net" "crash";
-  if t.tracing then
-    Trace.log1 t.trace ~at:(Engine.now t.engine) ~topic:t.topic_net
-      tmpl_crashed (Site_id.to_int site)
+  mark_site t site "crash" tmpl_crashed
 
 let recover t site =
   t.dead.(Site_id.to_int site - 1) <- false;
-  if t.obs_on then
-    Obs.instant t.obs ~at:(Engine.now t.engine) ~site:(Site_id.to_int site)
-      ~tid:0 ~cat:"net" "recover";
-  if t.tracing then
-    Trace.log1 t.trace ~at:(Engine.now t.engine) ~topic:t.topic_net
-      tmpl_recovered (Site_id.to_int site)
+  mark_site t site "recover" tmpl_recovered
 
 let alive t site = not (is_dead t site)
-
-(* Call sites guard with [t.tracing] so a disabled trace costs neither
-   the payload encoding nor the [Engine.now] read.  [trace_net] is the
-   codec-less fallback (arbitrary payload types, eager rendering). *)
-let trace_net t fmt =
-  Trace.addf t.trace ~at:(Engine.now t.engine) ~topic:"net" fmt
-
-let pack_sd src dst = (Site_id.to_int src lsl 10) lor Site_id.to_int dst
-
-(* One binary record: endpoints + coded payload under [tmpl]. *)
-let log_env t tmpl envelope enc =
-  Trace.log3 t.trace ~at:(Engine.now t.engine) ~topic:t.topic_net tmpl
-    (pack_sd envelope.src envelope.dst)
-    t.renderer_id (enc envelope.payload)
 
 let dispatch t site delivery =
   match t.handler with
@@ -263,35 +222,36 @@ let prof_leave t = match t.prof with Some p -> Prof.leave p | None -> ()
    no tap installed; the matches below only build the event when a tap
    is listening. *)
 
+let pack_sd src dst = (Site_id.to_int src lsl 10) lor Site_id.to_int dst
+
+(* A message's loss as a line under "net" and an instant on [site]'s
+   track; call sites guard with [t.on]. *)
+let lost_at t ~site name tmpl envelope =
+  Trace.instant t.log ~at:(Engine.now t.engine) ~site:(Site_id.to_int site)
+    ~tid:(t.obs_tid envelope.payload) ~cat:(t.net :> int)
+    ~name:(Trace.intern t.log name) ~topic:t.net tmpl
+    (pack_sd envelope.src envelope.dst)
+    t.renderer (t.enc envelope.payload) 0
+
+(* The end of [flow] on [site]'s track, as the line [tmpl]. *)
+let flow_end t ~site tmpl envelope flow =
+  Trace.flow_end t.log ~at:(Engine.now t.engine) ~site:(Site_id.to_int site)
+    ~tid:(t.obs_tid envelope.payload) ~flow ~topic:t.net tmpl
+    (pack_sd envelope.src envelope.dst)
+    t.renderer (t.enc envelope.payload) 0
+
 let deliver t envelope flow =
   if is_dead t envelope.dst then begin
     t.lost <- t.lost + 1;
-    if t.obs_on then
-      Obs.instant t.obs ~at:(Engine.now t.engine)
-        ~site:(Site_id.to_int envelope.dst) ~tid:(t.obs_tid envelope.payload)
-        ~cat:"net" "lost";
-    (if t.tracing then
-       match t.enc with
-       | Some enc -> log_env t tmpl_lost_dest_dead envelope enc
-       | None ->
-           trace_net t "%a -> %a %a: lost (destination dead)" Site_id.pp
-             envelope.src Site_id.pp envelope.dst t.pp_payload envelope.payload);
+    if t.on then
+      lost_at t ~site:envelope.dst "lost" tmpl_lost_dest_dead envelope;
     match t.tap with
     | None -> ()
     | Some tap -> tap (Lost { env = envelope; at = Engine.now t.engine })
   end
   else begin
     t.delivered <- t.delivered + 1;
-    if flow <> 0 then
-      Obs.flow_end t.obs ~at:(Engine.now t.engine)
-        ~site:(Site_id.to_int envelope.dst) ~tid:(t.obs_tid envelope.payload)
-        flow;
-    (if t.tracing then
-       match t.enc with
-       | Some enc -> log_env t tmpl_deliver envelope enc
-       | None ->
-           trace_net t "%a -> %a: deliver %a" Site_id.pp envelope.src
-             Site_id.pp envelope.dst t.pp_payload envelope.payload);
+    if t.on then flow_end t ~site:envelope.dst tmpl_deliver envelope flow;
     (match t.tap with
     | None -> ()
     | Some tap -> tap (Delivered { env = envelope; at = Engine.now t.engine }));
@@ -302,16 +262,10 @@ let bounce t envelope flow =
   prof_enter t;
   (if is_dead t envelope.src then begin
     t.lost <- t.lost + 1;
-    (if t.tracing then
-       match t.enc with
-       | Some enc ->
-           Trace.log3 t.trace ~at:(Engine.now t.engine) ~topic:t.topic_net
-             tmpl_ud_lost
-             (Site_id.to_int envelope.src)
-             t.renderer_id (enc envelope.payload)
-       | None ->
-           trace_net t "UD(%a) for %a: lost (sender dead)" t.pp_payload
-             envelope.payload Site_id.pp envelope.src);
+    if t.on then
+      Trace.log3 t.log ~at:(Engine.now t.engine) ~topic:t.net tmpl_ud_lost
+        (Site_id.to_int envelope.src)
+        t.renderer (t.enc envelope.payload);
     match t.tap with
     | None -> ()
     | Some tap -> tap (Lost { env = envelope; at = Engine.now t.engine })
@@ -320,16 +274,7 @@ let bounce t envelope flow =
     t.bounced <- t.bounced + 1;
     (* The returned-to-sender edge: the flow that left [src] comes back
        to [src]'s own timeline as UD(msg). *)
-    if flow <> 0 then
-      Obs.flow_end t.obs ~at:(Engine.now t.engine)
-        ~site:(Site_id.to_int envelope.src) ~tid:(t.obs_tid envelope.payload)
-        flow;
-    (if t.tracing then
-       match t.enc with
-       | Some enc -> log_env t tmpl_bounce envelope enc
-       | None ->
-           trace_net t "return UD(%a -> %a: %a) to sender" Site_id.pp
-             envelope.src Site_id.pp envelope.dst t.pp_payload envelope.payload);
+    if t.on then flow_end t ~site:envelope.src tmpl_bounce envelope flow;
     (match t.tap with
     | None -> ()
     | Some tap -> tap (Bounced { env = envelope; at = Engine.now t.engine }));
@@ -348,16 +293,8 @@ let arrival t envelope flow =
     match t.mode with
     | Pessimistic -> (
         t.lost <- t.lost + 1;
-        if t.obs_on then
-          Obs.instant t.obs ~at:now ~site:(Site_id.to_int envelope.dst)
-            ~tid:(t.obs_tid envelope.payload) ~cat:"net" "lost-at-B";
-        (if t.tracing then
-           match t.enc with
-           | Some enc -> log_env t tmpl_lost_at_b envelope enc
-           | None ->
-               trace_net t "%a -> %a %a: lost at boundary B" Site_id.pp
-                 envelope.src Site_id.pp envelope.dst t.pp_payload
-                 envelope.payload);
+        if t.on then
+          lost_at t ~site:envelope.dst "lost-at-B" tmpl_lost_at_b envelope;
         match t.tap with
         | None -> ()
         | Some tap -> tap (Lost { env = envelope; at = Engine.now t.engine }))
@@ -366,8 +303,8 @@ let arrival t envelope flow =
           Delay.sample t.delay ~rng:t.rng ~t_max:t.t_max ~src:envelope.dst
             ~dst:envelope.src
         in
-        (* Two closure shapes so the obs-off bounce captures exactly
-           what it did before obs existed. *)
+        (* Two closure shapes so the span-off bounce captures exactly
+           what it did before spans existed. *)
         let cb =
           if flow = 0 then fun () -> bounce t envelope 0
           else fun () -> bounce t envelope flow
@@ -387,12 +324,9 @@ let send t ~src ~dst payload =
     (* A dead site emits nothing: its pending timers may still "fire" in
        the simulation, but the resulting sends evaporate here. *)
     t.lost <- t.lost + 1;
-    (if t.tracing then
-       match t.enc with
-       | Some enc -> log_env t tmpl_suppressed envelope enc
-       | None ->
-           trace_net t "%a -> %a %a: suppressed (sender dead)" Site_id.pp src
-             Site_id.pp dst t.pp_payload payload);
+    if t.on then
+      Trace.log3 t.log ~at:envelope.sent_at ~topic:t.net tmpl_suppressed
+        (pack_sd src dst) t.renderer (t.enc payload);
     match t.tap with
     | None -> ()
     | Some tap -> tap (Lost { env = envelope; at = Engine.now t.engine })
@@ -403,33 +337,19 @@ let send t ~src ~dst payload =
   | None -> ()
   | Some tap -> tap (Sent { env = envelope; at = Engine.now t.engine }));
   let d = Delay.sample t.delay ~rng:t.rng ~t_max:t.t_max ~src ~dst in
-  (if t.tracing then
-     match t.enc with
-     | Some enc ->
-         Trace.log4 t.trace ~at:envelope.sent_at ~topic:t.topic_net tmpl_send
-           (pack_sd src dst) t.renderer_id (enc payload) (Vtime.to_int d)
-     | None ->
-         trace_net t "%a -> %a: send %a (hop %a)" Site_id.pp src Site_id.pp dst
-           t.pp_payload payload Vtime.pp d);
-  (* With obs off the scheduled closure captures exactly [t] and
-     [envelope], as before obs existed — the hot path stays
-     allocation-identical. *)
+  (* Without spans the scheduled closure captures exactly [t] and
+     [envelope] — the hot path stays allocation-identical. *)
+  let flow =
+    if t.on then
+      Trace.flow_start t.log ~at:envelope.sent_at ~site:(Site_id.to_int src)
+        ~tid:(t.obs_tid payload) ~cat:(t.net :> int) ~name:flow_name
+        ~topic:t.net tmpl_send (pack_sd src dst) t.renderer (t.enc payload)
+        (Vtime.to_int d)
+    else 0
+  in
   let cb =
-    if t.obs_on then begin
-      let flow =
-        match t.enc with
-        | Some enc ->
-            Obs.flow_start_coded t.obs ~at:envelope.sent_at
-              ~site:(Site_id.to_int src) ~tid:(t.obs_tid payload)
-              ~renderer:t.obs_renderer ~code:(enc payload) ()
-        | None ->
-            let name = Format.asprintf "%a" t.pp_payload payload in
-            Obs.flow_start t.obs ~at:envelope.sent_at
-              ~site:(Site_id.to_int src) ~tid:(t.obs_tid payload) name
-      in
-      fun () -> arrival t envelope flow
-    end
-    else fun () -> arrival t envelope 0
+    if flow = 0 then fun () -> arrival t envelope 0
+    else fun () -> arrival t envelope flow
   in
   ignore
     (Engine.schedule t.engine ~rank:Engine.Delivery ~delay:d

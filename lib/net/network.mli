@@ -54,11 +54,12 @@ type stats = {
 
 type 'a t
 
-val register_payload_renderer : (Buffer.t -> int -> unit) -> int
+val register_payload_renderer : (Buffer.t -> int -> unit) -> Trace.template
 (** Register a renderer that turns a packed payload code (see
     [payload_codec] below) back into the exact text [pp_payload] would
-    have produced.  Global and append-only — call only from module
-    initialisation, never per network or per run. *)
+    have produced; it becomes a trace template.  Global and append-only
+    — call only from module initialisation, never per network or per
+    run. *)
 
 val create :
   engine:Engine.t ->
@@ -69,33 +70,35 @@ val create :
   ?delay:Delay.t ->
   ?seed:int64 ->
   ?pp_payload:(Format.formatter -> 'a -> unit) ->
-  ?payload_codec:int * ('a -> int) ->
-  ?obs:Obs.t ->
+  ?payload_codec:Trace.template * ('a -> int) ->
   ?obs_tid:('a -> int) ->
   ?prof:Prof.t ->
   unit ->
   'a t
 (** Defaults: [mode = Optimistic], [partition = Partition.none],
-    [delay = Delay.uniform ~t_max], [seed = 1L], [obs = Obs.disabled].
+    [delay = Delay.uniform ~t_max], [seed = 1L].  The network records
+    into its engine's log ({!Engine.trace}).
 
     [prof], when given, brackets every network entry point ([send] and
     the scheduled hop/bounce callbacks) with the [Network] profiler
     bucket; protocol work reached through the delivery handler nests
     its own bucket inside, so only network self-time is charged.
 
-    [payload_codec] is [(renderer_id, encode)] where [renderer_id] came
-    from {!register_payload_renderer} and [encode] packs a payload into
-    one int that the renderer can print.  When present, every trace
-    line the network writes is a compact binary record (a few int
-    stores); without it the network falls back to eager printf-style
-    tracing through [pp_payload].
+    [payload_codec] is [(renderer, encode)] where [renderer] came from
+    {!register_payload_renderer} and [encode] packs a payload into one
+    int that the renderer can print.  Every line the network writes is
+    a compact binary record (a few int stores); without a codec the
+    payload is printed with [pp_payload] when the record is written
+    and stored as an interned string.
 
-    With an enabled [obs], every send opens a causality flow edge
-    (named by [pp_payload]) that closes at the destination on delivery
+    With the log's span view on, every send opens a causality flow edge
+    (named by the payload) that closes at the destination on delivery
     — or back at the {e sender} on an optimistic bounce, making the
     returned-to-sender UD(msg) round trip visible; losses and crashes
-    become instants.  [obs_tid] maps a payload to the transaction-id
-    track the edge endpoints land on (default: track 0). *)
+    become instants.  Each of these moments is one record that also
+    carries its trace line.  [obs_tid] maps a payload to the
+    transaction-id track the edge endpoints land on (default: track
+    0). *)
 
 val set_handler : 'a t -> (Site_id.t -> 'a delivery -> unit) -> unit
 (** Installs the delivery callback.  Must be called before any message

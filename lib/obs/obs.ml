@@ -1,4 +1,17 @@
-type kind = Span_begin | Span_end | Instant | Flow_start | Flow_end
+(* The span view over the event log: a recorder is a {!Trace.t} with
+   its span view on.  Span, instant and flow records are written into
+   the log's store through its span writers (names and categories
+   interned in the log's one table) and read back through
+   [Trace.iter_events]; the exporters below only see events. *)
+
+type t = Trace.t
+
+type kind = Trace.kind =
+  | Span_begin
+  | Span_end
+  | Instant
+  | Flow_start
+  | Flow_end
 
 type event = {
   at : Vtime.t;
@@ -10,303 +23,55 @@ type event = {
   flow : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Coded-name registry                                                 *)
-(*                                                                     *)
-(* Same contract as {!Trace.register_template}: renderers are global   *)
-(* mutable state written only at module-init time, before any worker   *)
-(* domain spawns, so sweeps read the array without synchronisation.    *)
-(* The network layer registers one renderer per payload codec, and a   *)
-(* flow's name is then stored as two ints (renderer, code) instead of  *)
-(* a formatted string.                                                 *)
-(* ------------------------------------------------------------------ *)
+let create () = Trace.recorder ()
 
-type name_renderer = Buffer.t -> int -> unit
+let disabled = Trace.create ~enabled:false ()
 
-let renderers = ref (Array.make 8 (None : name_renderer option))
+let enabled = Trace.spans
 
-let n_renderers = ref 0
+let log t ~text =
+  if Trace.spans t then begin
+    Trace.set_text t text;
+    t
+  end
+  else Trace.create ~enabled:text ()
 
-let register_name_renderer r =
-  let i = !n_renderers in
-  if i = Array.length !renderers then begin
-    let grown = Array.make (2 * i) None in
-    Array.blit !renderers 0 grown 0 i;
-    renderers := grown
-  end;
-  !renderers.(i) <- Some r;
-  incr n_renderers;
-  i
-
-(* ------------------------------------------------------------------ *)
-(* Storage                                                             *)
-(*                                                                     *)
-(* One event is [stride] consecutive ints in a flat growable array:    *)
-(* at, kind code, site, tid, name word, name code, cat id, flow id.    *)
-(* The name word is an id into the per-recorder intern table when      *)
-(* >= 0, or [-(renderer id) - 1] for a coded name whose argument sits  *)
-(* in the name-code word.  Categories are always interned.  Text is    *)
-(* materialised only when the recorder is read (iter / export).        *)
-(* ------------------------------------------------------------------ *)
-
-let stride = 8
-
-(* kind codes: 0 = begin, 1 = end, 2 = instant, 3 = flow start,
-   4 = flow end *)
-let kind_of_code = [| Span_begin; Span_end; Instant; Flow_start; Flow_end |]
-
-type t = {
-  enabled : bool;
-  mutable words : int array;
-  mutable len : int;  (* events recorded *)
-  (* per-recorder intern table: span/instant names and categories *)
-  ids : (string, int) Hashtbl.t;
-  mutable strs : string array;
-  mutable n_strs : int;
-  open_spans : (int, (int * int * int) list) Hashtbl.t;
-      (* packed (site, tid) -> stack of (name word, cat id, begin
-         ticks), innermost first.  The begin instant rides along so a
-         span-end record can carry it in its otherwise-unused name-code
-         word: consumers then read durations straight off end records,
-         with no pairing state (see [fold_closed_spans]). *)
-  (* flow id -> (name word, name code, cat id); ids are a plain counter
-     from 1, so parallel arrays replace the old meta hashtable *)
-  mutable flow_name : int array;
-  mutable flow_code : int array;
-  mutable flow_cat : int array;
-  mutable next_flow : int;
-  scratch : Buffer.t;  (* deferred-rendering scratch; reused per query *)
-}
-
-let empty_text = ""
-
-let dummy_ids : (string, int) Hashtbl.t = Hashtbl.create 1
-
-let dummy_scratch = Buffer.create 1
-
-let disabled =
-  {
-    enabled = false;
-    words = [||];
-    len = 0;
-    ids = dummy_ids;
-    strs = [||];
-    n_strs = 0;
-    open_spans = Hashtbl.create 1;
-    flow_name = [||];
-    flow_code = [||];
-    flow_cat = [||];
-    next_flow = 0;
-    scratch = dummy_scratch;
-  }
-
-let create () =
-  {
-    enabled = true;
-    words = Array.make (1024 * stride) 0;
-    len = 0;
-    ids = Hashtbl.create 64;
-    strs = [||];
-    n_strs = 0;
-    open_spans = Hashtbl.create 64;
-    flow_name = [||];
-    flow_code = [||];
-    flow_cat = [||];
-    next_flow = 0;
-    scratch = Buffer.create 256;
-  }
-
-let enabled t = t.enabled
-
-let num_events t = t.len
-
-let intern t s =
-  match Hashtbl.find_opt t.ids s with
-  | Some i -> i
-  | None ->
-      let i = t.n_strs in
-      if i = Array.length t.strs then begin
-        let grown = Array.make (max 32 (2 * i)) empty_text in
-        Array.blit t.strs 0 grown 0 i;
-        t.strs <- grown
-      end;
-      t.strs.(i) <- s;
-      t.n_strs <- i + 1;
-      Hashtbl.add t.ids s i;
-      i
-
-(* Claim the next record and return its base offset.  Only called with
-   [t.enabled]. *)
-let claim t =
-  (if t.len * stride = Array.length t.words then begin
-     let grown = Array.make (max (1024 * stride) (2 * t.len * stride)) 0 in
-     Array.blit t.words 0 grown 0 (t.len * stride);
-     t.words <- grown
-   end);
-  let base = t.len * stride in
-  t.len <- t.len + 1;
-  base
-
-let push t ~at ~kind ~site ~tid ~name ~code ~cat ~flow =
-  let base = claim t in
-  let w = t.words in
-  w.(base) <- Vtime.to_int at;
-  w.(base + 1) <- kind;
-  w.(base + 2) <- site;
-  w.(base + 3) <- tid;
-  w.(base + 4) <- name;
-  w.(base + 5) <- code;
-  w.(base + 6) <- cat;
-  w.(base + 7) <- flow
-
-(* Sites fit in a few bits and tids in well under 32; pack the pair so
-   the per-track stacks live in one int-keyed table. *)
-let key ~site ~tid = (site lsl 32) lor (tid land 0xFFFFFFFF)
+let num_events = Trace.events
 
 let span_begin t ~at ~site ~tid ?(cat = "phase") name =
-  if t.enabled then begin
-    let name = intern t name and cat = intern t cat in
-    push t ~at ~kind:0 ~site ~tid ~name ~code:0 ~cat ~flow:0;
-    let k = key ~site ~tid in
-    let stack =
-      match Hashtbl.find_opt t.open_spans k with Some s -> s | None -> []
-    in
-    Hashtbl.replace t.open_spans k ((name, cat, Vtime.to_int at) :: stack)
-  end
+  if Trace.spans t then
+    Trace.span_begin t ~at ~site ~tid ~cat:(Trace.intern t cat)
+      ~name:(Trace.intern t name) ~topic:Trace.no_topic Trace.no_text 0 0 0 0
 
-let span_end t ~at ~site ~tid =
-  if t.enabled then
-    let k = key ~site ~tid in
-    match Hashtbl.find_opt t.open_spans k with
-    | None | Some [] -> ()  (* unbalanced end: drop rather than corrupt *)
-    | Some ((name, cat, began) :: rest) ->
-        Hashtbl.replace t.open_spans k rest;
-        (* Span names are always interned (name >= 0), so the name-code
-           word is free: stash the begin instant there.  Rendering
-           ignores the code for interned names, so exports are
-           unchanged. *)
-        push t ~at ~kind:1 ~site ~tid ~name ~code:began ~cat ~flow:0
+let span_end = Trace.span_end
 
-let open_depth t ~site ~tid =
-  match Hashtbl.find_opt t.open_spans (key ~site ~tid) with
-  | None -> 0
-  | Some stack -> List.length stack
+let open_depth = Trace.open_depth
 
-let close_open_spans t ~at =
-  if t.enabled then begin
-    let keys =
-      Hashtbl.fold
-        (fun k stack acc -> if stack = [] then acc else k :: acc)
-        t.open_spans []
-      |> List.sort Int.compare
-    in
-    List.iter
-      (fun k ->
-        let site = k lsr 32 and tid = k land 0xFFFFFFFF in
-        let rec drain () =
-          match Hashtbl.find_opt t.open_spans k with
-          | None | Some [] -> ()
-          | Some _ ->
-              span_end t ~at ~site ~tid;
-              drain ()
-        in
-        drain ())
-      keys
-  end
-
-(* ---- incremental span consumption -------------------------------------- *)
-
-(* Hand every span end recorded in [from, num_events) to [f] as packed
-   ids plus its duration (an end record carries its begin instant in
-   the name-code word, so no pairing state is needed) and return the
-   new cursor.  No rendering happens here: consumers memoise
-   [name_string] per distinct id, not per event. *)
-let fold_closed_spans t ~from f =
-  let w = t.words in
-  for i = from to t.len - 1 do
-    let base = i * stride in
-    if Array.unsafe_get w (base + 1) = 1 then
-      f ~name:w.(base + 4) ~cat:w.(base + 6) ~dur:(w.(base) - w.(base + 5))
-  done;
-  t.len
-
-(* Interned-string lookup for consumers of the packed ids above (span
-   names and categories are always interned). *)
-let name_string t id = t.strs.(id)
+let close_open_spans = Trace.close_open_spans
 
 let instant t ~at ~site ~tid ?(cat = "mark") name =
-  if t.enabled then
-    push t ~at ~kind:2 ~site ~tid ~name:(intern t name) ~code:0
-      ~cat:(intern t cat) ~flow:0
-
-(* Record a flow start whose name is already reduced to two ints; the
-   shared body of the string and coded entry points. *)
-let flow_start_raw t ~at ~site ~tid ~name ~code ~cat =
-  t.next_flow <- t.next_flow + 1;
-  let id = t.next_flow in
-  (if id > Array.length t.flow_name then begin
-     let n = max 256 (2 * Array.length t.flow_name) in
-     let grow a =
-       let g = Array.make n 0 in
-       Array.blit a 0 g 0 (id - 1);
-       g
-     in
-     t.flow_name <- grow t.flow_name;
-     t.flow_code <- grow t.flow_code;
-     t.flow_cat <- grow t.flow_cat
-   end);
-  t.flow_name.(id - 1) <- name;
-  t.flow_code.(id - 1) <- code;
-  t.flow_cat.(id - 1) <- cat;
-  push t ~at ~kind:3 ~site ~tid ~name ~code ~cat ~flow:id;
-  id
+  if Trace.spans t then
+    Trace.instant t ~at ~site ~tid ~cat:(Trace.intern t cat)
+      ~name:(Trace.intern t name) ~topic:Trace.no_topic Trace.no_text 0 0 0 0
 
 let flow_start t ~at ~site ~tid ?(cat = "net") name =
-  if not t.enabled then 0
+  if not (Trace.spans t) then 0
   else
-    flow_start_raw t ~at ~site ~tid ~name:(intern t name) ~code:0
-      ~cat:(intern t cat)
+    Trace.flow_start t ~at ~site ~tid ~cat:(Trace.intern t cat)
+      ~name:(Trace.intern t name) ~topic:Trace.no_topic Trace.no_text 0 0 0 0
 
-let flow_start_coded t ~at ~site ~tid ?(cat = "net") ~renderer ~code () =
-  if not t.enabled then 0
-  else
-    flow_start_raw t ~at ~site ~tid ~name:(-renderer - 1) ~code
-      ~cat:(intern t cat)
+let flow_end t ~at ~site ~tid flow =
+  if Trace.spans t then
+    Trace.flow_end t ~at ~site ~tid ~flow ~topic:Trace.no_topic Trace.no_text
+      0 0 0 0
 
-let flow_end t ~at ~site ~tid id =
-  if t.enabled && id <> 0 && id <= t.next_flow then
-    push t ~at ~kind:4 ~site ~tid ~name:t.flow_name.(id - 1)
-      ~code:t.flow_code.(id - 1) ~cat:t.flow_cat.(id - 1) ~flow:id
+let fold_closed_spans = Trace.fold_span_ends
 
-(* ---- deferred rendering ------------------------------------------------ *)
-
-let render_name t ~name ~code =
-  if name >= 0 then t.strs.(name)
-  else begin
-    let buf = t.scratch in
-    Buffer.clear buf;
-    (match !renderers.(-name - 1) with
-    | Some render -> render buf code
-    | None -> Buffer.add_string buf "<unregistered renderer>");
-    Buffer.contents buf
-  end
-
-let event_of_base t base =
-  let w = t.words in
-  {
-    at = Vtime.of_int w.(base);
-    kind = kind_of_code.(w.(base + 1));
-    site = w.(base + 2);
-    tid = w.(base + 3);
-    name = render_name t ~name:w.(base + 4) ~code:w.(base + 5);
-    cat = t.strs.(w.(base + 6));
-    flow = w.(base + 7);
-  }
+let name_string = Trace.lookup
 
 let iter t f =
-  for i = 0 to t.len - 1 do
-    f (event_of_base t (i * stride))
-  done
+  Trace.iter_events t (fun kind at site tid name cat flow ->
+      f { at; kind; site; tid; name; cat; flow })
 
 (* ---- export ------------------------------------------------------------ *)
 
@@ -337,16 +102,12 @@ let add_int_field buf key value =
   Buffer.add_string buf "\":";
   Buffer.add_string buf (string_of_int value)
 
+let key ev = (ev.site lsl 32) lor (ev.tid land 0xFFFFFFFF)
+
 (* Distinct sites and (site, tid) tracks, in sorted order, for the
-   trace_event metadata records.  Reads the packed words directly — no
-   event records, no name rendering. *)
-let tracks t =
-  let keys = ref [] in
-  for i = 0 to t.len - 1 do
-    let base = i * stride in
-    keys := key ~site:t.words.(base + 2) ~tid:t.words.(base + 3) :: !keys
-  done;
-  let tracks = List.sort_uniq Int.compare !keys in
+   trace_event metadata records. *)
+let tracks events =
+  let tracks = List.sort_uniq Int.compare (List.map key events) in
   let sites =
     List.sort_uniq Int.compare (List.map (fun k -> k lsr 32) tracks)
   in
@@ -361,14 +122,17 @@ let site_name site = if site = 0 then "runtime" else "site " ^ string_of_int sit
    (bound by matching name + cat + id, each enclosed by a span on its
    track). *)
 let to_trace_event_json t =
-  let buf = Buffer.create ((t.len * 96) + 1024) in
+  let events = ref [] in
+  iter t (fun ev -> events := ev :: !events);
+  let events = List.rev !events in
+  let buf = Buffer.create ((num_events t * 96) + 1024) in
   Buffer.add_string buf "{\"traceEvents\":[";
   let first = ref true in
   let sep () =
     if !first then first := false else Buffer.add_char buf ',';
     Buffer.add_string buf "\n "
   in
-  let sites, tracks = tracks t in
+  let sites, tracks = tracks events in
   List.iter
     (fun site ->
       sep ();
@@ -389,7 +153,8 @@ let to_trace_event_json t =
       add_str_field buf "name" ("t" ^ string_of_int tid);
       Buffer.add_string buf "}}")
     tracks;
-  iter t (fun ev ->
+  List.iter
+    (fun ev ->
       sep ();
       Buffer.add_string buf "{\"ph\":\"";
       Buffer.add_string buf
@@ -419,7 +184,8 @@ let to_trace_event_json t =
           add_int_field buf "id" ev.flow;
           Buffer.add_string buf ",\"bp\":\"e\""
       | Span_begin | Span_end -> ());
-      Buffer.add_char buf '}');
+      Buffer.add_char buf '}')
+    events;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
@@ -457,7 +223,7 @@ let reconstruct t =
   let starts : (int, event) Hashtbl.t = Hashtbl.create 256 in
   let spans = ref [] and edges = ref [] in
   iter t (fun ev ->
-      let k = key ~site:ev.site ~tid:ev.tid in
+      let k = key ev in
       match ev.kind with
       | Span_begin ->
           let stack =

@@ -1,6 +1,10 @@
-(** Causal span tracing over the virtual-time simulation.
+(** Causal span tracing over the virtual-time simulation: the span view
+    of the event log ({!Trace}).
 
-    A recorder holds one growable event log with two views:
+    A recorder is a log with its span view on.  Its span, instant and
+    flow records live in the log's one store next to the trace lines, so
+    a moment that is both (a send, a decision) is one record.  The view
+    has two readings:
 
     - {e spans}: begin/end pairs on a {e track} keyed by
       (site, transaction id).  Tracks nest (a protocol-state span inside
@@ -17,13 +21,18 @@
     output for identical runs.
 
     Allocation policy (the discipline of the engine core): every record
-    function first checks a cached [enabled] flag and is a true no-op on
-    a disabled recorder — no closure, no string, no event record.  Call
-    sites that must {e build} an argument (a rendered payload name)
-    guard on [enabled] themselves.  [disabled] is the shared inert
-    recorder instrumented layers default to. *)
+    function first checks the span flag and is a true no-op on a
+    disabled recorder — no closure, no string, no event record.  Call
+    sites that must {e build} an argument guard on the log's cached
+    on-flag themselves.  [disabled] is the shared inert recorder
+    instrumented layers default to. *)
 
-type kind = Span_begin | Span_end | Instant | Flow_start | Flow_end
+type kind = Trace.kind =
+  | Span_begin
+  | Span_end
+  | Instant
+  | Flow_start
+  | Flow_end
 
 type event = {
   at : Vtime.t;
@@ -35,16 +44,23 @@ type event = {
   flow : int;  (** flow id for [Flow_start]/[Flow_end], else 0 *)
 }
 
-type t
+type t = Trace.t
 
 val create : unit -> t
-(** A fresh, enabled recorder. *)
+(** A fresh, enabled recorder: a log with its span view on and its
+    text view off; it never drops a record. *)
 
 val disabled : t
 (** The shared inert recorder: every record call is a no-op that
     allocates nothing, and {!flow_start} returns [0]. *)
 
 val enabled : t -> bool
+
+val log : t -> text:bool -> Trace.t
+(** The log a harness records a run into: an enabled recorder itself,
+    its text view set to [text], so the run's trace and its spans are
+    one log; otherwise a fresh log without spans whose text view is on
+    exactly when [text] is.  The harness hands it to its engine. *)
 
 val num_events : t -> int
 
@@ -73,28 +89,6 @@ val flow_start :
 (** Opens a causality edge at its source and returns its flow id
     ([0] when disabled; [cat] defaults to ["net"]). *)
 
-type name_renderer = Buffer.t -> int -> unit
-(** Renders a coded flow name from its packed-int argument.  Registered
-    once at module-init time (same domain-safety contract as
-    {!Trace.register_template}); the network layer registers one per
-    payload codec. *)
-
-val register_name_renderer : name_renderer -> int
-
-val flow_start_coded :
-  t ->
-  at:Vtime.t ->
-  site:int ->
-  tid:int ->
-  ?cat:string ->
-  renderer:int ->
-  code:int ->
-  unit ->
-  int
-(** {!flow_start} with the name stored as [(renderer, code)] — two int
-    writes instead of a formatted string.  The text is produced by the
-    registered renderer only when the recorder is exported. *)
-
 val flow_end : t -> at:Vtime.t -> site:int -> tid:int -> int -> unit
 (** Closes the edge at its destination.  No-op for flow id [0]. *)
 
@@ -103,12 +97,12 @@ val iter : t -> (event -> unit) -> unit
 
 val fold_closed_spans :
   t -> from:int -> (name:int -> cat:int -> dur:int -> unit) -> int
-(** Hands every span end recorded in [\[from, num_events)] to the
-    callback as interned ids plus the span's duration in ticks (an end
-    record carries its begin instant, so no pairing state is needed),
-    and returns the new cursor.  No strings are rendered — resolve ids
-    with {!name_string}, memoised per id.  The incremental feed behind
-    the span->histogram bridge. *)
+(** Hands every span end recorded since cursor [from] (start at [0]) to
+    the callback as interned ids plus the span's duration in ticks (an
+    end record points at its begin record, so no pairing state is
+    needed), and returns the new cursor.  No strings are rendered —
+    resolve ids with {!name_string}, memoised per id.  The incremental
+    feed behind the span->histogram bridge. *)
 
 val name_string : t -> int -> string
 (** The interned string behind a [name]/[cat] id from

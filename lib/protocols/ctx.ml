@@ -78,12 +78,10 @@ let tmpl_decide =
 
 type t = {
   engine : Engine.t;
-  trace : Trace.t;  (* cached Engine.trace *)
-  tracing : bool;  (* cached Trace.enabled: callers guard argument work *)
+  log : Trace.t;  (* cached Engine.trace *)
+  on : bool;  (* cached Trace.on: callers guard argument work *)
   topic : Trace.topic;  (* interned "%a" Site_id.pp self — once, not per log *)
-  obs : Obs.t;
-  obs_on : bool;  (* cached Obs.enabled *)
-  site : int;  (* cached Site_id.to_int self, the obs track *)
+  site : int;  (* cached Site_id.to_int self, the span track *)
   n : int;
   t_unit : Vtime.t;
   self : Site_id.t;
@@ -95,34 +93,32 @@ type t = {
 }
 
 let make ~engine ~n ~t_unit ~self ~trans_id ~send ~on_decide ~on_reason
-    ?(obs = Obs.disabled) ?obs_site () =
-  let trace = Engine.trace engine in
+    ?obs_site () =
+  let log = Engine.trace engine in
   (* Harnesses that relabel site ids (the cluster's logical<->physical
-     rotation) pin the obs track to the physical id so state spans land
+     rotation) pin the span track to the physical id so state spans land
      on the same timeline as the wire's flow endpoints. *)
   let site = match obs_site with Some s -> s | None -> Site_id.to_int self in
-  let obs_on = Obs.enabled obs in
+  let on = Trace.on log in
   (* The root span of this site's timeline: everything else (states,
      phases, flow endpoints) nests inside it; the harness's
      [Obs.close_open_spans] seals it when the run stops. *)
-  if obs_on then
-    Obs.span_begin obs ~at:(Engine.now engine) ~site ~tid:trans_id ~cat:"txn"
+  if on then
+    Obs.span_begin log ~at:(Engine.now engine) ~site ~tid:trans_id ~cat:"txn"
       "txn";
   {
     engine;
-    trace;
-    tracing = Trace.enabled trace;
-    (* The topic string is only built when tracing is on, and without
+    log;
+    on;
+    (* The topic string is only built when the log is on, and without
        going through a formatter — contexts are created per (site, txn)
        and the asprintf was a measurable share of the trace-on tax. *)
     topic =
-      (if Trace.enabled trace then
-         Trace.topic trace
+      (if on then
+         Trace.topic log
            (if Site_id.is_master self then "master"
             else "site" ^ string_of_int (Site_id.to_int self))
-       else Trace.topic trace "");
-    obs;
-    obs_on;
+       else Trace.no_topic);
     site;
     n;
     t_unit;
@@ -150,56 +146,40 @@ let is_master t = Site_id.is_master t.self
 
 let slaves t = Site_id.slaves ~n:(n t)
 
-let tracing t = t.tracing
+(* Each view's flag is read through the log; the cached [on] answers
+   first, so a run with both views off pays one load. *)
+let tracing t = t.on && Trace.enabled t.log
 
-let intern t s = Trace.intern t.trace s
+let intern t s = Trace.intern t.log s
 
 (* Typed binary logging: a few int stores per record.  Callers whose
    arguments cost anything to compute guard on {!tracing} first. *)
 
-let log1 t tmpl a0 =
-  if t.tracing then Trace.log1 t.trace ~at:(now t) ~topic:t.topic tmpl a0
+let log1 t tmpl a0 = if t.on then Trace.log1 t.log ~at:(now t) ~topic:t.topic tmpl a0
 
 let log2 t tmpl a0 a1 =
-  if t.tracing then Trace.log2 t.trace ~at:(now t) ~topic:t.topic tmpl a0 a1
+  if t.on then Trace.log2 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1
 
 let log3 t tmpl a0 a1 a2 =
-  if t.tracing then
-    Trace.log3 t.trace ~at:(now t) ~topic:t.topic tmpl a0 a1 a2
+  if t.on then Trace.log3 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1 a2
 
 let log_text t text =
-  if t.tracing then Trace.log_text t.trace ~at:(now t) ~topic:t.topic text
+  if t.on then Trace.log_text t.log ~at:(now t) ~topic:t.topic text
 
-let log_msg t tmpl msg =
-  if t.tracing then
-    Trace.log1 t.trace ~at:(now t) ~topic:t.topic tmpl (Types.msg_code msg)
+let log_msg t tmpl msg = if t.on then log1 t tmpl (Types.msg_code msg)
 
-let log_str t tmpl s =
-  if t.tracing then
-    Trace.log1 t.trace ~at:(now t) ~topic:t.topic tmpl (intern t s)
+let log_str t tmpl s = if t.on then log1 t tmpl (intern t s)
 
 let log_msg_str t tmpl msg s =
-  if t.tracing then
-    Trace.log2 t.trace ~at:(now t) ~topic:t.topic tmpl (Types.msg_code msg)
-      (intern t s)
+  if t.on then log2 t tmpl (Types.msg_code msg) (intern t s)
 
-let log_site t tmpl site =
-  if t.tracing then
-    Trace.log1 t.trace ~at:(now t) ~topic:t.topic tmpl (Site_id.to_int site)
+let log_site t tmpl site = log1 t tmpl (Site_id.to_int site)
 
-let log_ignoring t msg state =
-  if t.tracing then
-    Trace.log2 t.trace ~at:(now t) ~topic:t.topic tmpl_ignoring
-      (Types.msg_code msg) (intern t state)
+let log_ignoring t msg state = log_msg_str t tmpl_ignoring msg state
 
-let log_ud_ignored t msg state =
-  if t.tracing then
-    Trace.log2 t.trace ~at:(now t) ~topic:t.topic tmpl_ud_ignored
-      (Types.msg_code msg) (intern t state)
+let log_ud_ignored t msg state = log_msg_str t tmpl_ud_ignored msg state
 
-let obs t = t.obs
-
-let obs_on t = t.obs_on
+let obs_on t = t.on && Obs.enabled t.log
 
 (* Span levels on a site timeline: 1 = the root txn span, 2 = the
    protocol state, 3 = a phase within the state (a probe round, a
@@ -208,27 +188,26 @@ let obs_on t = t.obs_on
    protocol's transitions interleave. *)
 
 let obs_close_to t level =
-  while Obs.open_depth t.obs ~site:t.site ~tid:t.trans_id > level do
-    Obs.span_end t.obs ~at:(now t) ~site:t.site ~tid:t.trans_id
+  while Obs.open_depth t.log ~site:t.site ~tid:t.trans_id > level do
+    Obs.span_end t.log ~at:(now t) ~site:t.site ~tid:t.trans_id
   done
 
 let obs_state t name =
-  if t.obs_on then begin
+  if obs_on t then begin
     obs_close_to t 1;
-    Obs.span_begin t.obs ~at:(now t) ~site:t.site ~tid:t.trans_id ~cat:"state"
+    Obs.span_begin t.log ~at:(now t) ~site:t.site ~tid:t.trans_id ~cat:"state"
       name
   end
 
 let obs_phase t name =
-  if t.obs_on then begin
+  if obs_on t then begin
     obs_close_to t 2;
-    Obs.span_begin t.obs ~at:(now t) ~site:t.site ~tid:t.trans_id ~cat:"phase"
+    Obs.span_begin t.log ~at:(now t) ~site:t.site ~tid:t.trans_id ~cat:"phase"
       name
   end
 
 let obs_instant t ?cat name =
-  if t.obs_on then
-    Obs.instant t.obs ~at:(now t) ~site:t.site ~tid:t.trans_id ?cat name
+  if t.on then Obs.instant t.log ~at:(now t) ~site:t.site ~tid:t.trans_id ?cat name
 
 let send t dst msg = t.send_fn dst msg
 
@@ -258,15 +237,18 @@ let decide t ?reason:why decision =
   | None ->
       t.decision <- Some decision;
       (match why with Some w -> t.on_reason w | None -> ());
-      if t.obs_on then
-        obs_instant t ~cat:"decision"
-          (match decision with
-          | Types.Commit -> "decide:commit"
-          | Types.Abort -> "decide:abort");
-      if t.tracing then
-        Trace.log2 t.trace ~at:(now t) ~topic:t.topic tmpl_decide
+      if t.on then
+        Trace.instant t.log ~at:(now t) ~site:t.site ~tid:t.trans_id
+          ~cat:(intern t "decision")
+          ~name:
+            (intern t
+               (match decision with
+               | Types.Commit -> "decide:commit"
+               | Types.Abort -> "decide:abort"))
+          ~topic:t.topic tmpl_decide
           (match decision with Types.Commit -> 0 | Types.Abort -> 1)
-          (match why with Some w -> intern t w | None -> -1);
+          (match why with Some w -> intern t w | None -> -1)
+          0 0;
       t.on_decide decision
 
 module Timer_slot = struct

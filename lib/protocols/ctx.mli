@@ -19,7 +19,6 @@ val make :
   send:(Site_id.t -> Types.msg -> unit) ->
   on_decide:(Types.decision -> unit) ->
   on_reason:(string -> unit) ->
-  ?obs:Obs.t ->
   ?obs_site:int ->
   unit ->
   t
@@ -28,9 +27,11 @@ val make :
     over a {!Network.t}, or multiplexed with a transaction id.  This
     keeps protocol actors independent of the wire representation.
 
-    With an enabled [obs] (default {!Obs.disabled}) the context opens
-    the root ["txn"] span of this site's (site, trans_id) timeline and
-    exposes the {!obs_state}/{!obs_phase}/{!obs_instant} helpers.
+    The context records into the engine's log ({!Engine.trace}).  With
+    the log's span view on it opens the root ["txn"] span of this
+    site's (site, trans_id) timeline, and {!obs_state}/{!obs_phase}/
+    {!obs_instant} record; {!decide} is one record that is both the
+    DECIDE line and a decision instant.
     [obs_site] overrides the track's site number (default
     [Site_id.to_int self]) for harnesses that relabel site ids. *)
 
@@ -81,8 +82,8 @@ val reason : t -> string -> unit
     directly); the per-call payload is packed ints / interned strings. *)
 
 val tracing : t -> bool
-(** Cached [Trace.enabled].  Guard argument computation on this before
-    calling the [log*] functions below (they are also internally
+(** The log's text view is on.  Guard argument computation on this
+    before calling the [log*] functions below (they are also internally
     guarded, so unguarded calls with cheap arguments are fine). *)
 
 val intern : t -> string -> int
@@ -131,13 +132,11 @@ val int2_template : prefix:string -> mid:string -> suffix:string -> Trace.templa
 
 val site_template : prefix:string -> suffix:string -> Trace.template
 
-val obs : t -> Obs.t
-
 val obs_on : t -> bool
-(** Cached [Obs.enabled]: call sites that must build an argument (a
-    formatted name) guard on this, exactly like {!log}'s tracing
-    guard.  Calls with static names need no guard — every obs
-    operation is a no-op on a disabled recorder. *)
+(** The log's span view is on: call sites that must build an argument
+    (a formatted name) guard on this, exactly like {!tracing}.  Calls
+    with static names need no guard — every span operation is a no-op
+    without spans. *)
 
 val obs_state : t -> string -> unit
 (** Begin the protocol-state span [name], first closing the previous

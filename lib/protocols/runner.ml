@@ -50,9 +50,10 @@ let vote_of config site =
   match List.assoc_opt site config.votes with Some v -> v | None -> true
 
 (* Per-domain reusable state for sweeps: one engine whose heap array
-   survives (reset, not reallocated) across runs.  The trace is NOT
-   part of the scratch — each run gets a fresh [Trace.t] (free when
-   disabled) so [result.trace] never aliases a later run's data. *)
+   survives (reset, not reallocated) across runs.  The log is NOT part
+   of the scratch — each run gets a fresh [Trace.t] (free when
+   disabled) or the caller's recorder, so [result.trace] never aliases
+   a later run's data. *)
 type scratch = { scratch_engine : Engine.t }
 
 let make_scratch () =
@@ -60,7 +61,15 @@ let make_scratch () =
 
 let run ?tap ?(obs = Obs.disabled) ?scratch (module P : Site.S) config =
   if config.n < 2 then invalid_arg "Runner.run: need at least two sites";
-  let trace = Trace.create ~enabled:config.trace_enabled () in
+  List.iter
+    (fun (site, _) ->
+      let s = Site_id.to_int site in
+      if s < 1 || s > config.n then
+        invalid_arg
+          (Printf.sprintf "Runner.run: crash site %d out of range (n=%d)" s
+             config.n))
+    config.crashes;
+  let trace = Obs.log obs ~text:config.trace_enabled in
   let engine =
     match scratch with
     | Some s ->
@@ -71,8 +80,7 @@ let run ?tap ?(obs = Obs.disabled) ?scratch (module P : Site.S) config =
   let net =
     Network.create ~engine ~n:config.n ~t_max:config.t_unit ~mode:config.mode
       ~partition:config.partition ~delay:config.delay ~seed:config.seed
-      ~pp_payload:Types.pp_msg ~payload_codec:Types.msg_codec ~obs
-      ~obs_tid:(fun _ -> 1)  (* the single transaction *)
+      ~pp_payload:Types.pp_msg ~payload_codec:Types.msg_codec ~obs_tid:(fun _ -> 1)  (* the single transaction *)
       ()
   in
   (match tap with Some tap -> Network.set_tap net tap | None -> ());
@@ -88,7 +96,7 @@ let run ?tap ?(obs = Obs.disabled) ?scratch (module P : Site.S) config =
           decisions.(index) <- Some d;
           decided_at.(index) <- Some (Engine.now engine))
         ~on_reason:(fun r -> reasons.(index) <- r :: reasons.(index))
-        ~obs ()
+        ()
     in
     let role =
       if Site_id.is_master id then Site.Master_role
@@ -110,7 +118,7 @@ let run ?tap ?(obs = Obs.disabled) ?scratch (module P : Site.S) config =
        ~label:(Label.Static "request") (fun () ->
          P.begin_transaction sites.(0)));
   Engine.run ~until:config.horizon engine;
-  Obs.close_open_spans obs ~at:(Engine.now engine);
+  Obs.close_open_spans trace ~at:(Engine.now engine);
   let site_results =
     Array.init config.n (fun i ->
         let site = Site_id.of_int (i + 1) in

@@ -65,13 +65,18 @@ val run :
 
     [obs] (default {!Obs.disabled}) records per-site lifecycle spans
     and message-flow edges; the runner seals any still-open spans when
-    the engine stops, so the recorder is export-ready on return.
+    the engine stops, so the recorder is export-ready on return.  An
+    enabled [obs] is the run's log (see {!Obs.log}): its text view is
+    on exactly when [config.trace_enabled] is, and [result.trace] is
+    [obs] itself.
 
     [scratch] reuses a {!scratch}'s engine via {!Engine.reset} instead
     of allocating a fresh one — the sweep hot path threads one scratch
     per domain through every run that domain executes.  The returned
-    [result.trace] is always a fresh trace, never shared with the
-    scratch. *)
+    [result.trace] is never shared with the scratch.
+
+    @raise Invalid_argument if [n < 2] or a crash names a site outside
+    [1..n]. *)
 
 val site_result : result -> Site_id.t -> site_result
 

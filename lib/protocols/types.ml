@@ -183,4 +183,4 @@ let msg_renderer = Network.register_payload_renderer buf_msg_code
 
 (* Pass to [Network.create ~payload_codec] wherever the payload is
    {!msg}, so network trace lines become binary records. *)
-let msg_codec : int * (msg -> int) = (msg_renderer, msg_code)
+let msg_codec : Trace.template * (msg -> int) = (msg_renderer, msg_code)

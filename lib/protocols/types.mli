@@ -71,6 +71,6 @@ val msg_code : msg -> int
 val buf_msg_code : Buffer.t -> int -> unit
 (** Render a {!msg_code} byte-identically to {!pp_msg}. *)
 
-val msg_codec : int * (msg -> int)
+val msg_codec : Trace.template * (msg -> int)
 (** Ready-made [payload_codec] for [Network.create] when the payload
     type is {!msg}. *)

@@ -616,6 +616,17 @@ let test_runner_crash_exclusion () =
     (List.map Site_id.to_int v.crashed);
   check Alcotest.bool "survivors consistent" true v.atomic
 
+(* A crash site outside 1..n is rejected up front, naming the site,
+   instead of failing mid-run with an array index error. *)
+let test_runner_rejects_bad_crash_site () =
+  let sent = ref 0 in
+  let tap = function Network.Sent _ -> incr sent | _ -> () in
+  let cfg = { (config ()) with Runner.crashes = [ (site 9, Vtime.of_int 100) ] } in
+  Alcotest.check_raises "crash site out of range"
+    (Invalid_argument "Runner.run: crash site 9 out of range (n=3)") (fun () ->
+      ignore (Runner.run ~tap (module Termination.Static) cfg));
+  check Alcotest.int "rejected before the run" 0 !sent
+
 let test_runner_trace_toggle () =
   let on = Runner.run (module Two_phase) { (config ()) with Runner.trace_enabled = true } in
   let off = Runner.run (module Two_phase) (config ()) in
@@ -781,6 +792,8 @@ let () =
           Alcotest.test_case "rejects n=1" `Quick test_runner_rejects_tiny_n;
           Alcotest.test_case "horizon cutoff" `Quick test_runner_horizon_cuts_off;
           Alcotest.test_case "crash exclusion" `Quick test_runner_crash_exclusion;
+          Alcotest.test_case "rejects a crash site outside 1..n" `Quick
+            test_runner_rejects_bad_crash_site;
           Alcotest.test_case "trace toggle" `Quick test_runner_trace_toggle;
           Alcotest.test_case "deterministic replay" `Quick
             test_runner_deterministic_replay;

@@ -7,6 +7,12 @@
    eager-string implementation (pre binary-record storage).  The
    binary-backed deferred rendering must reproduce every byte.
 
+   Text and spans are two views of one event log, so every trace and
+   span scenario also runs "crossed", with the other view flipped: a
+   text golden from a run that records spans too, a span golden from a
+   run whose text view is the other way round.  The crossed run must
+   match the same golden file; it never regenerates it.
+
    Regenerate with:
      GOLDEN_REGEN=1 GOLDEN_DIR=test/golden dune exec test/test_trace_golden.exe
    from the repository root (only ever against a known-good tree). *)
@@ -34,10 +40,10 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let check_golden name render () =
+let check_golden ?(cross = false) name render () =
   let path = Filename.concat golden_dir (name ^ ".txt") in
-  let actual = render () in
-  if regen then write_file path actual
+  let actual = render ~cross () in
+  if regen && not cross then write_file path actual
   else
     let expected = read_file path in
     check Alcotest.string name expected actual
@@ -65,8 +71,11 @@ let config ?(n = 3) ?partition:p ?mode ?delay ?(seed = 1L) ?votes ?crashes () =
     crashes = (match crashes with Some c -> c | None -> []);
   }
 
-let trace_of protocol config () =
-  let result = Runner.run protocol config in
+(* [~cross] records spans into the same run's log. *)
+let recorder ~cross = if cross then Obs.create () else Obs.disabled
+
+let trace_of protocol config ~cross () =
+  let result = Runner.run ~obs:(recorder ~cross) protocol config in
   Format.asprintf "%a" Trace.pp result.Runner.trace
 
 let full = Delay.full ~t_max:t_unit
@@ -155,7 +164,7 @@ let runner_scenarios =
 (* Transaction-manager and cluster traces                              *)
 (* ------------------------------------------------------------------ *)
 
-let tm_trace protocol () =
+let tm_trace protocol ~cross () =
   let module Tm = Commit_db.Tm in
   let module Workload = Commit_db.Workload in
   let w =
@@ -176,12 +185,12 @@ let tm_trace protocol () =
       trace_enabled = true;
     }
   in
-  let report = Tm.run config w.Workload.txns in
+  let report = Tm.run ~obs:(recorder ~cross) config w.Workload.txns in
   Format.asprintf "%a" Trace.pp report.Commit_db.Tm.trace
 
 (* Four writers of one hot key, with site3 cut off from 1.5T to 9T:
    lock waits, grants on release and the q-watchdog all show up. *)
-let tm_hot_spot ?obs () =
+let tm_hot_spot ?obs ~text () =
   let module Tm = Commit_db.Tm in
   let module Workload = Commit_db.Workload in
   let w = Workload.hot_spot ~n:3 ~txns:4 ~spacing:(Vtime.of_int 500) in
@@ -191,20 +200,22 @@ let tm_hot_spot ?obs () =
       Tm.initial = w.Workload.initial;
       partition = partition ~heals_after:7500 ~g2:[ 3 ] ~at:1500 ~n:3 ();
       delay = full;
-      trace_enabled = true;
+      trace_enabled = text;
     }
   in
   Tm.run ?obs config w.Workload.txns
 
-let tm_hot_spot_trace () =
-  Format.asprintf "%a" Trace.pp (tm_hot_spot ()).Commit_db.Tm.trace
+let tm_hot_spot_trace ~cross () =
+  Format.asprintf "%a" Trace.pp
+    (tm_hot_spot ~obs:(recorder ~cross) ~text:true ()).Commit_db.Tm.trace
 
-let tm_hot_spot_spans () =
+(* The golden run keeps its text view on; [~cross] turns it off. *)
+let tm_hot_spot_spans ~cross () =
   let obs = Obs.create () in
-  ignore (tm_hot_spot ~obs ());
+  ignore (tm_hot_spot ~obs ~text:(not cross) ());
   Obs.to_trace_event_json obs
 
-let cluster_trace ?crashes () =
+let cluster_trace ?crashes ~cross () =
   let module Cluster = Commit_cluster in
   let cut =
     Partition.make
@@ -225,13 +236,13 @@ let cluster_trace ?crashes () =
       trace_enabled = true;
     }
   in
-  let report = Cluster.Runtime.run config in
+  let report = Cluster.Runtime.run ~obs:(recorder ~cross) config in
   Format.asprintf "%a" Trace.pp report.Commit_cluster.Runtime.trace
 
 (* The CLI's text report: [pp_report] then [pp_timeline] for a run with
    a cut, a crash-recover window and periodic snapshot cuts, so every
    timeline column and the partition marker are pinned. *)
-let cluster_report () =
+let cluster_report ~cross:_ () =
   let module Cluster = Commit_cluster in
   let cut =
     Partition.make
@@ -259,25 +270,31 @@ let db_scenarios =
     ("tm-termination-cut", tm_trace (module Termination.Static : Site.S));
     ("tm-2pc-cut", tm_trace (module Two_phase));
     ("tm-hot-spot-cut", tm_hot_spot_trace);
-    ("cluster-cut", fun () -> cluster_trace ());
+    ("cluster-cut", fun ~cross () -> cluster_trace ~cross ());
     ( "cluster-crash",
-      fun () ->
-        cluster_trace ~crashes:[ (Site_id.of_int 2, Vtime.of_int (t 30)) ] () );
-    ("cluster-report-timeline", cluster_report);
+      fun ~cross () ->
+        cluster_trace ~crashes:[ (Site_id.of_int 2, Vtime.of_int (t 30)) ] ~cross
+          () );
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Span exports                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let spans_export fmt protocol config () =
+(* The runner's span goldens were recorded with the text view on (the
+   default config); [~cross] turns it off. *)
+let spans_export fmt protocol config ~cross () =
   let obs = Obs.create () in
-  ignore (Runner.run ~obs protocol config);
+  ignore
+    (Runner.run ~obs protocol
+       { config with Runner.trace_enabled = not cross });
   match fmt with
   | `Trace_event -> Obs.to_trace_event_json obs
   | `Causality -> Obs.to_causality_json obs
 
-let cluster_spans fmt () =
+(* The cluster's span goldens were recorded with the text view off;
+   [~cross] turns it on. *)
+let cluster_spans fmt ~cross () =
   let module Cluster = Commit_cluster in
   let cut =
     Partition.make
@@ -294,7 +311,7 @@ let cluster_spans fmt () =
       load = 30;
       bucket = Vtime.of_int (t 20);
       timeline = cut;
-      trace_enabled = false;
+      trace_enabled = cross;
     }
   in
   let obs = Obs.create () in
@@ -325,10 +342,19 @@ let obs_scenarios =
   ]
 
 let () =
-  let cases =
+  let crossed = runner_scenarios @ db_scenarios @ obs_scenarios in
+  let cases ~cross scenarios =
     List.map
       (fun (name, render) ->
-        Alcotest.test_case name `Quick (check_golden name render))
-      (runner_scenarios @ db_scenarios @ obs_scenarios)
+        Alcotest.test_case name `Quick (check_golden ~cross name render))
+      scenarios
   in
-  Alcotest.run "trace-golden" [ ("golden", cases) ]
+  Alcotest.run "trace-golden"
+    [
+      ( "golden",
+        cases ~cross:false
+          (runner_scenarios @ db_scenarios
+          @ [ ("cluster-report-timeline", cluster_report) ]
+          @ obs_scenarios) );
+      ("cross-view", cases ~cross:true crossed);
+    ]

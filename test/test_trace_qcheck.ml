@@ -95,34 +95,63 @@ let vtime_buf_roundtrip =
 
 (* ---- binary storage vs eager model across ring wrap -------------------- *)
 
-(* The same (at, topic, "v=<n>") sequence appended twice: once through
-   the typed template path, once through the eager [addf] path into a
-   second trace of the same small capacity.  Rendered output, topic
-   filtering, and pattern search must agree even after the ring has
-   wrapped and the interning table has been exercised. *)
+(* The same (at, topic, "v=<n>") sequence appended three times: through
+   the typed template path or the eager [addf] path into [binary], the
+   eager path into [model], and into [mixed], a log of the same small
+   capacity that also keeps spans, where span records ride along: some
+   lines are span records too, and bare span begin/end pairs fall
+   between lines.  Rendered output (so the dropped count too), length,
+   topic filtering and pattern search must agree after the ring has
+   wrapped, and [mixed]'s span view must have kept every span record. *)
 let storage_model =
   QCheck.Test.make ~count:300
     ~name:"typed records render like eager strings across ring wrap"
     QCheck.(
       pair (int_range 1 8)
-        (small_list (triple bool (int_range 0 1) small_nat)))
+        (small_list (triple (int_range 0 3) (int_range 0 1) small_nat)))
     (fun (capacity, ops) ->
       let binary = Trace.create ~capacity () in
       let model = Trace.create ~capacity () in
+      let mixed = Obs.log (Trace.recorder ~capacity ()) ~text:true in
+      let spans = ref 0 in
       List.iteri
-        (fun i (typed, topic_i, v) ->
+        (fun i (op, topic_i, v) ->
           let at = Vtime.of_int i in
           let topic = if topic_i = 0 then "a" else "b" in
-          if typed then
-            Trace.log1 binary ~at ~topic:(Trace.topic binary topic) tmpl_v v
-          else Trace.addf binary ~at ~topic "v=%d" v;
-          Trace.addf model ~at ~topic "v=%d" v)
+          let line t = Trace.log1 t ~at ~topic:(Trace.topic t topic) tmpl_v v in
+          let eager t = Trace.addf t ~at ~topic "v=%d" v in
+          match op with
+          | 0 ->
+              line binary;
+              line mixed;
+              eager model
+          | 1 ->
+              eager binary;
+              eager mixed;
+              eager model
+          | 2 ->
+              (* one record that is both a line and an instant *)
+              line binary;
+              Trace.instant mixed ~at ~site:1 ~tid:v
+                ~cat:(Trace.intern mixed "mark") ~name:(Trace.intern mixed "i")
+                ~topic:(Trace.topic mixed topic) tmpl_v v 0 0 0;
+              eager model;
+              incr spans
+          | _ ->
+              Obs.span_begin mixed ~at ~site:1 ~tid:v "s";
+              Obs.span_end mixed ~at ~site:1 ~tid:v;
+              spans := !spans + 2)
         ops;
       let render t = Format.asprintf "%a" Trace.pp t in
-      String.equal (render binary) (render model)
-      && Bool.equal (Trace.mem binary ~pattern:"v=3") (Trace.mem model ~pattern:"v=3")
-      && List.length (Trace.filter ~topic:"a" binary)
-         = List.length (Trace.filter ~topic:"a" model))
+      let agrees t =
+        String.equal (render t) (render model)
+        && Trace.dropped t = Trace.dropped model
+        && Trace.length t = Trace.length model
+        && Bool.equal (Trace.mem t ~pattern:"v=3") (Trace.mem model ~pattern:"v=3")
+        && List.length (Trace.filter ~topic:"a" t)
+           = List.length (Trace.filter ~topic:"a" model)
+      in
+      agrees binary && agrees mixed && Obs.num_events mixed = !spans)
 
 (* ---- codec network vs eager network ------------------------------------ *)
 
@@ -151,9 +180,9 @@ let scenario_gen : scenario QCheck.Gen.t =
   >>= fun sc_sends -> return { sc_n; sc_seed; sc_cut; sc_crash; sc_sends }
 
 let run_scenario ~codec sc =
-  let trace = Trace.create () in
-  let engine = Engine.create ~trace () in
   let obs = Obs.create () in
+  let trace = Obs.log obs ~text:true in
+  let engine = Engine.create ~trace () in
   let partition =
     if sc.sc_cut then
       Partition.make
@@ -166,10 +195,10 @@ let run_scenario ~codec sc =
     if codec then
       Network.create ~engine ~n:sc.sc_n ~t_max:(Vtime.of_int 100) ~partition
         ~seed:(Int64.of_int sc.sc_seed) ~pp_payload:Types.pp_msg
-        ~payload_codec:Types.msg_codec ~obs ()
+        ~payload_codec:Types.msg_codec ()
     else
       Network.create ~engine ~n:sc.sc_n ~t_max:(Vtime.of_int 100) ~partition
-        ~seed:(Int64.of_int sc.sc_seed) ~pp_payload:Types.pp_msg ~obs ()
+        ~seed:(Int64.of_int sc.sc_seed) ~pp_payload:Types.pp_msg ()
   in
   Network.set_handler net (fun _ _ -> ());
   List.iter
