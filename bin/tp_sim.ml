@@ -1207,34 +1207,42 @@ let metrics_cmd =
       & info [] ~docv:"FILE" ~doc:"Snapshot stream (JSONL), one record per line.")
   in
   let run file =
-    let ic = open_in_bin file in
-    let lines = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then lines := line :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let records =
-      List.mapi
-        (fun i line ->
-          match Export.of_string line with
-          | Ok json -> json
-          | Error msg ->
-              Format.eprintf "%s:%d: %s@." file (i + 1) msg;
-              exit 2)
-        (List.rev !lines)
+    let lines =
+      match In_channel.with_open_bin file In_channel.input_all with
+      | text -> String.split_on_char '\n' text
+      | exception Sys_error msg ->
+          (* open errors name the path; read errors (a directory) do not *)
+          Format.eprintf "cannot read snapshot stream: %s@."
+            (if String.starts_with ~prefix:file msg then msg
+             else file ^ ": " ^ msg);
+          exit 2
     in
-    if records = [] then begin
-      Format.eprintf "%s: empty snapshot stream@." file;
-      exit 2
-    end;
     let int_field json key =
       match Export.member key json with
       | Some (Export.Int i) -> Some i
       | _ -> None
     in
+    (* Every Metrics.snapshot_to_json record carries both bounds. *)
+    let records =
+      List.mapi (fun i line -> (i + 1, line)) lines
+      |> List.filter_map (fun (lineno, line) ->
+             let fail msg =
+               Format.eprintf "%s:%d: %s@." file lineno msg;
+               exit 2
+             in
+             if String.trim line = "" then None
+             else
+               match Export.of_string line with
+               | Error msg -> fail msg
+               | Ok json -> (
+                   match (int_field json "since", int_field json "upto") with
+                   | Some since, Some upto -> Some (json, since, upto)
+                   | _ -> fail "not a snapshot record"))
+    in
+    if records = [] then begin
+      Format.eprintf "%s: empty snapshot stream@." file;
+      exit 2
+    end;
     let nested json outer key =
       Option.bind (Export.member outer json) (Export.member key)
     in
@@ -1248,7 +1256,7 @@ let metrics_cmd =
     in
     let last_run = ref (Some "\000") in
     List.iter
-      (fun json ->
+      (fun (json, since, upto) ->
         let run_label =
           match Export.member "run" json with
           | Some (Export.String s) -> Some s
@@ -1267,8 +1275,6 @@ let metrics_cmd =
           | _ -> 1
         in
         let in_t ticks = float_of_int ticks /. float_of_int t_unit in
-        let since = Option.value (int_field json "since") ~default:0 in
-        let upto = Option.value (int_field json "upto") ~default:0 in
         let final =
           match Export.member "final" json with
           | Some (Export.Bool b) -> b

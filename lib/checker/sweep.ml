@@ -12,15 +12,6 @@ type summary = {
   blocked_examples : (Runner.config * Verdict.t) list;
 }
 
-let run_verdicts ?(trace = false) protocol configs =
-  let scratch = Runner.make_scratch () in
-  List.map
-    (fun config ->
-      let config = { config with Runner.trace_enabled = trace } in
-      let result = Runner.run ~scratch protocol config in
-      (config, Verdict.of_result result))
-    configs
-
 let empty ~protocol =
   {
     protocol;
@@ -64,11 +55,6 @@ let of_verdict ~protocol (config, (v : Verdict.t)) =
       (match v.max_decision_time with Some at -> Vtime.to_int at | None -> 0);
   }
 
-(* First [keep] elements of [a @ b] in O(keep) work: lengths are
-   counted only up to [keep + 1] (never a full [List.length] scan), the
-   append is never materialised beyond the cap, and a left list that
-   already fills the cap is returned physically unchanged — so an
-   at-cap accumulator is never rebuilt by later merges. *)
 let rec prefix budget l =
   if budget = 0 then []
   else match l with [] -> [] | x :: rest -> x :: prefix (budget - 1) rest
@@ -102,48 +88,18 @@ let merge ~keep a b =
     blocked_examples = cap_append ~keep a.blocked_examples b.blocked_examples;
   }
 
-let eval ~protocol ~protocol_name ~trace scratch config =
-  let config = { config with Runner.trace_enabled = trace } in
+let eval ~protocol ~protocol_name scratch config =
+  let config = { config with Runner.trace_enabled = false } in
   let result = Runner.run ~scratch protocol config in
   of_verdict ~protocol:protocol_name (config, Verdict.of_result result)
 
-let run ?(keep = 3) ?jobs ?(trace = false) protocol configs =
+let run ?(keep = 3) ?jobs protocol configs =
   let protocol_name = Site.name protocol in
-  let eval = eval ~protocol ~protocol_name ~trace in
-  let sequential () =
-    (* Same scratch reuse as the parallel path, so jobs=1 pays the same
-       per-run cost as one executor of a pool. *)
-    let scratch = Runner.make_scratch () in
-    List.fold_left
-      (fun acc config -> merge ~keep acc (eval scratch config))
-      (empty ~protocol:protocol_name)
-      configs
-  in
-  match jobs with
-  | Some j when j < 1 -> invalid_arg "Sweep.run: jobs must be >= 1"
-  | None | Some 1 -> sequential ()
-  | Some j -> (
-      (* Beyond the recommended domain count extra domains only
-         time-slice (and fight the stop-the-world minor GC), and the
-         summary is identical either way, so clamp: --jobs is purely a
-         performance knob. *)
-      let domains = Stdlib.min j (Commit_par.Pool.default_jobs ()) in
-      if domains = 1 then sequential ()
-      else
-        match Array.of_list configs with
-        | [||] -> empty ~protocol:protocol_name
-        | configs ->
-            (* Chunks fine enough to balance uneven run costs, coarse
-               enough to amortise dispatch; any choice yields the same
-               summary (the merge is associative and in task order). *)
-            let chunk =
-              Stdlib.max 1
-                ((Array.length configs + (4 * domains) - 1) / (4 * domains))
-            in
-            Commit_par.Pool.with_pool ~domains (fun pool ->
-                Commit_par.Pool.map_reduce_scratch pool ~chunk
-                  ~init:Runner.make_scratch ~f:eval ~merge:(merge ~keep)
-                  configs))
+  match configs with
+  | [] -> empty ~protocol:protocol_name
+  | configs ->
+      Commit_par.Pool.fold ?jobs ~init:Runner.make_scratch
+        ~f:(eval ~protocol ~protocol_name) ~merge:(merge ~keep) configs
 
 let mean_decision_time s =
   let decided = s.runs - s.undecided in

@@ -7,9 +7,9 @@
     violations, and here are the first counterexamples".
 
     Grids are embarrassingly parallel — every run owns its engine, its
-    network and its clock — so [run ~jobs:n] partitions the grid across
-    [n] domains and folds the per-domain partial summaries in task-index
-    order.  The summary, including which counterexamples are kept, is
+    network and its clock — so [run ~jobs:n] folds contiguous chunks
+    of the grid on up to [n] domains and merges the per-chunk partial
+    summaries in task order.  The summary, including which counterexamples are kept, is
     byte-identical to the sequential run for every [jobs]. *)
 
 type summary = {
@@ -31,22 +31,16 @@ type summary = {
 }
 
 val run :
-  ?keep:int ->
-  ?jobs:int ->
-  ?trace:bool ->
-  Site.packed ->
-  Runner.config list ->
-  summary
-(** Runs every config (with tracing off by default — grids are large)
-    and keeps up to [keep] (default 3) example configs per failure
-    class.  [jobs] (default 1 = sequential, no domains spawned) runs the
-    grid on a {!Commit_par.Pool}; the effective executor count is
-    [min jobs (Pool.default_jobs ())] — beyond the recommended domain
-    count extra domains only time-slice, and since the summary is
-    identical for every [jobs], the flag is purely a performance knob.
-    Every executor (including the sequential path) reuses one
-    {!Runner.scratch} across all its runs.
-    @raise Invalid_argument if [jobs < 1]. *)
+  ?keep:int -> ?jobs:int -> Site.packed -> Runner.config list -> summary
+(** Runs every config with tracing off (grids are large) and keeps up
+    to [keep] (default 3) example configs per failure class.  [jobs]
+    (default 1 = sequential, no domains spawned) folds the grid with
+    {!Commit_par.Pool.fold}, which clamps it to
+    [Pool.default_jobs ()] domains; the summary is identical for every
+    [jobs], so the flag is purely a performance knob.  Every executor
+    reuses one {!Runner.scratch} across all its runs.  An empty grid
+    yields the empty summary.
+    @raise Invalid_argument if [jobs < 1] on a non-empty grid. *)
 
 val of_verdict : protocol:string -> Runner.config * Verdict.t -> summary
 (** The summary of one run: the unit the parallel merge folds over.
@@ -59,13 +53,17 @@ val merge : keep:int -> summary -> summary -> summary
     winning — merging per-run summaries left to right reproduces the
     sequential selection. *)
 
+val cap_append : keep:int -> 'a list -> 'a list -> 'a list
+(** The first [keep] elements of [a @ b] in O(keep) work: lengths are
+    counted only up to [keep + 1] (never a full [List.length] scan),
+    the append is never materialised beyond the cap, and a left list
+    that already fills the cap is returned physically unchanged — so an
+    at-cap accumulator is never rebuilt by later merges.  The example
+    lists here and [Cluster_sweep]'s failure labels
+    merge through it. *)
+
 val mean_decision_time : summary -> float option
 (** [total_decision_time / (runs - undecided)]; [None] when no run
     decided. *)
-
-val run_verdicts :
-  ?trace:bool -> Site.packed -> Runner.config list ->
-  (Runner.config * Verdict.t) list
-(** The raw per-run verdicts, for custom aggregation. *)
 
 val pp_summary : Format.formatter -> summary -> unit

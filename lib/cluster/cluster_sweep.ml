@@ -118,25 +118,8 @@ let of_report ~label (report : Runtime.report) =
             snaps);
   }
 
-(* First [keep] of [a @ b] in O(keep) work — same shape as
-   [Sweep.cap_append]: no full-length scans, and an at-cap left list is
-   returned physically unchanged. *)
-let rec prefix budget l =
-  if budget = 0 then []
-  else match l with [] -> [] | x :: rest -> x :: prefix (budget - 1) rest
-
-let cap_append ~keep a b =
-  let rec len_capped n l =
-    if n > keep then n
-    else match l with [] -> n | _ :: rest -> len_capped (n + 1) rest
-  in
-  let la = len_capped 0 a in
-  if la > keep then prefix keep a
-  else if la = keep || b == [] then a
-  else match prefix (keep - la) b with [] -> a | extra -> a @ extra
-
 (* Associative; consumes [a]'s metrics pipeline (each partial is owned
-   by exactly one domain at a time — see Pool.map_reduce). *)
+   by exactly one domain at a time — see Pool.fold_chunks). *)
 let merge ~keep a b =
   Metrics.merge_into a.metrics b.metrics;
   {
@@ -155,7 +138,7 @@ let merge ~keep a b =
     probes = a.probes + b.probes;
     atomic_runs = a.atomic_runs + b.atomic_runs;
     clean_runs = a.clean_runs + b.clean_runs;
-    failures = cap_append ~keep a.failures b.failures;
+    failures = Commit_checker.Sweep.cap_append ~keep a.failures b.failures;
     metrics = a.metrics;
     snapshot_lines =
       (if b.snapshot_lines == [] then a.snapshot_lines
@@ -165,34 +148,12 @@ let merge ~keep a b =
 let eval scratch (label, config) =
   of_report ~label (Runtime.run ~scratch config)
 
-let run ?(keep = 5) ?jobs grid =
-  let tasks = tasks grid in
-  if tasks = [] then invalid_arg "Cluster_sweep.run: empty grid";
-  let sequential () =
-    let scratch = Runtime.make_scratch () in
-    match List.map (eval scratch) tasks with
-    | [] -> assert false
-    | first :: rest -> List.fold_left (merge ~keep) first rest
-  in
-  match jobs with
-  | Some j when j < 1 -> invalid_arg "Cluster_sweep.run: jobs must be >= 1"
-  | None | Some 1 -> sequential ()
-  | Some j ->
-      (* Clamp to the recommended domain count — the summary is
-         identical for every [jobs], so the flag is purely a
-         performance knob (see Sweep.run). *)
-      let domains = Stdlib.min j (Commit_par.Pool.default_jobs ()) in
-      if domains = 1 then sequential ()
-      else
-        let tasks = Array.of_list tasks in
-        (* One runtime per task is already coarse; chunk just finely
-           enough to balance uneven run costs across the domains. *)
-        let chunk =
-          Stdlib.max 1 ((Array.length tasks + (2 * domains) - 1) / (2 * domains))
-        in
-        Commit_par.Pool.with_pool ~domains (fun pool ->
-            Commit_par.Pool.map_reduce_scratch pool ~chunk
-              ~init:Runtime.make_scratch ~f:eval ~merge:(merge ~keep) tasks)
+let run ?jobs grid =
+  match tasks grid with
+  | [] -> invalid_arg "Cluster_sweep.run: empty grid"
+  | tasks ->
+      Commit_par.Pool.fold ?jobs ~init:Runtime.make_scratch ~f:eval
+        ~merge:(merge ~keep:5) tasks
 
 let clean s = s.clean_runs = s.runs
 

@@ -61,12 +61,12 @@ type summary = {
           for every [jobs]. *)
 }
 
-val run : ?keep:int -> ?jobs:int -> grid -> summary
-(** Runs every task and merges.  [keep] (default 5) caps [failures];
-    [jobs] (default 1 = sequential) fans tasks across a
-    {!Commit_par.Pool}, clamped to [Pool.default_jobs ()] effective
-    executors (the summary is identical for every [jobs], so the flag
-    is purely a performance knob).  Every executor reuses one
+val run : ?jobs:int -> grid -> summary
+(** Runs every task and merges, keeping the first 5 [failures].
+    [jobs] (default 1 = sequential) folds the tasks with
+    {!Commit_par.Pool.fold}, which clamps it to [Pool.default_jobs ()]
+    domains (the summary is identical for every [jobs], so the flag is
+    purely a performance knob).  Every executor reuses one
     {!Runtime.scratch} across its runs.
     @raise Invalid_argument if the grid is empty or [jobs < 1]. *)
 
@@ -78,7 +78,8 @@ val merge : keep:int -> summary -> summary -> summary
 (** The exact merge the parallel path folds with: counts add, metrics
     pipelines fold through {!Metrics.merge_into} (consuming the left
     argument's pipeline), and [failures] concatenate in task order
-    truncated to [keep].  Associative. *)
+    truncated to [keep] ({!Commit_checker.Sweep.cap_append}).
+    Associative. *)
 
 val clean : summary -> bool
 (** [clean_runs = runs]. *)

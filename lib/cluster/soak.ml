@@ -182,32 +182,8 @@ let run ?jobs config =
   if config.epochs < 1 then invalid_arg "Soak.run: epochs must be >= 1";
   if Vtime.to_int config.segment < 10 * Vtime.to_int config.base.Runtime.t_unit
   then invalid_arg "Soak.run: segment must be at least 10T";
-  let indices = Array.init config.epochs (fun i -> i) in
-  let sequential () =
-    let scratch = Runtime.make_scratch () in
-    Array.fold_left
-      (fun acc epoch ->
-        let s = eval config scratch epoch in
-        match acc with None -> Some s | Some a -> Some (merge a s))
-      None indices
-    |> Option.get
-  in
-  match jobs with
-  | Some j when j < 1 -> invalid_arg "Soak.run: jobs must be >= 1"
-  | None | Some 1 -> sequential ()
-  | Some j ->
-      let domains = Stdlib.min j (Commit_par.Pool.default_jobs ()) in
-      if domains = 1 then sequential ()
-      else
-        let chunk =
-          Stdlib.max 1
-            ((Array.length indices + (2 * domains) - 1) / (2 * domains))
-        in
-        Commit_par.Pool.with_pool ~domains (fun pool ->
-            Commit_par.Pool.map_reduce_scratch pool ~chunk
-              ~init:Runtime.make_scratch
-              ~f:(fun scratch epoch -> eval config scratch epoch)
-              ~merge indices)
+  Commit_par.Pool.fold ?jobs ~init:Runtime.make_scratch ~f:(eval config)
+    ~merge (List.init config.epochs Fun.id)
 
 let to_json config s =
   Export.Obj

@@ -67,8 +67,9 @@ val conserved : summary -> bool
 
 val run : ?jobs:int -> config -> summary
 (** Runs every epoch and merges in index order.  [jobs] (default 1)
-    fans epochs across a {!Commit_par.Pool} clamped to
-    [Pool.default_jobs ()]; the summary is identical for every value.
+    folds the epochs with {!Commit_par.Pool.fold}, which clamps it to
+    [Pool.default_jobs ()] domains; the summary is identical for every
+    value.
     @raise Invalid_argument if [epochs < 1], [segment < 10T] or
     [jobs < 1]. *)
 

@@ -1,236 +1,71 @@
-(* A fixed-size executor pool with batched chunk execution.
-
-   The first revision of this pool pushed one closure per chunk through
-   a mutex-protected queue and woke a condition variable for every
-   enqueue and every completion.  On a grid of thousands of cheap
-   simulator runs the bookkeeping beat the work: BENCH_sweep.json
-   recorded parallel sweeps *losing* to the sequential fold.  This
-   version keeps the same observable semantics with a batched engine:
-
-   - The calling thread is executor 0 and does its share of the work; a
-     pool of [domains] executors spawns only [domains - 1] worker
-     domains.  A one-executor pool is a plain tight loop — no spawn, no
-     lock, no signal.
-   - A call publishes ONE job (an immutable descriptor plus an atomic
-     chunk cursor).  Executors claim contiguous chunks with
-     [Atomic.fetch_and_add] — no mutex round-trip per task — and run
-     every item of a chunk in a tight loop, writing results into
-     preallocated slot arrays.
-   - Each executor touches the mutex once per job: to add its finished
-     chunk count and (for the last finisher) signal completion.
-   - Per-executor scratch: {!map_reduce_scratch} creates one ['s] per
-     executor (exactly [size pool] calls to [init], by the submitter,
-     before any chunk runs) and threads it through every item that
-     executor claims, so callers can hoist per-run allocation out of
-     the loop.  A scratch value is only ever visible to its executor.
-
-   Tasks never raise into a worker: chunk bodies park exceptions (with
-   their backtraces) in a per-chunk slot, and the lowest-indexed
-   chunk's exception is re-raised after the job completes, leaving the
-   pool reusable. *)
-
-type job = {
-  id : int;  (* generation: a worker never re-enters a job it served *)
-  next : int Atomic.t;  (* next unclaimed chunk *)
-  nchunks : int;
-  run_chunk : executor:int -> int -> unit;  (* never raises *)
-  mutable completed : int;  (* chunks finished; guarded by the mutex *)
-}
-
-type t = {
-  mutex : Mutex.t;
-  work : Condition.t;  (* a new job was published, or shutdown *)
-  finished : Condition.t;  (* a job completed (and its slot was freed) *)
-  mutable job : job option;
-  mutable next_job_id : int;
-  mutable live : bool;
-  mutable workers : unit Domain.t array;  (* executors 1 .. size-1 *)
-  executors : int;
-}
-
-type pool = t
-
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Claim-and-run loop shared by workers and the submitter.  Returns
-   once the cursor passes [nchunks]; the executor that finishes the
-   job's last chunk signals the submitter.  One mutex section per
-   executor per job. *)
-let participate pool job ~executor =
-  let finished = ref 0 in
-  let running = ref true in
-  while !running do
-    let c = Atomic.fetch_and_add job.next 1 in
-    if c >= job.nchunks then running := false
-    else begin
-      job.run_chunk ~executor c;
-      incr finished
-    end
-  done;
-  if !finished > 0 then begin
-    Mutex.lock pool.mutex;
-    job.completed <- job.completed + !finished;
-    if job.completed = job.nchunks then Condition.broadcast pool.finished;
-    Mutex.unlock pool.mutex
-  end
-
-let rec worker_loop pool ~executor ~last_served =
-  Mutex.lock pool.mutex;
-  let rec await () =
-    if not pool.live then None
-    else
-      match pool.job with
-      | Some job when job.id <> last_served -> Some job
-      | Some _ | None ->
-          Condition.wait pool.work pool.mutex;
-          await ()
-  in
-  match await () with
-  | None -> Mutex.unlock pool.mutex
-  | Some job ->
-      Mutex.unlock pool.mutex;
-      participate pool job ~executor;
-      worker_loop pool ~executor ~last_served:job.id
-
-let create ?domains () =
-  let domains =
-    match domains with Some d -> d | None -> default_jobs ()
-  in
-  if domains < 1 then invalid_arg "Pool.create: need at least one domain";
-  let pool =
-    {
-      mutex = Mutex.create ();
-      work = Condition.create ();
-      finished = Condition.create ();
-      job = None;
-      next_job_id = 0;
-      live = true;
-      workers = [||];
-      executors = domains;
-    }
-  in
-  pool.workers <-
-    Array.init (domains - 1) (fun i ->
-        Domain.spawn (fun () ->
-            worker_loop pool ~executor:(i + 1) ~last_served:(-1)));
-  pool
-
-let size pool = pool.executors
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  let workers = pool.workers in
-  pool.live <- false;
-  pool.workers <- [||];
-  Condition.broadcast pool.work;
-  Mutex.unlock pool.mutex;
-  Array.iter Domain.join workers
-
-let with_pool ?domains f =
-  let pool = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-(* Publishes [run_chunk] over [nchunks] chunks, participates as
-   executor 0, and waits for the stragglers.  Submissions are
-   serialized: a second caller blocks until the active job's slot is
-   free. *)
-let run_job pool ~nchunks run_chunk =
-  Mutex.lock pool.mutex;
-  if not pool.live then begin
-    Mutex.unlock pool.mutex;
-    invalid_arg "Pool: pool already shut down"
-  end;
-  while pool.job <> None do
-    Condition.wait pool.finished pool.mutex
-  done;
-  let job =
-    {
-      id = pool.next_job_id;
-      next = Atomic.make 0;
-      nchunks;
-      run_chunk;
-      completed = 0;
-    }
-  in
-  pool.next_job_id <- pool.next_job_id + 1;
-  pool.job <- Some job;
-  if Array.length pool.workers > 0 then Condition.broadcast pool.work;
-  Mutex.unlock pool.mutex;
-  participate pool job ~executor:0;
-  Mutex.lock pool.mutex;
-  while job.completed < job.nchunks do
-    Condition.wait pool.finished pool.mutex
-  done;
-  pool.job <- None;
-  (* wake any queued submitter waiting for the slot *)
-  Condition.broadcast pool.finished;
-  Mutex.unlock pool.mutex
-
-let reraise_first errors =
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    errors
-
-let chunk_count ~chunk n =
-  if chunk < 1 then invalid_arg "Pool: chunk must be >= 1";
-  (n + chunk - 1) / chunk
-
-let map pool ~chunk f xs =
+(* No mutex and no condition: the cursor is the only shared mutable
+   state while executors run, each chunk slot has exactly one writer,
+   and [Domain.join] orders every worker's slot writes before the
+   caller reads them. *)
+let fold_chunks ~domains ~chunk ~init ~f ~merge xs =
+  if domains < 1 then invalid_arg "Pool.fold_chunks: domains must be >= 1";
+  if chunk < 1 then invalid_arg "Pool.fold_chunks: chunk must be >= 1";
   let n = Array.length xs in
-  let nchunks = chunk_count ~chunk n in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    let errors = Array.make nchunks None in
-    run_job pool ~nchunks (fun ~executor:_ c ->
-        try
-          let lo = c * chunk in
-          let hi = Stdlib.min n (lo + chunk) in
-          for i = lo to hi - 1 do
-            results.(i) <- Some (f xs.(i))
-          done
-        with e -> errors.(c) <- Some (e, Printexc.get_raw_backtrace ()));
-    reraise_first errors;
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let map_reduce_scratch pool ~chunk ~init ~f ~merge xs =
-  let n = Array.length xs in
-  let nchunks = chunk_count ~chunk n in
-  if n = 0 then invalid_arg "Pool.map_reduce: empty input";
-  (* One scratch per executor, created up front by the submitter: the
-     count is deterministic (exactly [size pool] calls) and [init]
-     needs no synchronisation.  Executor [e] is the only reader of
-     [scratches.(e)]. *)
-  let scratches = Array.init pool.executors (fun _ -> init ()) in
-  let partials = Array.make nchunks None in
-  let errors = Array.make nchunks None in
-  run_job pool ~nchunks (fun ~executor c ->
-      try
-        let scratch = Array.unsafe_get scratches executor in
-        let lo = c * chunk in
-        let hi = Stdlib.min n (lo + chunk) in
-        let acc = ref (f scratch xs.(lo)) in
-        for i = lo + 1 to hi - 1 do
-          acc := merge !acc (f scratch xs.(i))
+  if n = 0 then invalid_arg "Pool.fold_chunks: empty input";
+  let nchunks = (n + chunk - 1) / chunk in
+  let slots = Array.make nchunks None in
+  let cursor = Atomic.make 0 in
+  let fold_chunk scratch c =
+    let lo = c * chunk in
+    let acc = ref (f scratch xs.(lo)) in
+    for i = lo + 1 to Stdlib.min n (lo + chunk) - 1 do
+      acc := merge !acc (f scratch xs.(i))
+    done;
+    !acc
+  in
+  (* A raising chunk parks its exception in its slot and the executor
+     claims the next chunk; a raising [init] ends only its own executor,
+     whose share the others claim. *)
+  let execute () =
+    match init () with
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+    | scratch ->
+        let c = ref (Atomic.fetch_and_add cursor 1) in
+        while !c < nchunks do
+          slots.(!c) <-
+            Some
+              (match fold_chunk scratch !c with
+              | partial -> Ok partial
+              | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+          c := Atomic.fetch_and_add cursor 1
         done;
-        partials.(c) <- Some !acc
-      with e -> errors.(c) <- Some (e, Printexc.get_raw_backtrace ()));
-  reraise_first errors;
-  let total = ref None in
-  Array.iter
-    (fun partial ->
-      match (partial, !total) with
-      | Some p, None -> total := Some p
-      | Some p, Some acc -> total := Some (merge acc p)
-      | None, _ -> assert false)
-    partials;
-  match !total with Some v -> v | None -> assert false
+        None
+  in
+  let workers = List.init (domains - 1) (fun _ -> Domain.spawn execute) in
+  let caller = execute () in
+  let init_failures =
+    List.filter_map Fun.id (caller :: List.map Domain.join workers)
+  in
+  let chunk_failure =
+    Array.find_map (function Some (Error e) -> Some e | _ -> None) slots
+  in
+  (match (init_failures, chunk_failure) with
+  | (e, bt) :: _, _ | [], Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | [], None -> ());
+  (* Every chunk was claimed: at least one executor got past [init]. *)
+  let partial c = match slots.(c) with Some (Ok p) -> p | _ -> assert false in
+  let total = ref (partial 0) in
+  for c = 1 to nchunks - 1 do
+    total := merge !total (partial c)
+  done;
+  !total
 
-let map_reduce pool ~chunk f ~merge xs =
-  map_reduce_scratch pool ~chunk
-    ~init:(fun () -> ())
-    ~f:(fun () x -> f x)
-    ~merge xs
+let fold ?(jobs = 1) ~init ~f ~merge xs =
+  if jobs < 1 then invalid_arg "Pool.fold: jobs must be >= 1";
+  let domains = Stdlib.min jobs (default_jobs ()) in
+  match xs with
+  | [] -> invalid_arg "Pool.fold: empty input"
+  | x :: rest when domains = 1 ->
+      let scratch = init () in
+      List.fold_left (fun acc x -> merge acc (f scratch x)) (f scratch x) rest
+  | xs ->
+      let xs = Array.of_list xs in
+      let chunk = (Array.length xs + (4 * domains) - 1) / (4 * domains) in
+      fold_chunks ~domains ~chunk ~init ~f ~merge xs

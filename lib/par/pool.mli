@@ -1,96 +1,71 @@
-(** A fixed-size executor pool with batched chunk execution.
+(** One-shot parallel folds over independent runs.
 
     The repository's experiments are embarrassingly parallel: a sweep is
-    thousands of independent simulator runs folded into one summary, and
-    a cluster sweep is dozens of independent runtimes folded into one
-    merged metrics document.  The pool parallelises {e across} runs —
-    each run still owns one engine and one virtual clock — and recovers
-    the sequential answer exactly, provided the caller's [merge] is
-    associative: chunks are folded left-to-right {e within} each chunk
-    and partial results are folded left-to-right {e across} chunks, so
-    for an associative [merge] the result is independent of both the
-    chunk size and the number of executors.
+    thousands of independent simulator runs folded into one summary, a
+    cluster sweep is dozens of independent runtimes, and a soak is a
+    sequence of independent epochs.  A fold parallelises {e across}
+    runs — each run still owns one engine and one virtual clock — and
+    recovers the sequential answer exactly, provided [merge] is
+    associative: items are folded left to right {e within} each chunk
+    and the partials are merged left to right {e across} chunks, so the
+    result is independent of both the chunk size and the number of
+    domains.
 
-    Execution is batched, not queued: a call publishes one job over the
-    whole input array, and each executor claims contiguous chunks with
-    an atomic cursor and runs every item of a chunk in a tight loop —
-    no per-task locking, signaling, or closure allocation.  The calling
-    thread is executor 0 and does its share of the work, so a pool of
-    [domains] executors spawns only [domains - 1] domains; a
-    one-executor pool spawns nothing and degenerates to a plain loop.
-
-    Workers hold no caller-visible state between calls; a pool survives
-    a raising task and can be reused immediately. *)
-
-type t
-(** A pool of executors.  Create once, run many [map]/[map_reduce]
-    calls, then {!shutdown} (or use {!with_pool}). *)
-
-type pool = t
+    A fold is one-shot: it spawns its workers, every executor (the
+    caller is one) builds its own scratch with [init] and claims
+    contiguous chunks through an atomic cursor, and the caller joins
+    every worker before merging.  Nothing outlives the call, so there
+    is no pool to create, reuse or shut down. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the useful parallelism cap
-    on this machine, and the CLI's [--jobs] default.  Sweeps clamp
-    their effective executor count to this: beyond it, extra domains
-    only time-slice (and OCaml 5's stop-the-world minor GC makes them
-    actively slower). *)
+    on this machine, and the CLI's [--jobs] default.  {!fold} clamps
+    to it: beyond it, extra domains only time-slice (and OCaml 5's
+    stop-the-world minor GC makes them actively slower). *)
 
-val create : ?domains:int -> unit -> t
-(** A pool of [domains] executors (default {!default_jobs}): the
-    calling thread plus [domains - 1] spawned worker domains.
-    @raise Invalid_argument if [domains < 1]. *)
-
-val size : t -> int
-(** The number of executors (including the calling thread). *)
-
-val shutdown : t -> unit
-(** Joins every worker.  Idempotent.  Calling {!map} or {!map_reduce}
-    on a shut-down pool raises [Invalid_argument]. *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] over a fresh pool and shuts it down on the
-    way out, exception or not. *)
-
-val map : t -> chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map pool ~chunk f xs] is [Array.map f xs], with contiguous chunks
-    of [chunk] elements claimed across the pool's executors.  Returns
-    [ [||] ] on empty input.  If any application of [f] raises, the
-    exception raised by the lowest-indexed chunk is re-raised (with its
-    backtrace) after all chunks have finished, and the pool remains
-    usable.
-    @raise Invalid_argument if [chunk < 1]. *)
-
-val map_reduce :
-  pool -> chunk:int -> ('a -> 'b) -> merge:('b -> 'b -> 'b) -> 'a array -> 'b
-(** [map_reduce pool ~chunk f ~merge xs] is
-    [merge (... (merge (f xs.(0)) (f xs.(1))) ...) (f xs.(n-1))] — the
-    left fold of per-element results in index order — computed as
-    parallel per-chunk partial folds merged across chunks in chunk
-    order.  Equal to the sequential fold for any [chunk] and any pool
-    size whenever [merge] is associative ([merge] may consume its left
-    argument: each partial is owned by exactly one executor at a time).
-    Exceptions propagate as in {!map}.
-    @raise Invalid_argument if [chunk < 1] or [xs] is empty (there is
-    no unit to return; callers with a natural empty summary should
-    handle [ [||] ] themselves). *)
-
-val map_reduce_scratch :
-  pool ->
+val fold_chunks :
+  domains:int ->
   chunk:int ->
   init:(unit -> 's) ->
   f:('s -> 'a -> 'b) ->
   merge:('b -> 'b -> 'b) ->
   'a array ->
   'b
-(** {!map_reduce} with per-executor scratch state.  [init] is called
-    exactly [size pool] times, by the submitting thread, before any
-    chunk runs; executor [e] threads its own scratch through every
-    [f scratch x] it claims, and no scratch is ever visible to two
-    executors.  Use it to hoist per-item allocation (simulator engines,
-    buffers) out of the hot loop.
+(** [fold_chunks ~domains ~chunk ~init ~f ~merge xs] is
+    [merge (... (merge (f s xs.(0)) (f s xs.(1))) ...) (f s xs.(n-1))],
+    computed by [domains] executors — the caller and [domains - 1]
+    spawned domains — as per-chunk partial folds over contiguous chunks
+    of [chunk] items, merged in chunk order.  Equal to the sequential
+    fold for any [chunk] and [domains] whenever [merge] is associative
+    ([merge] may consume its left argument: each partial is owned by
+    exactly one executor at a time).
 
-    Soundness contract: [f] must leave the scratch in a state where the
-    next item's result does not depend on which items this executor ran
-    before — reuse must be observationally identical to a fresh
+    Each executor calls [init] exactly once and threads its scratch
+    through every [f scratch x] it claims; no scratch is visible to two
+    executors.  Reuse must be observationally identical to a fresh
     [init ()] per item, or the result will depend on the chunk
-    schedule.  Exceptions propagate as in {!map}. *)
+    schedule.
+
+    Exceptions are re-raised, with their backtraces, only after every
+    worker has been joined: first an exception from [init] (the
+    caller's, then the workers' in spawn order), else the exception of
+    the lowest-indexed raising chunk.
+    @raise Invalid_argument if [domains < 1], [chunk < 1] or [xs] is
+    empty. *)
+
+val fold :
+  ?jobs:int ->
+  init:(unit -> 's) ->
+  f:('s -> 'a -> 'b) ->
+  merge:('b -> 'b -> 'b) ->
+  'a list ->
+  'b
+(** [fold ?jobs ~init ~f ~merge xs] is the same left fold over [xs] on
+    [min jobs (default_jobs ())] domains ([jobs] defaults to 1).  One
+    domain is a plain [List.fold_left] with one scratch, spawning
+    nothing; more call {!fold_chunks} with chunks of
+    [ceil (n / (4 * domains))] items — fine enough to balance uneven
+    run costs, coarse enough that claiming a chunk costs nothing next
+    to running it.  The result is the same for every [jobs], so it is
+    purely a performance knob.
+    @raise Invalid_argument if [jobs < 1] or [xs] is empty. *)

@@ -99,14 +99,16 @@ let test_runner_export_repeatable () =
 let test_runner_export_across_jobs () =
   let direct = runner_jsons () in
   let pooled =
-    Commit_par.Pool.with_pool ~domains:2 (fun pool ->
-        Commit_par.Pool.map pool ~chunk:1 (fun () -> runner_jsons ())
-          [| (); () |])
+    Commit_par.Pool.fold_chunks ~domains:2 ~chunk:1
+      ~init:(fun () -> ())
+      ~f:(fun () () -> [ runner_jsons () ])
+      ~merge:( @ ) [| (); () |]
   in
-  Array.iter
+  check Alcotest.int "one export per item" 2 (List.length pooled);
+  List.iter
     (fun (t, c) ->
-      check Alcotest.string "trace_event identical under a pool" (fst direct) t;
-      check Alcotest.string "causality identical under a pool" (snd direct) c)
+      check Alcotest.string "trace_event identical across domains" (fst direct) t;
+      check Alcotest.string "causality identical across domains" (snd direct) c)
     pooled
 
 let cluster_jsons () =

@@ -1,5 +1,5 @@
-(* Tests for the domain pool (lib/par) and the determinism guarantee
-   of the parallel sweeps built on it: for any [jobs], the merged
+(* Tests for the parallel fold (lib/par) and the determinism guarantee
+   of the sweeps built on it: for any [jobs], the merged
    summary — and its JSON export — is byte-identical to the sequential
    fold. *)
 
@@ -13,121 +13,136 @@ let t_unit = Vtime.of_int 1000
 let t mult = Vtime.of_int (mult * 1000)
 
 (* ------------------------------------------------------------------ *)
-(* Pool basics                                                         *)
+(* Folds                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_pool_map () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      let input = Array.init 37 Fun.id in
-      let out = Pool.map pool ~chunk:4 (fun x -> x * x) input in
-      check Alcotest.int "length" 37 (Array.length out);
-      Array.iteri
-        (fun i y -> check Alcotest.int "element" (i * i) y)
-        out)
+let unit_scratch () = ()
 
-let test_pool_map_empty () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let out = Pool.map pool ~chunk:4 (fun x -> x * x) [||] in
-      check Alcotest.int "empty in, empty out" 0 (Array.length out))
+let fold_chunks ~domains ~chunk ~f ~merge xs =
+  Pool.fold_chunks ~domains ~chunk ~init:unit_scratch
+    ~f:(fun () x -> f x)
+    ~merge xs
 
-let test_pool_map_reduce_empty_raises () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let raised =
-        try
-          ignore
-            (Pool.map_reduce pool ~chunk:4 Fun.id ~merge:( + ) ([||] : int array));
-          false
-        with Invalid_argument _ -> true
-      in
-      check Alcotest.bool "empty input rejected" true raised;
-      let raised =
-        try
-          ignore (Pool.map_reduce pool ~chunk:0 Fun.id ~merge:( + ) [| 1 |]);
-          false
-        with Invalid_argument _ -> true
-      in
-      check Alcotest.bool "chunk < 1 rejected" true raised)
+let test_fold_matches_left_fold () =
+  check Alcotest.bool "default_jobs >= 1" true (Pool.default_jobs () >= 1);
+  let input = List.init 37 (fun i -> string_of_int (i * i)) in
+  let expected = String.concat "," input in
+  List.iter
+    (fun jobs ->
+      check Alcotest.string
+        (Printf.sprintf "jobs=%d" jobs)
+        expected
+        (Pool.fold ~jobs ~init:unit_scratch
+           ~f:(fun () x -> x)
+           ~merge:(fun a b -> a ^ "," ^ b)
+           input))
+    [ 1; 2; 4; 8 ]
 
-let test_pool_chunk_larger_than_input () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let input = Array.init 5 (fun i -> i + 1) in
-      let sum = Pool.map_reduce pool ~chunk:100 Fun.id ~merge:( + ) input in
-      check Alcotest.int "one chunk still reduces" 15 sum;
-      let out = Pool.map pool ~chunk:100 (fun x -> x * 2) input in
-      check Alcotest.int "one chunk still maps" 10 out.(4))
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
 
-let test_pool_map_reduce_ordered () =
+let test_fold_bad_input_raises () =
+  let sum ~domains ~chunk xs =
+    fold_chunks ~domains ~chunk ~f:Fun.id ~merge:( + ) xs
+  in
+  check Alcotest.bool "empty input rejected" true
+    (raises_invalid (fun () -> sum ~domains:2 ~chunk:4 [||]));
+  check Alcotest.bool "chunk < 1 rejected" true
+    (raises_invalid (fun () -> sum ~domains:2 ~chunk:0 [| 1 |]));
+  check Alcotest.bool "domains < 1 rejected" true
+    (raises_invalid (fun () -> sum ~domains:0 ~chunk:1 [| 1 |]));
+  let fold ~jobs xs =
+    Pool.fold ~jobs ~init:unit_scratch ~f:(fun () x -> x) ~merge:( + ) xs
+  in
+  check Alcotest.bool "fold: empty input rejected" true
+    (raises_invalid (fun () -> fold ~jobs:2 []));
+  check Alcotest.bool "fold: jobs < 1 rejected" true
+    (raises_invalid (fun () -> fold ~jobs:0 [ 1 ]))
+
+let test_chunk_larger_than_input () =
+  let input = Array.init 5 (fun i -> i + 1) in
+  check Alcotest.int "one chunk still reduces" 15
+    (fold_chunks ~domains:4 ~chunk:100 ~f:Fun.id ~merge:( + ) input)
+
+let test_fold_merge_ordered () =
   (* A non-commutative merge (string concat) exposes any ordering bug:
      chunks must fold left-to-right regardless of which domain finishes
      first. *)
-  Pool.with_pool ~domains:3 (fun pool ->
-      let input = Array.init 26 (fun i -> String.make 1 (Char.chr (65 + i))) in
-      List.iter
-        (fun chunk ->
-          let s = Pool.map_reduce pool ~chunk Fun.id ~merge:( ^ ) input in
-          check Alcotest.string
-            (Printf.sprintf "chunk=%d keeps order" chunk)
-            "ABCDEFGHIJKLMNOPQRSTUVWXYZ" s)
-        [ 1; 2; 3; 7; 26; 100 ])
+  let input = Array.init 26 (fun i -> String.make 1 (Char.chr (65 + i))) in
+  for chunk = 1 to 100 do
+    check Alcotest.string
+      (Printf.sprintf "chunk=%d keeps order" chunk)
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+      (fold_chunks ~domains:3 ~chunk ~f:Fun.id ~merge:( ^ ) input)
+  done
 
 exception Boom of int
 
-let test_pool_exception_propagation () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let input = Array.init 20 Fun.id in
-      let observed =
-        try
-          ignore
-            (Pool.map_reduce pool ~chunk:3
-               (fun x -> if x >= 7 then raise (Boom x) else x)
-               ~merge:( + ) input);
-          None
-        with Boom x -> Some x
-      in
-      (* elements 7..19 all raise; the lowest-indexed chunk's exception
-         (element 7, chunk [6;7;8]) is the one re-raised *)
-      check
-        Alcotest.(option int)
-        "first failing chunk wins" (Some 7) observed;
-      (* the pool survives a failed batch and runs the next one *)
-      let sum = Pool.map_reduce pool ~chunk:3 Fun.id ~merge:( + ) input in
-      check Alcotest.int "pool reusable after failure" 190 sum)
+let test_fold_exception_propagation () =
+  let input = Array.init 20 Fun.id in
+  let observed =
+    try
+      ignore
+        (fold_chunks ~domains:2 ~chunk:3
+           ~f:(fun x -> if x >= 7 then raise (Boom x) else x)
+           ~merge:( + ) input);
+      None
+    with Boom x -> Some x
+  in
+  (* elements 7..19 all raise; the lowest-indexed chunk's exception
+     (element 7, chunk [6;7;8]) is the one re-raised *)
+  check Alcotest.(option int) "first failing chunk wins" (Some 7) observed
 
-let test_pool_default_jobs () =
-  check Alcotest.bool "default_jobs >= 1" true (Pool.default_jobs () >= 1);
-  let pool = Pool.create () in
-  check Alcotest.bool "default pool size >= 1" true (Pool.size pool >= 1);
-  Pool.shutdown pool;
-  (* shutdown is idempotent *)
-  Pool.shutdown pool
+(* The caller is an executor: with two one-item chunks, whichever
+   executor claims chunk 0 waits for chunk 1 to finish elsewhere, so
+   the caller must claim a chunk before it joins the worker. *)
+let test_fold_caller_executes () =
+  let second_done = Atomic.make false and gave_up = Atomic.make false in
+  let ran_on = Array.make 2 (-1) in
+  Pool.fold_chunks ~domains:2 ~chunk:1 ~init:unit_scratch
+    ~f:(fun () i ->
+      ran_on.(i) <- (Domain.self () :> int);
+      if i = 1 then Atomic.set second_done true
+      else begin
+        let deadline = Sys.time () +. 10. in
+        while (not (Atomic.get second_done)) && not (Atomic.get gave_up) do
+          if Sys.time () > deadline then Atomic.set gave_up true;
+          Domain.cpu_relax ()
+        done
+      end)
+    ~merge:(fun () () -> ())
+    [| 0; 1 |];
+  check Alcotest.bool "chunk 1 ran while chunk 0 waited" false
+    (Atomic.get gave_up);
+  check Alcotest.bool "the caller ran a chunk" true
+    (Array.mem (Domain.self () :> int) ran_on)
 
-let test_pool_scratch_per_domain () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      let created = Atomic.make 0 in
-      let input = Array.init 48 Fun.id in
-      let users = Array.make (Array.length input) (-1, -1) in
-      let sum =
-        Pool.map_reduce_scratch pool ~chunk:2
-          ~init:(fun () -> Atomic.fetch_and_add created 1)
-          ~f:(fun scratch_id x ->
-            users.(x) <- (scratch_id, (Domain.self () :> int));
-            x)
-          ~merge:( + ) input
-      in
-      check Alcotest.int "reduction unchanged by scratch" 1128 sum;
-      check Alcotest.int "init called exactly (size pool) times"
-        (Pool.size pool) (Atomic.get created);
-      (* a scratch value is never shared: each scratch id maps to exactly
-         one domain across the whole job *)
-      let domain_of = Hashtbl.create 8 in
-      Array.iter
-        (fun (scratch_id, domain) ->
-          check Alcotest.bool "every element saw a scratch" true
-            (scratch_id >= 0);
-          match Hashtbl.find_opt domain_of scratch_id with
-          | None -> Hashtbl.add domain_of scratch_id domain
-          | Some d -> check Alcotest.int "scratch never crosses domains" d domain)
-        users)
+let test_fold_scratch_per_domain () =
+  let domains = 3 in
+  let created = Atomic.make 0 in
+  let input = Array.init 48 Fun.id in
+  let users = Array.make (Array.length input) (-1, -1) in
+  let sum =
+    Pool.fold_chunks ~domains ~chunk:2
+      ~init:(fun () -> Atomic.fetch_and_add created 1)
+      ~f:(fun scratch_id x ->
+        users.(x) <- (scratch_id, (Domain.self () :> int));
+        x)
+      ~merge:( + ) input
+  in
+  check Alcotest.int "reduction unchanged by scratch" 1128 sum;
+  check Alcotest.int "init called exactly (domains) times" domains
+    (Atomic.get created);
+  (* a scratch value is never shared: each scratch id maps to exactly
+     one domain across the whole fold *)
+  let domain_of = Hashtbl.create 8 in
+  Array.iter
+    (fun (scratch_id, domain) ->
+      check Alcotest.bool "every element saw a scratch" true (scratch_id >= 0);
+      match Hashtbl.find_opt domain_of scratch_id with
+      | None -> Hashtbl.add domain_of scratch_id domain
+      | Some d -> check Alcotest.int "scratch never crosses domains" d domain)
+    users
 
 (* ------------------------------------------------------------------ *)
 (* Sweep determinism across jobs                                       *)
@@ -185,6 +200,17 @@ let shuffled ~seed arr =
   done;
   a
 
+(* The reference the properties compare against: one scratch and a
+   plain left fold in array order. *)
+let left_fold ~init ~f ~merge xs =
+  let scratch = init () in
+  match Array.to_list xs with
+  | [] -> assert false
+  | first :: rest ->
+      List.fold_left
+        (fun acc x -> merge acc (f scratch x))
+        (f scratch first) rest
+
 let chunk_jobs_perm = QCheck.(triple (int_range 1 4) (int_range 1 9) small_nat)
 
 let qcheck_sweep_batched_identical =
@@ -201,15 +227,11 @@ let qcheck_sweep_batched_identical =
       in
       let merge = Sweep.merge ~keep:3 in
       let sequential =
-        let scratch = Runner.make_scratch () in
-        match Array.to_list (Array.map (eval scratch) configs) with
-        | [] -> assert false
-        | first :: rest -> List.fold_left merge first rest
+        left_fold ~init:Runner.make_scratch ~f:eval ~merge configs
       in
       let batched =
-        Pool.with_pool ~domains (fun pool ->
-            Pool.map_reduce_scratch pool ~chunk ~init:Runner.make_scratch
-              ~f:eval ~merge configs)
+        Pool.fold_chunks ~domains ~chunk ~init:Runner.make_scratch ~f:eval
+          ~merge configs
       in
       String.equal
         (Export.to_string (Export.of_summary sequential))
@@ -280,15 +302,11 @@ let qcheck_cluster_batched_identical =
       in
       let merge = Cluster.Cluster_sweep.merge ~keep:5 in
       let sequential =
-        let scratch = Cluster.Runtime.make_scratch () in
-        match Array.to_list (Array.map (eval scratch) tasks) with
-        | [] -> assert false
-        | first :: rest -> List.fold_left merge first rest
+        left_fold ~init:Cluster.Runtime.make_scratch ~f:eval ~merge tasks
       in
       let batched =
-        Pool.with_pool ~domains (fun pool ->
-            Pool.map_reduce_scratch pool ~chunk
-              ~init:Cluster.Runtime.make_scratch ~f:eval ~merge tasks)
+        Pool.fold_chunks ~domains ~chunk ~init:Cluster.Runtime.make_scratch
+          ~f:eval ~merge tasks
       in
       String.equal
         (Export.to_string (Cluster.Cluster_sweep.to_json sequential))
@@ -313,24 +331,82 @@ let test_cluster_sweep_accounting () =
         s.Cluster.Cluster_sweep.committed stats.Stats.count
   | None -> Alcotest.fail "expected a merged commit-latency histogram"
 
+(* An invalid config raises inside the run, on whichever domain claims
+   it; the fold joins every worker before handing the exception to the
+   caller. *)
+let expect_load_rejected f =
+  match f () with
+  | _ -> Alcotest.fail "expected Invalid_argument from Runtime.run"
+  | exception Invalid_argument msg ->
+      check Alcotest.string "the run's own message"
+        "Runtime.run: load must be >= 1" msg
+
+let test_cluster_sweep_run_error () =
+  let grid = cluster_grid () in
+  let base = { grid.Cluster.Cluster_sweep.base with Cluster.Runtime.load = 0 } in
+  expect_load_rejected (fun () ->
+      Cluster.Cluster_sweep.run ~jobs:2 { grid with Cluster.Cluster_sweep.base })
+
+(* ------------------------------------------------------------------ *)
+(* Soak determinism across chunk x domains                             *)
+(* ------------------------------------------------------------------ *)
+
+let soak_config () =
+  {
+    (Cluster.Soak.default_config ()) with
+    Cluster.Soak.seed = 5L;
+    epochs = 6;
+    segment = t 40;
+  }
+
+let qcheck_soak_batched_identical =
+  QCheck.Test.make ~count:4
+    ~name:"soak byte-identical across chunk x jobs x permutation"
+    QCheck.(triple (int_range 1 3) (int_range 1 5) small_nat)
+    (fun (domains, chunk, perm_seed) ->
+      let config = soak_config () in
+      let epochs =
+        shuffled ~seed:perm_seed (Array.init config.Cluster.Soak.epochs Fun.id)
+      in
+      let eval scratch epoch =
+        Cluster.Soak.of_report ~epoch
+          (Cluster.Runtime.run ~scratch (Cluster.Soak.epoch_config config ~epoch))
+      in
+      let merge = Cluster.Soak.merge in
+      let sequential =
+        left_fold ~init:Cluster.Runtime.make_scratch ~f:eval ~merge epochs
+      in
+      let batched =
+        Pool.fold_chunks ~domains ~chunk ~init:Cluster.Runtime.make_scratch
+          ~f:eval ~merge epochs
+      in
+      let export s = Export.to_string (Cluster.Soak.to_json config s) in
+      String.equal (export sequential) (export batched))
+
+let test_soak_run_error () =
+  let config = soak_config () in
+  let base = { config.Cluster.Soak.base with Cluster.Runtime.load = 0 } in
+  expect_load_rejected (fun () ->
+      Cluster.Soak.run ~jobs:2 { config with Cluster.Soak.base })
+
 let () =
   Alcotest.run "commit_par"
     [
       ( "pool",
         [
-          Alcotest.test_case "map" `Quick test_pool_map;
-          Alcotest.test_case "map empty" `Quick test_pool_map_empty;
-          Alcotest.test_case "map_reduce empty/chunk<1 raise" `Quick
-            test_pool_map_reduce_empty_raises;
+          Alcotest.test_case "bad input raises" `Quick
+            test_fold_bad_input_raises;
           Alcotest.test_case "chunk > input" `Quick
-            test_pool_chunk_larger_than_input;
-          Alcotest.test_case "merge order" `Quick test_pool_map_reduce_ordered;
+            test_chunk_larger_than_input;
+          Alcotest.test_case "merge order" `Quick test_fold_merge_ordered;
           Alcotest.test_case "exception propagation" `Quick
-            test_pool_exception_propagation;
-          Alcotest.test_case "defaults and shutdown" `Quick
-            test_pool_default_jobs;
+            test_fold_exception_propagation;
+          Alcotest.test_case "fold = left fold at every jobs" `Quick
+            test_fold_matches_left_fold;
           Alcotest.test_case "scratch per domain" `Quick
-            test_pool_scratch_per_domain;
+            test_fold_scratch_per_domain;
+          Alcotest.test_case "caller claims chunks" `Quick
+            test_fold_caller_executes;
         ] );
       ( "sweep",
         [
@@ -348,5 +424,13 @@ let () =
             test_cluster_sweep_jobs_deterministic;
           Alcotest.test_case "accounting" `Quick test_cluster_sweep_accounting;
           QCheck_alcotest.to_alcotest qcheck_cluster_batched_identical;
+          Alcotest.test_case "run error reaches the caller" `Quick
+            test_cluster_sweep_run_error;
+        ] );
+      ( "soak",
+        [
+          QCheck_alcotest.to_alcotest qcheck_soak_batched_identical;
+          Alcotest.test_case "run error reaches the caller" `Quick
+            test_soak_run_error;
         ] );
     ]
