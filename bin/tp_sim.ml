@@ -247,8 +247,9 @@ let spans_arg =
            leave on for any single run.")
 
 (* Bad input surfaces as Invalid_argument from the library's own checks
-   (Partition.make, Runner.run, Tm.run, Runtime.run, Soak.run): one line
-   naming the problem on stderr, then exit 2. *)
+   (Vtime.of_int, Partition.make, Runner.run, Analysis.analyze, Tm.run,
+   Runtime.run, Soak.run): one line naming the problem on stderr, then
+   exit 2. *)
 let or_exit_2 what f =
   try f ()
   with Invalid_argument msg ->
@@ -430,24 +431,28 @@ let sweep_cmd =
   in
   let run protocol n t heals grid_size json jobs =
     let jobs = resolve_jobs ~subcommand:"sweep" jobs in
-    let t_unit = Vtime.of_int t in
-    let base = Runner.default_config ~n ~t_unit () in
-    let grid =
-      match grid_size with
-      | `Small -> Scenario.default_grid ~n ~t_unit
-      | `Large -> Scenario.large_grid ~n ~t_unit
+    let summary =
+      or_exit_2 "sweep" (fun () ->
+          let t_unit = Vtime.of_int t in
+          let base = Runner.default_config ~n ~t_unit () in
+          let grid =
+            match grid_size with
+            | `Small -> Scenario.default_grid ~n ~t_unit
+            | `Large -> Scenario.large_grid ~n ~t_unit
+          in
+          let grid =
+            if heals = [] then grid
+            else
+              {
+                grid with
+                Scenario.heals_after =
+                  None :: List.map (fun h -> Some (Vtime.of_int h)) heals;
+              }
+          in
+          match Scenario.configs ~base grid with
+          | [] -> invalid_arg "empty scenario grid (need -n >= 2 and -T >= 1)"
+          | configs -> Sweep.run ~jobs protocol configs)
     in
-    let grid =
-      if heals = [] then grid
-      else
-        {
-          grid with
-          Scenario.heals_after =
-            None :: List.map (fun h -> Some (Vtime.of_int h)) heals;
-        }
-    in
-    let configs = Scenario.configs ~base grid in
-    let summary = Sweep.run ~jobs protocol configs in
     if json then Format.printf "%a@." Export.pp (Export.of_summary summary)
     else Format.printf "%a@." Sweep.pp_summary summary;
     if summary.violations = 0 then 0 else 1
@@ -484,7 +489,9 @@ let analyze_cmd =
         print_string (Commit_fsa.Machine.to_dot protocol);
         0
     | Some protocol ->
-        let analysis = Commit_fsa.Analysis.analyze protocol ~n in
+        let analysis =
+          or_exit_2 "analysis" (fun () -> Commit_fsa.Analysis.analyze protocol ~n)
+        in
         Format.printf "%a@." Commit_fsa.Analysis.pp_report analysis;
         Format.printf "%a@." Commit_fsa.Augment.pp
           (Commit_fsa.Augment.apply_rules analysis);
@@ -495,12 +502,14 @@ let analyze_cmd =
 let cases_cmd =
   let doc = "Classify a scenario into the Section 6 case tree." in
   let run protocol n t g2 at heal seed delay =
-    let config =
-      make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes:[]
-        ~pessimistic:false
+    let observation =
+      or_exit_2 "scenario" (fun () ->
+          let config =
+            make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes:[]
+              ~pessimistic:false
+          in
+          Cases.observe protocol { config with Runner.trace_enabled = false })
     in
-    let config = { config with Runner.trace_enabled = false } in
-    let observation = Cases.observe protocol config in
     Format.printf "%a@." Cases.pp_observation observation;
     Format.printf "%a" Runner.pp_result observation.result;
     0
@@ -514,18 +523,20 @@ let cases_cmd =
 let diagram_cmd =
   let doc = "Render a scenario as an ASCII message-sequence diagram." in
   let run protocol n t g2 at heal seed delay no_votes crashes =
-    let config =
-      make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes
-        ~pessimistic:false
+    let diagram =
+      or_exit_2 "scenario" (fun () ->
+          let config =
+            make_config ~n ~t ~g2 ~at ~heal ~seed ~delay ~no_votes
+              ~pessimistic:false
+          in
+          Diagram.run protocol
+            {
+              config with
+              Runner.trace_enabled = false;
+              crashes = crash_stop_only ~subcommand:"diagram" crashes;
+            })
     in
-    let config =
-      {
-        config with
-        Runner.trace_enabled = false;
-        crashes = crash_stop_only ~subcommand:"diagram" crashes;
-      }
-    in
-    print_string (Diagram.run protocol config);
+    print_string diagram;
     0
   in
   Cmd.v

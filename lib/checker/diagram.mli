@@ -35,5 +35,3 @@ val collect :
 (** The chronological event list a run produces (network fates from a
     tap, decisions from the result, partition boundaries from the
     config). *)
-
-val render_events : ?width:int -> n:int -> event list -> string

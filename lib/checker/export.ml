@@ -301,22 +301,3 @@ let of_stats (s : Stats.t) =
       ("max", Int s.max);
       ("mean", Float s.mean);
     ]
-
-let of_observation (o : Cases.observation) =
-  Obj
-    [
-      ( "case",
-        match o.case with
-        | Some c -> String (Timing.case_name c)
-        | None -> Null );
-      ( "probe_waits",
-        List
-          (List.map
-             (fun (slave, wait) ->
-               Obj
-                 [
-                   ("slave", Int (Site_id.to_int slave));
-                   ("wait", match wait with Some w -> Int w | None -> Null);
-                 ])
-             o.probe_waits) );
-    ]

@@ -38,7 +38,3 @@ val of_summary : Sweep.summary -> json
     strings. *)
 
 val of_stats : Stats.t -> json
-
-val of_observation : Cases.observation -> json
-(** The Section 6 classification and per-slave probe waits (without the
-    embedded run result). *)

@@ -25,7 +25,3 @@ val audit : Runner.result -> (unit, problem list) result
 val admissible_commit_reasons_slave : variant:Termination.variant -> string list
 
 val admissible_commit_reasons_master : string list
-
-val admissible_abort_reasons_slave : string list
-
-val admissible_abort_reasons_master : string list

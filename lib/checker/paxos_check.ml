@@ -13,12 +13,6 @@ type problem = {
   detail : string;
 }
 
-let pp_fact fmt (f : fact) =
-  Format.fprintf fmt "i%a chosen at ballot %d: %d wire accept(s)%s >= %d"
-    Site_id.pp f.instance f.ballot f.wire_accepts
-    (if f.leader_local then " + leader-local" else "")
-    f.majority
-
 let pp_problem fmt (p : problem) =
   Format.fprintf fmt "i%a: %s (best %d < majority %d)" Site_id.pp p.instance
     p.detail p.best p.majority

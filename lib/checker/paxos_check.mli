@@ -31,8 +31,6 @@ type problem = {
   detail : string;
 }
 
-val pp_fact : Format.formatter -> fact -> unit
-
 val pp_problem : Format.formatter -> problem -> unit
 
 val audit :

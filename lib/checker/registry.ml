@@ -82,8 +82,3 @@ let all : entry list =
 let enum = List.map (fun e -> (e.name, e.protocol)) all
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
-
-let get name =
-  match find name with
-  | Some e -> e.protocol
-  | None -> invalid_arg (Printf.sprintf "Registry.get: unknown protocol %S" name)

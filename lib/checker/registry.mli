@@ -15,6 +15,3 @@ val enum : (string * Site.packed) list
 (** In registration order, ready for [Cmdliner.Arg.enum]. *)
 
 val find : string -> entry option
-
-val get : string -> Site.packed
-(** @raise Invalid_argument on an unknown name. *)

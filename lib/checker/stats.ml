@@ -34,11 +34,6 @@ let of_list = function
           mean = float_of_int total /. float_of_int n;
         }
 
-let pp fmt t =
-  Format.fprintf fmt
-    "n=%d min=%d p50=%d p90=%d p95=%d p99=%d max=%d mean=%.1f" t.count t.min
-    t.p50 t.p90 t.p95 t.p99 t.max t.mean
-
 module Acc = struct
   module Bucket_map = Map.Make (Int)
 

@@ -16,8 +16,6 @@ val of_list : int list -> t option
 (** [None] on the empty list.  Percentiles use the nearest-rank method
     (deterministic, no interpolation). *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_in_t : unit_t:Vtime.t -> Format.formatter -> t -> unit
 (** Renders every quantile as a multiple of T, e.g.
     ["n=42 min=1.00T p50=3.00T p90=5.00T p99=9.00T max=10.00T"]. *)

@@ -110,11 +110,6 @@ let histogram t name =
   | None -> None
   | Some acc -> Stats.Acc.to_stats !acc
 
-let histogram_acc t name =
-  match Hashtbl.find_opt t.histograms name with
-  | None -> Stats.Acc.empty
-  | Some acc -> !acc
-
 let merge_into dst src =
   if Vtime.to_int dst.bucket <> Vtime.to_int src.bucket then
     invalid_arg "Metrics.merge_into: bucket widths differ";

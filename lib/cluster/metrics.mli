@@ -69,10 +69,6 @@ val observe : t -> string -> int -> unit
 
 val histogram : t -> string -> Commit_checker.Stats.t option
 
-val histogram_acc : t -> string -> Commit_checker.Stats.Acc.acc
-(** The raw streaming accumulator ({!Commit_checker.Stats.Acc.empty}
-    for an unknown name), for cross-pipeline merging. *)
-
 val merge_histogram : t -> string -> Commit_checker.Stats.Acc.acc -> unit
 (** Fold a pre-accumulated shard into a histogram (the
     merge-vs-batch-equivalent path). *)

@@ -5,12 +5,6 @@ let policy_name = function
   | Round_robin -> "round-robin"
   | Partition_aware -> "partition-aware"
 
-let policy_of_string = function
-  | "fixed" -> Ok Fixed_master
-  | "round-robin" | "rr" -> Ok Round_robin
-  | "partition-aware" | "aware" -> Ok Partition_aware
-  | s -> Error (Printf.sprintf "unknown scheduling policy %S" s)
-
 type 'a t = {
   policy : policy;
   queue_limit : int;

@@ -28,8 +28,6 @@
 
 type policy = Fixed_master | Round_robin | Partition_aware
 
-val policy_of_string : string -> (policy, string) result
-
 val policy_name : policy -> string
 
 type 'a t

@@ -1,9 +1,5 @@
 type variant = Static | Transient
 
-let pp_variant fmt = function
-  | Static -> Format.pp_print_string fmt "static"
-  | Transient -> Format.pp_print_string fmt "transient"
-
 let fact1_reasons =
   [
     "fact1-case1";

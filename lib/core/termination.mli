@@ -41,8 +41,6 @@
 
 type variant = Static | Transient
 
-val pp_variant : Format.formatter -> variant -> unit
-
 module type CONFIG = sig
   val variant : variant
 

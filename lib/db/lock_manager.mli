@@ -4,12 +4,16 @@
     the owning transaction's commit protocol decides (strictness), which
     is exactly why a {e blocked} commit protocol is expensive: the
     blocked transaction's locks pin its data until the partition heals.
-    The transaction manager runs {!find_cycle} over every site's
-    {!waits_for_edges} for deadlock detection. *)
+
+    There is no deadlock detector because none is needed.  Each
+    transaction asks for its whole lock set in one step, one request per
+    key, and a request never passes one already queued on its key.  So
+    every transaction a queued request waits on (its key's holders and
+    the requests queued ahead of it) asked before it did, and the
+    waits-for graph, whose edges all point at earlier transactions, has
+    no cycle. *)
 
 type mode = Shared | Exclusive
-
-val pp_mode : Format.formatter -> mode -> unit
 
 type grant = { tid : int; key : string; mode : mode }
 
@@ -18,12 +22,9 @@ type t
 val create : unit -> t
 
 val acquire : t -> tid:int -> key:string -> mode:mode -> [ `Granted | `Waiting ]
-(** Re-acquiring a lock already held is granted immediately; a sole
-    shared holder requesting exclusive is upgraded.  A queued request
-    is granted once its own transaction is the key's only holder, so a
-    transaction that writes and reads one key never waits on itself. *)
-
-val holds : t -> tid:int -> key:string -> mode option
+(** Granted when nobody is queued on [key] and every holder is
+    compatible with [mode]; queued otherwise.  A transaction requests a
+    key at most once while it holds or waits for it. *)
 
 val release_all : t -> tid:int -> grant list
 (** Frees every lock and queue entry of [tid]; returns the requests
@@ -32,15 +33,19 @@ val release_all : t -> tid:int -> grant list
     locked, not every key ever locked. *)
 
 val purge : t -> keep:(int -> bool) -> grant list
-(** Frees every lock and queue entry whose tid fails [keep]; returns
-    the requests granted as a consequence, in key order.  Used when a
-    site crashes: its volatile lock table is rebuilt with only the
-    in-doubt (prepared) transactions' locks, which the WAL pins until
-    the group outcome is known. *)
+(** Frees every lock and queue entry whose tid fails [keep]; returns,
+    key by key, the queued requests it dropped and then the requests
+    granted as a consequence: every request that no longer waits.  Used
+    when a site crashes, since a crashed site serves no lock requests:
+    its volatile lock table is rebuilt with only the in-doubt (prepared)
+    transactions' locks, which the WAL pins until the group outcome is
+    known, and each dropped waiter stops waiting on the site. *)
 
 val holders : t -> key:string -> (int * mode) list
+(** In grant order. *)
 
 val queued : t -> key:string -> (int * mode) list
+(** In FIFO order. *)
 
 val wait_depth : t -> int
 (** Total queued (waiting) lock requests across every key — the
@@ -49,13 +54,3 @@ val wait_depth : t -> int
 val live_keys : t -> int
 (** Number of keys in the table.  Only keys with a holder or a waiter
     are kept, so this is also the number of keys a release walks. *)
-
-val waits_for_edges : t -> (int * int) list
-(** [(waiter, holder)] pairs. *)
-
-val find_cycle : (int * int) list -> int list option
-(** Some deadlocked cycle of tids in a waits-for graph given as
-    [(waiter, holder)] edges, possibly the union of several sites' (each
-    waits for the next, the last for the first), if any. *)
-
-val pp : Format.formatter -> t -> unit

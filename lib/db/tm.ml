@@ -16,7 +16,6 @@ type txn_status =
   | Txn_blocked
   | Txn_torn
   | Txn_waiting_locks
-  | Txn_deadlock_victim
 
 let pp_status fmt s =
   Format.pp_print_string fmt
@@ -25,8 +24,7 @@ let pp_status fmt s =
     | Txn_aborted -> "aborted"
     | Txn_blocked -> "blocked"
     | Txn_torn -> "TORN"
-    | Txn_waiting_locks -> "waiting-locks"
-    | Txn_deadlock_victim -> "deadlock-victim")
+    | Txn_waiting_locks -> "waiting-locks")
 
 type txn_report = {
   spec : txn_spec;
@@ -72,7 +70,6 @@ type report = {
   stores : Durable_site.t array;
   trace : Trace.t;
   net_stats : Network.stats;
-  deadlocks_resolved : int;
   crashed : Site_id.t list;
 }
 
@@ -90,11 +87,6 @@ let tmpl_locks_granted =
       Buffer.add_string b ": all locks granted; starting ";
       Buffer.add_string b (lookup name))
 
-let tmpl_deadlock_victim =
-  Trace.register_template (fun b _ tid _ _ _ _ ->
-      buf_tid b tid;
-      Buffer.add_string b ": deadlock victim; released")
-
 let tmpl_lock_wait =
   Trace.register_template (fun b _ tid n _ _ _ ->
       buf_tid b tid;
@@ -108,7 +100,6 @@ module Run (P : Site.S) = struct
   (* Tm's per-transaction state, carried in the core's record. *)
   type locking = {
     mutable pending_locks : int;
-    mutable victim : bool;
     decided_at : Vtime.t option array;  (* index i = site i+1 *)
   }
 
@@ -119,7 +110,6 @@ module Run (P : Site.S) = struct
     log : Trace.t;  (* cached Engine.trace *)
     on : bool;  (* cached Trace.on *)
     locks : Lock_manager.t array;
-    mutable deadlocks : int;
     on_gauge : (string -> int -> unit) option;
         (* telemetry gauge sink ("gauge.lock_waiters") — Tm sits below
            the metrics pipeline, so gauges flow out via callback *)
@@ -140,7 +130,16 @@ module Run (P : Site.S) = struct
              (fun n lm -> n + Lock_manager.wait_depth lm)
              0 state.locks)
 
-  let lock_requests (spec : txn_spec) =
+  (* One request per (site, key), exclusive when the transaction writes
+     the key, and none at a site that is down: a crashed site serves no
+     lock requests. *)
+  let lock_requests state (spec : txn_spec) =
+    let rec first_per_key = function
+      | [] -> []
+      | ((site, key, _) as request) :: rest ->
+          let other (s, k, _) = not (Site_id.equal s site && String.equal k key) in
+          request :: first_per_key (List.filter other rest)
+    in
     List.concat_map
       (fun (site, updates) ->
         List.map
@@ -151,6 +150,8 @@ module Run (P : Site.S) = struct
         (fun (site, keys) ->
           List.map (fun key -> (site, key, Lock_manager.Shared)) keys)
         spec.reads
+    |> first_per_key
+    |> List.filter (fun (site, _, _) -> Core.alive state.core site)
 
   let release_site state site tid =
     Core.prof_enter state.core Prof.Locks;
@@ -162,9 +163,8 @@ module Run (P : Site.S) = struct
      timeline): txn ⊃ lock-wait, protocol.  The core seals them when
      the last live site decides; [close_open_spans] catches
      transactions still blocked at the horizon.  Entering lock-wait or
-     the protocol, and dying as a deadlock victim, are also a line
-     "t<tid>: ..." in the core's topic: [write] makes the two one
-     record. *)
+     the protocol is also a line "t<tid>: ..." in the core's topic:
+     [write] makes the two one record. *)
   let lifecycle state (write : unit Trace.writer) ~tid name tmpl arg =
     let log = state.log in
     write log ~at:(now state) ~site:0 ~tid ~cat:(Trace.intern log "lifecycle")
@@ -189,51 +189,16 @@ module Run (P : Site.S) = struct
         | None -> ()
         | Some txn ->
             let l = txn.client in
-            if not l.victim then begin
-              l.pending_locks <- l.pending_locks - 1;
-              if l.pending_locks = 0 then activate state txn
-            end)
+            l.pending_locks <- l.pending_locks - 1;
+            if l.pending_locks = 0 then activate state txn)
       grants;
     sample_lock_gauge state
-
-  let kill_victim state (txn : locking Core.txn) =
-    let tid = txn.spec.tid in
-    txn.client.victim <- true;
-    state.deadlocks <- state.deadlocks + 1;
-    if state.on then begin
-      lifecycle state Trace.instant ~tid "deadlock-victim" tmpl_deadlock_victim 0;
-      Core.seal state.core tid
-    end;
-    Core.prof_enter state.core Prof.Locks;
-    let grants =
-      List.concat_map
-        (fun site -> Lock_manager.release_all (locks_at state site) ~tid)
-        (Site_id.all ~n:state.config.n)
-    in
-    Core.prof_leave state.core;
-    on_grants state grants
-
-  let check_deadlock state =
-    Core.prof_enter state.core Prof.Locks;
-    let edges =
-      Array.to_list state.locks |> List.concat_map Lock_manager.waits_for_edges
-    in
-    Core.prof_leave state.core;
-    (* A cycle in the union graph is a (possibly cross-site) deadlock;
-       the youngest transaction (largest tid) dies. *)
-    match Lock_manager.find_cycle edges with
-    | None -> ()
-    | Some tids -> (
-        let victim = List.fold_left Stdlib.max min_int tids in
-        match Core.find state.core victim with
-        | Some txn when not txn.client.victim -> kill_victim state txn
-        | Some _ | None -> ())
 
   let start_txn state (txn : locking Core.txn) =
     let tid = txn.spec.tid in
     if state.on then
       Obs.span_begin state.log ~at:(now state) ~site:0 ~tid ~cat:"txn" "txn";
-    let requests = lock_requests txn.spec in
+    let requests = lock_requests state txn.spec in
     if requests = [] then activate state txn
     else begin
       let waiting = ref 0 in
@@ -251,11 +216,7 @@ module Run (P : Site.S) = struct
         if state.on then
           lifecycle state Trace.span_begin ~tid "lock-wait" tmpl_lock_wait
             !waiting;
-        sample_lock_gauge state;
-        (* Waits can only deadlock when a new waiter arrives. *)
-        ignore
-          (Engine.schedule state.engine ~delay:(Vtime.of_int 1)
-             ~label:(Label.Static "deadlock-check") (fun () -> check_deadlock state))
+        sample_lock_gauge state
       end
     end
 
@@ -263,8 +224,7 @@ module Run (P : Site.S) = struct
     let core = state.core in
     let txn = Option.get (Core.find core spec.tid) in
     let status =
-      if txn.client.victim then Txn_deadlock_victim
-      else if not (Core.started txn) then Txn_waiting_locks
+      if not (Core.started txn) then Txn_waiting_locks
       else
         match Core.outcome core txn with
         | Txn_core.Committed -> Txn_committed
@@ -314,7 +274,6 @@ module Run (P : Site.S) = struct
         log;
         on = Trace.on log;
         locks = Array.init config.n (fun _ -> Lock_manager.create ());
-        deadlocks = 0;
         on_gauge;
       }
     in
@@ -327,10 +286,11 @@ module Run (P : Site.S) = struct
             on_grants state (release_site state site txn.spec.tid));
         crashed =
           (fun site ->
-            (* The site's lock table is volatile too.  Only in-doubt
-               (prepared) transactions keep their locks — the WAL pins
-               their data until the group outcome is known; everything
-               else is released, waking compatible waiters. *)
+            (* The site's lock table is volatile too, and a crashed site
+               serves no lock requests.  Only in-doubt (prepared)
+               transactions keep their locks — the WAL pins their data
+               until the group outcome is known; everything else is
+               released, and a waiter stops waiting on the site. *)
             let durable = (Core.stores core).(Site_id.to_int site - 1) in
             Core.prof_enter state.core Prof.Locks;
             let grants =
@@ -345,11 +305,7 @@ module Run (P : Site.S) = struct
       (fun spec ->
         let txn =
           Core.add core spec
-            {
-              pending_locks = 0;
-              victim = false;
-              decided_at = Array.make config.n None;
-            }
+            { pending_locks = 0; decided_at = Array.make config.n None }
         in
         ignore
           (Engine.schedule_at engine ~at:spec.start_at
@@ -362,7 +318,6 @@ module Run (P : Site.S) = struct
       stores = Core.stores core;
       trace = log;
       net_stats = Network.stats (Core.net core);
-      deadlocks_resolved = state.deadlocks;
       crashed =
         List.filter
           (fun site -> not (Core.alive core site))
@@ -389,5 +344,4 @@ let pp_report fmt report =
         (match r.latency with
         | Some l -> Format.asprintf "%a" Vtime.pp l
         | None -> "-"))
-    report.txns;
-  Format.fprintf fmt "deadlocks resolved: %d@." report.deadlocks_resolved
+    report.txns

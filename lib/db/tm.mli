@@ -9,10 +9,17 @@
     site releases the transaction's locks when it decides (strictness).
     Everything between start and decision — staging, the commit
     protocol with site 1 mastering, the durable commit or abort,
-    crashes — is the core's.  A crash also wipes the site's lock table
-    except for prepared transactions, whose data the WAL pins.
-    Cross-site deadlocks are detected on a global waits-for graph and
-    resolved by aborting the youngest transaction.
+    crashes — is the core's.  A crashed site serves no lock requests:
+    the crash wipes its lock table except for prepared transactions,
+    whose data the WAL pins; its waiters stop waiting on it; and
+    transactions that start later request no locks there.
+
+    No deadlock can occur, even across sites.  A transaction requests
+    its whole lock set in one step at start, one request per (site,
+    key), exclusive when it writes the key; FIFO queues never let a
+    request pass one already queued.  So every transaction a waiter
+    waits on started before it, and the global waits-for graph has no
+    cycle.
 
     This layer is what turns the paper's abstract cost of blocking into
     a measurable one: a blocked commit protocol keeps its locks, and
@@ -43,7 +50,6 @@ type txn_status =
       (** sites decided differently — an atomicity violation, visible
           as money lost/created by the bank workload *)
   | Txn_waiting_locks  (** never acquired its lock set *)
-  | Txn_deadlock_victim
 
 val pp_status : Format.formatter -> txn_status -> unit
 
@@ -85,7 +91,6 @@ type report = {
   stores : Durable_site.t array;  (** index i = site i+1; inspectable *)
   trace : Trace.t;
   net_stats : Network.stats;
-  deadlocks_resolved : int;
   crashed : Site_id.t list;
       (** sites dead at the horizon; transaction statuses and latencies
           are computed over the surviving sites *)
@@ -105,9 +110,9 @@ val run :
     is the run's log (see {!Obs.log}): [report.trace] is [obs], its
     text view on exactly when [config.trace_enabled] is.
 
-    [prof] brackets lock-manager work (acquire / release / deadlock
-    checks) with the [Locks] profiler bucket, protocol steps with
-    [Protocol] and the network with [Network].  [on_gauge] receives point-in-time samples — today
+    [prof] brackets lock-manager work (acquire / release / purge) with
+    the [Locks] profiler bucket, protocol steps with [Protocol] and the
+    network with [Network].  [on_gauge] receives point-in-time samples — today
     ["gauge.lock_waiters"], the cross-site lock-wait queue depth —
     whenever the wait graph may have changed; Tm sits below the metrics
     pipeline, so gauges flow out through this callback.

@@ -164,10 +164,6 @@ module Make (P : Site.S) : sig
 
   val alive : 'c t -> Site_id.t -> bool
 
-  val seal : 'c t -> int -> unit
-  (** Close every span still open on the transaction's track 0 (done
-      by the core when a transaction settles). *)
-
   val prof_enter : 'c t -> Prof.bucket -> unit
   (** Bracket client work with the core's profiler; no-ops (no
       allocation) when it has none. *)

@@ -11,8 +11,8 @@
     - {!hot_spot}: every transaction updates one contended key plus a
       private key; measures how lock queues build up behind a blocked
       transaction.
-    - {!uniform_mix}: random read/write sets over a small key space;
-      exercises queueing and (cross-site) deadlock resolution. *)
+    - {!uniform_mix}: random write sets over a small key space spread
+      across all sites; exercises cross-site lock queueing. *)
 
 type t = {
   initial : (Site_id.t * (string * string) list) list;
@@ -95,4 +95,5 @@ val uniform_mix :
   seed:int64 ->
   t
 (** Random exclusive write sets over [key_space] keys spread across all
-    sites; adjacent transactions overlap and may deadlock. *)
+    sites; adjacent transactions overlap and queue on each other's
+    keys. *)

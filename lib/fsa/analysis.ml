@@ -77,6 +77,8 @@ let n_sites t = t.n
 
 let reachable_count t = List.length t.globals
 
+(* C(s), sorted.  States of the same role at other sites count: with
+   n >= 3 two slaves can occupy slave states simultaneously. *)
 let concurrency_set t s =
   match SS_map.find_opt s t.concurrency with
   | None -> []
@@ -121,9 +123,6 @@ let sender_set t s =
 
 let committable t s =
   not (SS.mem s t.not_committable)
-
-let unreachable_states t =
-  List.filter (fun s -> not (SS.mem s t.occupied)) (all_states t.protocol)
 
 let lemma1_violations t =
   List.filter

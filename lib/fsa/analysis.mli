@@ -30,12 +30,6 @@ val protocol : t -> Machine.t
 
 val n_sites : t -> int
 
-val reachable_count : t -> int
-
-val concurrency_set : t -> site_state -> site_state list
-(** C(s), sorted.  States of the same role at other sites count:
-    with n >= 3 two slaves can occupy slave states simultaneously. *)
-
 val concurrent_kinds : t -> site_state -> Machine.state_kind list
 (** The kinds present in C(s). *)
 
@@ -45,9 +39,7 @@ val sender_set : t -> site_state -> site_state list
 val committable : t -> site_state -> bool
 (** True iff every reachable global state occupying s has all sites
     voted yes.  (States never occupied in any reachable global state are
-    vacuously committable and are reported by {!unreachable_states}.) *)
-
-val unreachable_states : t -> site_state list
+    vacuously committable.) *)
 
 val lemma1_violations : t -> site_state list
 (** States with both a commit and an abort in their concurrency set. *)

@@ -18,8 +18,6 @@
 
 type outcome = To_commit | To_abort
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 type assignment = {
   state : Analysis.site_state;
   timeout : outcome;  (** Rule(a) *)

@@ -73,6 +73,8 @@ let apply ~n global ~site ~(transition : transition) ~consumed =
 let pending_for global ~site ~tag =
   List.filter (fun (_, dst, t) -> dst = site && String.equal t tag) global.inflight
 
+(* All one-transition successors: each possible local transition on
+   each possible enabling message choice. *)
 let successors protocol ~n global =
   let next = ref [] in
   let emit g = next := g :: !next in
@@ -145,10 +147,3 @@ let is_terminal protocol global =
   !ok
 
 let all_voted global = Array.for_all Fun.id global.voted
-
-let pp_global fmt g =
-  Format.fprintf fmt "<%s | %s%s>"
-    (String.concat "," (Array.to_list g.locals))
-    (String.concat ","
-       (List.map (fun (s, d, t) -> Printf.sprintf "%d->%d:%s" s d t) g.inflight))
-    (if g.started then "" else " (not started)")

@@ -17,23 +17,14 @@ type global = {
   started : bool;  (** The master has received the user's request. *)
 }
 
-val compare_global : global -> global -> int
-
-val initial : Machine.t -> n:int -> global
-
-val successors : Machine.t -> n:int -> global -> global list
-(** All one-transition successors (each possible local transition on
-    each possible enabling message choice). *)
-
 val reachable : ?max_states:int -> Machine.t -> n:int -> global list
-(** Breadth-first closure from {!initial}.  @raise Failure if more than
-    [max_states] (default 200_000) distinct global states appear —
-    commit protocols are tiny; blowing the bound indicates a modelling
-    bug, not a big protocol. *)
+(** Breadth-first closure from the initial global state (every site in
+    its initial state, nothing in flight).  [n >= 2].  @raise Failure if
+    more than [max_states] (default 200_000) distinct global states
+    appear — commit protocols are tiny; blowing the bound indicates a
+    modelling bug, not a big protocol. *)
 
 val is_terminal : Machine.t -> global -> bool
 (** Every site is in a final (commit/abort) state. *)
 
 val all_voted : global -> bool
-
-val pp_global : Format.formatter -> global -> unit

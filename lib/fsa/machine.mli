@@ -64,9 +64,6 @@ val validate : t -> (unit, string) result
 val validate_exn : t -> t
 (** @raise Invalid_argument with the first problem found. *)
 
-val state_of : machine -> string -> state
-(** @raise Not_found if the id is unknown. *)
-
 val kind_of : machine -> string -> state_kind
 
 val is_final : machine -> string -> bool

@@ -13,8 +13,6 @@ let equal = Int.equal
 
 let compare = Int.compare
 
-let hash t = t
-
 let pp fmt t =
   if t = master then Format.pp_print_string fmt "master"
   else Format.fprintf fmt "site%d" t

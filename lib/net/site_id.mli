@@ -20,8 +20,6 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 (** ["site3"], or ["master"] for site 1. *)
 

@@ -160,9 +160,6 @@ let log1 t tmpl a0 = if t.on then Trace.log1 t.log ~at:(now t) ~topic:t.topic tm
 let log2 t tmpl a0 a1 =
   if t.on then Trace.log2 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1
 
-let log3 t tmpl a0 a1 a2 =
-  if t.on then Trace.log3 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1 a2
-
 let log_text t text =
   if t.on then Trace.log_text t.log ~at:(now t) ~topic:t.topic text
 

@@ -94,8 +94,6 @@ val log1 : t -> Trace.template -> int -> unit
 
 val log2 : t -> Trace.template -> int -> int -> unit
 
-val log3 : t -> Trace.template -> int -> int -> int -> unit
-
 val log_text : t -> string -> unit
 (** A text-only entry (the string is interned, so repeated messages
     cost one int). *)

@@ -1,10 +1,5 @@
 type role = Master_role | Slave_role of { vote_yes : bool }
 
-let pp_role fmt = function
-  | Master_role -> Format.pp_print_string fmt "master"
-  | Slave_role { vote_yes } ->
-      Format.fprintf fmt "slave(vote=%s)" (if vote_yes then "yes" else "no")
-
 module type S = sig
   val name : string
 

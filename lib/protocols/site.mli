@@ -11,8 +11,6 @@ type role =
       (** [vote_yes = false]: this slave unilaterally aborts when the
           transaction arrives (sends "no"). *)
 
-val pp_role : Format.formatter -> role -> unit
-
 module type S = sig
   val name : string
   (** Stable identifier, e.g. ["2pc"], ["termination"]. *)

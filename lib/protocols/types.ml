@@ -87,6 +87,8 @@ let pp_msg fmt = function
 (* cluster layers stash their transaction id there).                   *)
 (* ------------------------------------------------------------------ *)
 
+(* 0..4, in declaration order; the inverse lives in [buf_msg_code]'s
+   phase table. *)
 let phase_index = function
   | Ph_initial -> 0
   | Ph_wait -> 1

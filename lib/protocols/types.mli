@@ -17,8 +17,6 @@ val equal_decision : decision -> decision -> bool
 (** A slave's phase, as reported during quorum termination. *)
 type phase = Ph_initial | Ph_wait | Ph_prepared | Ph_committed | Ph_aborted
 
-val pp_phase : Format.formatter -> phase -> unit
-
 type msg =
   | Xact  (** master -> slaves: the transaction itself *)
   | Yes  (** slave -> master: intent to commit *)
@@ -57,10 +55,6 @@ val msg_tag : msg -> string
 (** Short stable tag ("xact", "probe", ...) used in traces and tests. *)
 
 (** {1 Binary trace codec} *)
-
-val phase_index : phase -> int
-(** 0..4, in declaration order; the inverse lives in {!buf_msg_code}'s
-    phase table. *)
 
 val msg_code : msg -> int
 (** Pack a message into one int: bits 0-4 constructor tag, bits 5-14

@@ -42,8 +42,7 @@ let tmpl_runaway =
 type t = {
   mutable clock : Vtime.t;
   (* Monomorphic binary min-heap with [precedes] inlined at each sift
-     step.  The generic polymorphic {!Heap} stays in the library as the
-     fallback; this engine no longer pays its closure indirection. *)
+     step, so no comparison closure is called per step. *)
   mutable heap : event array;
   mutable size : int;
   mutable trace : Trace.t;

@@ -84,9 +84,6 @@ val cancel : handle -> unit
 
 val cancelled : handle -> bool
 
-val step : t -> bool
-(** Runs the next event.  [false] when the queue is empty. *)
-
 val run : ?until:Vtime.t -> ?max_events:int -> t -> unit
 (** Runs events until the queue empties, virtual time would exceed
     [until], or [max_events] have executed (a runaway guard; default

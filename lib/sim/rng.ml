@@ -17,8 +17,6 @@ let split t =
   let seed = next_int64 t in
   create (mix (Int64.logxor seed 0xA5A5A5A5A5A5A5A5L))
 
-let copy t = { state = t.state }
-
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's tagged int non-negatively. *)

@@ -14,8 +14,6 @@ val split : t -> t
     give each site / link its own stream so adding a message on one link
     does not perturb delays on another. *)
 
-val copy : t -> t
-
 val next_int64 : t -> int64
 (** Uniform over all 64-bit values. *)
 

@@ -450,8 +450,6 @@ let find_slot t ~pattern =
   | () -> None
   | exception Found slot -> Some slot
 
-let find t ~pattern = Option.map (entry_of_slot t) (find_slot t ~pattern)
-
 let mem t ~pattern = Option.is_some (find_slot t ~pattern)
 
 let pp_entry fmt e =

@@ -215,9 +215,6 @@ val filter : topic:string -> t -> entry list
 (** Entries whose topic equals [topic]; non-matching records are
     skipped without rendering. *)
 
-val find : t -> pattern:string -> entry option
-(** First shown entry whose text contains [pattern] as a substring. *)
-
 val mem : t -> pattern:string -> bool
 
 val pp : Format.formatter -> t -> unit

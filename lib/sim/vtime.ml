@@ -14,8 +14,6 @@ let sub a b = if a = infinity then infinity else Stdlib.max 0 (a - b)
 
 let compare = Int.compare
 
-let equal = Int.equal
-
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 
 let ( < ) (a : t) (b : t) = Stdlib.( < ) a b

@@ -55,53 +55,6 @@ let test_shared_batch_grant () =
   let granted = Lock_manager.release_all lm ~tid:1 in
   check Alcotest.int "both readers granted together" 2 (List.length granted)
 
-let test_reentrant_and_upgrade () =
-  let lm = Lock_manager.create () in
-  ignore (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Shared);
-  check Alcotest.bool "re-acquire S" true
-    (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Shared = `Granted);
-  check Alcotest.bool "sole holder upgrades" true
-    (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Exclusive
-    = `Granted);
-  check Alcotest.bool "now exclusive" true
-    (Lock_manager.holds lm ~tid:1 ~key:"k" = Some Lock_manager.Exclusive);
-  check Alcotest.bool "X implies any re-acquire" true
-    (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Shared = `Granted)
-
-let test_upgrade_waits_with_other_readers () =
-  let lm = Lock_manager.create () in
-  ignore (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Shared);
-  ignore (Lock_manager.acquire lm ~tid:2 ~key:"k" ~mode:Lock_manager.Shared);
-  check Alcotest.bool "upgrade waits" true
-    (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Exclusive
-    = `Waiting);
-  (* When the other reader leaves, the upgrade is granted. *)
-  let granted = Lock_manager.release_all lm ~tid:2 in
-  check Alcotest.int "upgrade granted" 1 (List.length granted);
-  check Alcotest.bool "exclusive now" true
-    (Lock_manager.holds lm ~tid:1 ~key:"k" = Some Lock_manager.Exclusive)
-
-let test_waits_for_and_cycle () =
-  let lm = Lock_manager.create () in
-  (* Simulate incremental 2PL acquiring: t1 holds a waits b; t2 holds b
-     waits a — the classic deadlock. *)
-  ignore (Lock_manager.acquire lm ~tid:1 ~key:"a" ~mode:Lock_manager.Exclusive);
-  ignore (Lock_manager.acquire lm ~tid:2 ~key:"b" ~mode:Lock_manager.Exclusive);
-  ignore (Lock_manager.acquire lm ~tid:1 ~key:"b" ~mode:Lock_manager.Exclusive);
-  let cycle () = Lock_manager.find_cycle (Lock_manager.waits_for_edges lm) in
-  check Alcotest.bool "no cycle yet" true (cycle () = None);
-  ignore (Lock_manager.acquire lm ~tid:2 ~key:"a" ~mode:Lock_manager.Exclusive);
-  (match cycle () with
-  | None -> Alcotest.fail "deadlock not detected"
-  | Some cycle ->
-      check Alcotest.(list int) "cycle members" [ 1; 2 ]
-        (List.sort Int.compare cycle));
-  (* Killing one releases the other. *)
-  let granted = Lock_manager.release_all lm ~tid:2 in
-  check Alcotest.bool "t1 unblocked on b" true
-    (List.exists (fun g -> g.Lock_manager.tid = 1 && g.key = "b") granted);
-  check Alcotest.bool "cycle gone" true (cycle () = None)
-
 let test_released_keys_dropped () =
   let lm = Lock_manager.create () in
   let x = Lock_manager.Exclusive in
@@ -123,18 +76,142 @@ let test_released_keys_dropped () =
   check Alcotest.bool "c granted at once" true
     (Lock_manager.acquire lm ~tid:5 ~key:"c" ~mode:x = `Granted)
 
-let test_read_behind_own_write () =
-  (* t2 queues a write and then a read of the same key behind t1; once
-     t1 leaves, t2 holds X, and its queued S must not wait on itself. *)
+let test_purge_reports_dropped_waiters () =
+  (* Key by key, purge reports the queued requests it drops and then
+     the grants it causes: every request that stops waiting. *)
   let lm = Lock_manager.create () in
-  ignore (Lock_manager.acquire lm ~tid:1 ~key:"k" ~mode:Lock_manager.Exclusive);
-  ignore (Lock_manager.acquire lm ~tid:2 ~key:"k" ~mode:Lock_manager.Exclusive);
-  ignore (Lock_manager.acquire lm ~tid:2 ~key:"k" ~mode:Lock_manager.Shared);
-  let granted = Lock_manager.release_all lm ~tid:1 in
-  check Alcotest.int "both of t2's requests granted" 2 (List.length granted);
-  check Alcotest.int "queue empty" 0 (List.length (Lock_manager.queued lm ~key:"k"));
-  check Alcotest.bool "t2 holds X" true
-    (Lock_manager.holds lm ~tid:2 ~key:"k" = Some Lock_manager.Exclusive)
+  let x = Lock_manager.Exclusive in
+  List.iter
+    (fun (tid, key) -> ignore (Lock_manager.acquire lm ~tid ~key ~mode:x))
+    [ (1, "a"); (2, "a"); (3, "b"); (4, "b") ];
+  let woken = Lock_manager.purge lm ~keep:(fun tid -> tid = 1 || tid = 4) in
+  check
+    Alcotest.(list (pair string int))
+    "t2 dropped, t4 granted"
+    [ ("a", 2); ("b", 4) ]
+    (List.map (fun (g : Lock_manager.grant) -> (g.key, g.tid)) woken);
+  check Alcotest.(list int) "kept t1 still holds a" [ 1 ]
+    (List.map fst (Lock_manager.holders lm ~key:"a"))
+
+(* Per-site lock managers driven the way Tm drives them.  [Start]
+   begins the next transaction (tids in start order) and asks for its
+   whole lock set in one step at every site that is up.  [Release]
+   frees one transaction's locks at one live site, as a decision there
+   does.  [Crash] purges a site down to a random set of kept (prepared)
+   transactions; the site serves no requests after. *)
+type lock_step =
+  | Start of (int * int * bool) list  (* (site, key, writes) *)
+  | Release of int * int  (* tid (mod the started count), site *)
+  | Crash of int * int  (* site, seed of the kept set *)
+
+let lock_sites = 3
+
+let lock_keys = 3
+
+let pp_lock_step = function
+  | Start reqs ->
+      Printf.sprintf "start [%s]"
+        (String.concat "; "
+           (List.map
+              (fun (site, key, writes) ->
+                Printf.sprintf "%s%d@%d" (if writes then "X" else "S") key site)
+              reqs))
+  | Release (tid, site) -> Printf.sprintf "release %d@%d" tid site
+  | Crash (site, salt) -> Printf.sprintf "crash %d/%d" site salt
+
+let lock_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map
+            (fun reqs -> Start reqs)
+            (list_size (int_range 1 4)
+               (triple (int_range 1 lock_sites) (int_range 1 lock_keys) bool)) );
+        ( 4,
+          map2
+            (fun tid site -> Release (tid, site))
+            small_nat (int_range 1 lock_sites) );
+        ( 1,
+          map2
+            (fun site salt -> Crash (site, salt))
+            (int_range 1 lock_sites) small_nat );
+      ])
+
+let shrink_lock_step = function
+  | Start reqs ->
+      QCheck.Iter.map (fun reqs -> Start reqs) (QCheck.Shrink.list reqs)
+  | Release _ | Crash _ -> QCheck.Iter.empty
+
+(* One request per (site, key), exclusive when any entry writes it. *)
+let lock_set reqs =
+  List.sort_uniq compare (List.map (fun (site, key, _) -> (site, key)) reqs)
+  |> List.map (fun (site, key) ->
+         let writes (s, k, w) = s = site && k = key && w in
+         let mode =
+           if List.exists writes reqs then Lock_manager.Exclusive
+           else Lock_manager.Shared
+         in
+         (site, key, mode))
+
+(* Everything a queued request waits on, its key's holders and the
+   requests queued ahead of it, started before it.  Every waits-for
+   edge then points at an earlier transaction, so the graph has no
+   cycle. *)
+let waits_only_on_earlier lms =
+  Array.for_all
+    (fun lm ->
+      List.for_all
+        (fun k ->
+          let key = string_of_int k in
+          let rec ok ahead = function
+            | [] -> true
+            | (tid, _) :: rest ->
+                List.for_all (fun t -> t < tid) ahead && ok (tid :: ahead) rest
+          in
+          ok
+            (List.map fst (Lock_manager.holders lm ~key))
+            (Lock_manager.queued lm ~key))
+        (List.init lock_keys (fun k -> k + 1)))
+    lms
+
+let no_deadlock_property =
+  QCheck.Test.make ~count:1000
+    ~name:"a queued lock request waits only on earlier transactions"
+    (QCheck.make
+       ~shrink:(QCheck.Shrink.list ~shrink:shrink_lock_step)
+       ~print:QCheck.Print.(list pp_lock_step)
+       QCheck.Gen.(list_size (int_range 1 40) lock_step_gen))
+    (fun steps ->
+      let lms = Array.init lock_sites (fun _ -> Lock_manager.create ()) in
+      let up = Array.make lock_sites true in
+      let started = ref 0 in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Start reqs ->
+              incr started;
+              List.iter
+                (fun (site, key, mode) ->
+                  if up.(site - 1) then
+                    ignore
+                      (Lock_manager.acquire lms.(site - 1) ~tid:!started
+                         ~key:(string_of_int key) ~mode))
+                (lock_set reqs)
+          | Release (tid, site) ->
+              if !started > 0 && up.(site - 1) then
+                ignore
+                  (Lock_manager.release_all lms.(site - 1)
+                     ~tid:((tid mod !started) + 1))
+          | Crash (site, salt) ->
+              if up.(site - 1) then begin
+                up.(site - 1) <- false;
+                ignore
+                  (Lock_manager.purge lms.(site - 1) ~keep:(fun tid ->
+                       Hashtbl.hash (tid, salt) mod 2 = 0))
+              end);
+          waits_only_on_earlier lms)
+        steps)
 
 (* ------------------------------------------------------------------ *)
 (* Transaction manager: failure-free                                   *)
@@ -264,6 +341,58 @@ let test_tm_crash_schedule_checked () =
     with Invalid_argument _ -> true
   in
   check Alcotest.bool "out-of-range crash site rejected" true raised
+
+let status_t = Alcotest.testable Tm.pp_status ( = )
+
+let test_crash_frees_lock_waiters () =
+  (* t1 holds the hot key at site 2 when site 2 crashes with t2-t6
+     queued behind it.  A crashed site serves no lock requests: its
+     waiters stop waiting on it, so t1 commits over the survivors and
+     every later transaction decides too. *)
+  let w = Workload.hot_spot ~n:3 ~txns:6 ~spacing:(Vtime.of_int 200) in
+  let config =
+    {
+      (Tm.default_config ~protocol:(module Termination.Transient) ()) with
+      Tm.initial = w.Workload.initial;
+      crashes = [ (site 2, Vtime.of_int 1500) ];
+    }
+  in
+  let report = Tm.run config w.Workload.txns in
+  List.iter
+    (fun (r : Tm.txn_report) ->
+      if r.spec.tid = 1 then check status_t "t1" Tm.Txn_committed r.status
+      else
+        check Alcotest.bool
+          (Format.asprintf "t%d decided, not %a" r.spec.tid Tm.pp_status
+             r.status)
+          true
+          (r.status = Tm.Txn_committed || r.status = Tm.Txn_aborted))
+    report.Tm.txns
+
+let crash_strands_no_waiter =
+  QCheck.Test.make ~count:300
+    ~name:"a slave crash strands no lock waiter and tears nothing"
+    (* Offsets from the smallest value, so shrinking stays in range. *)
+    QCheck.(
+      pair
+        (triple (int_bound 2) (int_bound 3) small_nat)
+        (pair (int_bound 20_000) small_nat))
+    (fun ((extra_sites, extra_keys, slave), (at, seed)) ->
+      let n = 3 + extra_sites and keys_per_txn = 1 + extra_keys in
+      let w =
+        Workload.uniform_mix ~n ~txns:12 ~keys_per_txn ~key_space:(2 * n)
+          ~spacing:(Vtime.of_int 1500) ~seed:(Int64.of_int seed)
+      in
+      let config =
+        {
+          (Tm.default_config ~protocol:(module Termination.Transient) ~n ()) with
+          Tm.initial = w.Workload.initial;
+          crashes = [ (site (2 + (slave mod (n - 1))), Vtime.of_int at) ];
+        }
+      in
+      let report = Tm.run config w.Workload.txns in
+      Tm.count_status report Tm.Txn_waiting_locks = 0
+      && Tm.count_status report Tm.Txn_torn = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Hot-spot contention: blocking holds locks, termination releases     *)
@@ -779,10 +908,7 @@ let test_uniform_mix_completes () =
   let report = Tm.run config w.Workload.txns in
   check Alcotest.int "all decided" 10
     (Tm.count_status report Tm.Txn_committed
-    + Tm.count_status report Tm.Txn_aborted
-    + Tm.count_status report Tm.Txn_deadlock_victim);
-  (* Conservative (all-at-start) locking cannot deadlock. *)
-  check Alcotest.int "no deadlocks" 0 report.Tm.deadlocks_resolved
+    + Tm.count_status report Tm.Txn_aborted)
 
 let () =
   Alcotest.run "commit_db"
@@ -795,16 +921,11 @@ let () =
             test_exclusive_conflicts;
           Alcotest.test_case "FIFO grants" `Quick test_fifo_grant_on_release;
           Alcotest.test_case "shared batch grant" `Quick test_shared_batch_grant;
-          Alcotest.test_case "reentrant and upgrade" `Quick
-            test_reentrant_and_upgrade;
-          Alcotest.test_case "upgrade waits for readers" `Quick
-            test_upgrade_waits_with_other_readers;
-          Alcotest.test_case "waits-for cycle detection" `Quick
-            test_waits_for_and_cycle;
           Alcotest.test_case "released keys are dropped" `Quick
             test_released_keys_dropped;
-          Alcotest.test_case "read behind own write" `Quick
-            test_read_behind_own_write;
+          Alcotest.test_case "purge reports dropped waiters" `Quick
+            test_purge_reports_dropped_waiters;
+          QCheck_alcotest.to_alcotest no_deadlock_property;
         ] );
       ( "tm",
         [
@@ -820,6 +941,9 @@ let () =
             test_tm_crashed_site_writes_nothing;
           Alcotest.test_case "crash schedule checked up front" `Quick
             test_tm_crash_schedule_checked;
+          Alcotest.test_case "crash frees lock waiters" `Quick
+            test_crash_frees_lock_waiters;
+          QCheck_alcotest.to_alcotest crash_strands_no_waiter;
         ] );
       ( "contention",
         [

@@ -41,59 +41,6 @@ let vtime_add_commutative =
       = Vtime.add (Vtime.of_int b) (Vtime.of_int a))
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let heap_sorts =
-  QCheck.Test.make ~name:"Heap pops in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-let heap_stable_with_seq =
-  QCheck.Test.make ~name:"Heap is stable when the order includes a sequence"
-    QCheck.(list (int_bound 5))
-    (fun keys ->
-      let cmp (k1, s1) (k2, s2) =
-        let c = Int.compare k1 k2 in
-        if c <> 0 then c else Int.compare s1 s2
-      in
-      let h = Heap.create ~cmp () in
-      List.iteri (fun i k -> Heap.push h (k, i)) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      let out = drain [] in
-      (* Within equal keys, sequence numbers ascend. *)
-      let rec ok = function
-        | (k1, s1) :: ((k2, s2) :: _ as rest) ->
-            (k1 < k2 || (k1 = k2 && s1 < s2)) && ok rest
-        | [ _ ] | [] -> true
-      in
-      ok out)
-
-let test_heap_basics () =
-  let h = Heap.create ~cmp:Int.compare () in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  check Alcotest.(option int) "peek empty" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Heap.push h 2;
-  check Alcotest.int "length" 3 (Heap.length h);
-  check Alcotest.(option int) "peek min" (Some 1) (Heap.peek h);
-  check Alcotest.int "pop_exn" 1 (Heap.pop_exn h);
-  Heap.clear h;
-  check Alcotest.bool "cleared" true (Heap.is_empty h);
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-(* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -602,12 +549,6 @@ let () =
             test_vtime_of_int_negative;
           Alcotest.test_case "pretty printing" `Quick test_vtime_pp;
           qtest vtime_add_commutative;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basics" `Quick test_heap_basics;
-          qtest heap_sorts;
-          qtest heap_stable_with_seq;
         ] );
       ( "rng",
         [
