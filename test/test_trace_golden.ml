@@ -265,6 +265,52 @@ let cluster_report ~cross:_ () =
   Format.asprintf "%a%a" Cluster.Runtime.pp_report report
     Cluster.Runtime.pp_timeline report
 
+(* Four-phase commit's outcomes over the checker grids, reason tags left
+   out: one row per run of the n=3 static grid (each site's decision,
+   decision time and final state, then the message counts), and the MD5
+   of the same rows over the n=4 static and n=3 transient grids. *)
+let four_phase_grid ~cross:_ () =
+  let grid ?heals_after ~n () =
+    let base =
+      { (Runner.default_config ~n ~t_unit ()) with Runner.trace_enabled = false }
+    in
+    let grid = Scenario.default_grid ~n ~t_unit in
+    Scenario.configs ~base
+      (match heals_after with
+      | None -> grid
+      | Some heals_after -> { grid with Scenario.heals_after })
+  in
+  let row config =
+    let r = Runner.run (module Theorem10.Four_phase_termination) config in
+    let site (s : Runner.site_result) =
+      Printf.sprintf " | %d %s@%s %s" (Site_id.to_int s.site)
+        (match s.decision with
+        | Some Types.Commit -> "commit"
+        | Some Types.Abort -> "abort"
+        | None -> "none")
+        (match s.decided_at with
+        | Some at -> string_of_int (Vtime.to_int at)
+        | None -> "-")
+        s.final_state
+    in
+    let stats = r.Runner.net_stats in
+    Printf.sprintf "%s%s | sent=%d delivered=%d bounced=%d\n"
+      (Scenario.config_id config)
+      (String.concat "" (Array.to_list (Array.map site r.Runner.sites)))
+      stats.Network.sent stats.delivered stats.bounced
+  in
+  let md5 label configs =
+    Printf.sprintf "md5 %s (%d runs): %s\n" label (List.length configs)
+      (Digest.to_hex (Digest.string (String.concat "" (List.map row configs))))
+  in
+  String.concat "" (List.map row (grid ~n:3 ()))
+  ^ md5 "static n=4" (grid ~n:4 ())
+  ^ md5 "transient n=3"
+      (grid ~n:3
+         ~heals_after:
+           (None :: List.map (fun m -> Some (Vtime.of_int (t m))) [ 1; 3; 6 ])
+         ())
+
 let db_scenarios =
   [
     ("tm-termination-cut", tm_trace (module Termination.Static : Site.S));
@@ -354,7 +400,10 @@ let () =
       ( "golden",
         cases ~cross:false
           (runner_scenarios @ db_scenarios
-          @ [ ("cluster-report-timeline", cluster_report) ]
+          @ [
+              ("cluster-report-timeline", cluster_report);
+              ("4pc-grid", four_phase_grid);
+            ]
           @ obs_scenarios) );
       ("cross-view", cases ~cross:true crossed);
     ]
