@@ -538,9 +538,7 @@ let thm10 () =
   row "  termination protocol (m = prepare), swept like Theorem 9:@.";
   List.iter
     (fun n ->
-      let s =
-        Sweep.run (module Theorem10.Four_phase_termination) (static_grid ~n)
-      in
+      let s = Sweep.run (module Termination.Four_phase) (static_grid ~n) in
       row "  4pc-termination n=%d: %d violations, %d blocked over %d scenarios@."
         n s.violations s.blocked_runs s.runs)
     [ 3; 4 ]
@@ -1229,7 +1227,6 @@ let parallel_sweeps ~smoke () =
           timelines = [ ("none", Partition.none); ("cut-80T", cut) ];
           policies = [ Cluster.Scheduler.Partition_aware ];
           protocols = [];
-          faults = [];
         }
     | `Large ->
         {
@@ -1243,7 +1240,6 @@ let parallel_sweeps ~smoke () =
               ("transient", (module Termination.Transient : Site.S));
               ("paxos", Paxos_commit.protocol);
             ];
-          faults = [];
         }
   in
   let cruns = List.length (Cluster.Cluster_sweep.tasks cgrid) in

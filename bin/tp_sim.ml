@@ -256,6 +256,11 @@ let or_exit_2 what f =
     Format.eprintf "invalid %s: %s@." what msg;
     exit 2
 
+(* A span in ticks; a negative one exits 2 naming its flag. *)
+let resolve_span ~t flag span =
+  or_exit_2 flag (fun () ->
+      Vtime.of_int (match span with `T v -> v * t | `Ticks v -> v))
+
 (* Output files are opened before the run they record, so an unwritable
    path costs one line and exit 2, not the whole run and an exception.
    open_out_bin keeps the bytes on disk exactly the bytes emitted — the
@@ -644,7 +649,7 @@ let check_cmd =
     let s = sweep (module Termination.Transient) 3 in
     verdict "Section 6: transient variant resilient (n=3)"
       (s.violations = 0 && s.blocked_runs = 0);
-    let s = sweep (module Theorem10.Four_phase_termination) 3 in
+    let s = sweep (module Termination.Four_phase) 3 in
     verdict "Theorem 10: 4pc-termination resilient (n=3)"
       (s.violations = 0 && s.blocked_runs = 0);
     let s = sweep (module Ext_two_phase) 3 in
@@ -690,13 +695,13 @@ let check_cmd =
         (grid 3 @ crash_grid 3)
     in
     verdict "Paxos: every commit backed by acceptor majorities" majorities_ok;
-    let facts_ok =
-      List.for_all
-        (fun cfg ->
-          Facts.audit (Runner.run (module Termination.Static) cfg) = Ok ())
-        (grid 3)
+    let facts_ok p =
+      List.for_all (fun cfg -> Facts.audit (Runner.run p cfg) = Ok ()) (grid 3)
     in
-    verdict "FACT 1/2: every decision through an admissible case" facts_ok;
+    verdict "FACT 1/2: every decision through an admissible case"
+      (facts_ok (module Termination.Static));
+    verdict "FACT 1/2: 4pc-termination decides through the same cases"
+      (facts_ok (module Termination.Four_phase));
     let lemmas =
       match Commit_fsa.Catalog.find "3pc" with
       | Some p ->
@@ -915,11 +920,8 @@ let cluster_cmd =
   let run protocol n t g2 cuts heals seed delay pessimistic duration drain load
       window queue_limit policy pause crashes json quiet seeds all_policies
       grid_size jobs spans metrics_out metrics_every profile =
-    let t_unit = Vtime.of_int t in
-    let resolve = function
-      | `T v -> Vtime.of_int (v * t)
-      | `Ticks v -> Vtime.of_int v
-    in
+    let t_unit = or_exit_2 "-T" (fun () -> Vtime.of_int t) in
+    let resolve = resolve_span ~t in
     if List.length heals > List.length cuts then begin
       Format.eprintf "more --heal instants than --cut instants@.";
       exit 2
@@ -931,7 +933,7 @@ let cluster_cmd =
         | [] -> Partition.none
         | cuts ->
             let heals =
-              List.map (fun h -> Some (resolve h)) heals
+              List.map (fun h -> Some (resolve "--heal" h)) heals
               @ List.init
                   (List.length cuts - List.length heals)
                   (fun _ -> None)
@@ -940,7 +942,8 @@ let cluster_cmd =
               (List.map2
                  (fun cut heal ->
                    Partition.make ?heals_at:heal
-                     ~group2:(Site_id.set_of_ints g2) ~starts_at:(resolve cut)
+                     ~group2:(Site_id.set_of_ints g2)
+                     ~starts_at:(resolve "--cut" cut)
                      ~n ())
                  cuts heals)
     in
@@ -957,9 +960,9 @@ let cluster_cmd =
         (fun (site, down, up) -> { Cluster.Fault.site; down; up })
         crashes
     in
-    let horizon =
-      Vtime.to_int (Vtime.add (resolve duration) (resolve drain))
-    in
+    let duration = resolve "--duration" duration
+    and drain = resolve "--drain" drain in
+    let horizon = Vtime.to_int (Vtime.add duration drain) in
     (match Cluster.Fault.validate ~n ~horizon fault_specs with
     | Ok () -> ()
     | Error msg ->
@@ -977,8 +980,8 @@ let cluster_cmd =
         timeline;
         delay;
         seed;
-        duration = resolve duration;
-        drain = resolve drain;
+        duration;
+        drain;
         load;
         window;
         queue_limit;
@@ -987,9 +990,9 @@ let cluster_cmd =
         crashes = cl_crashes;
         recoveries = cl_recoveries;
         snapshot_every =
-          (match metrics_out with
-          | Some _ -> Some (resolve metrics_every)
-          | None -> None);
+          Option.map
+            (fun _ -> resolve "--metrics-every" metrics_every)
+            metrics_out;
         profile;
       }
     in
@@ -1070,7 +1073,6 @@ let cluster_cmd =
                    [ Fixed_master; Round_robin; Partition_aware ]
                else [ policy ]);
             protocols = [];
-            faults = [];
           }
         in
         let summary =
@@ -1155,11 +1157,8 @@ let soak_cmd =
   in
   let run protocol n t seed delay pessimistic epochs segment load fault_free
       json jobs metrics_out metrics_every =
-    let t_unit = Vtime.of_int t in
-    let resolve = function
-      | `T v -> Vtime.of_int (v * t)
-      | `Ticks v -> Vtime.of_int v
-    in
+    let t_unit = or_exit_2 "-T" (fun () -> Vtime.of_int t) in
+    let resolve = resolve_span ~t in
     let delay =
       match delay with
       | `Minimal -> Delay.minimal
@@ -1174,9 +1173,9 @@ let soak_cmd =
         delay;
         load;
         snapshot_every =
-          (match metrics_out with
-          | Some _ -> Some (resolve metrics_every)
-          | None -> None);
+          Option.map
+            (fun _ -> resolve "--metrics-every" metrics_every)
+            metrics_out;
       }
     in
     let config =
@@ -1184,7 +1183,7 @@ let soak_cmd =
         Cluster.Soak.base;
         seed;
         epochs;
-        segment = resolve segment;
+        segment = resolve "--segment" segment;
         faults = not fault_free;
       }
     in

@@ -24,7 +24,7 @@ let protocols : Site.packed list =
     (module Quorum);
     (module Termination.Static);
     (module Termination.Transient);
-    (module Theorem10.Four_phase_termination);
+    (module Termination.Four_phase);
   ]
 
 let grid ~n ~transient =

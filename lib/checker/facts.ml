@@ -18,15 +18,11 @@ let admissible_commit_reasons_slave ~variant =
 
 let admissible_commit_reasons_master = Termination.fact2_reasons
 
-let admissible_abort_reasons_slave =
-  [ "voted-no"; "abort-cmd"; "w2-expired"; "ud-yes" ]
-
-let admissible_abort_reasons_master =
-  [ "w1-timeout"; "ud-xact"; "no-vote"; "collect-abort" ]
-
+(* Four-phase commit is judged as the static variant: from m on it is
+   the same protocol. *)
 let variant_of_result (result : Runner.result) =
   match result.protocol_name with
-  | "termination" -> Termination.Static
+  | "termination" | "4pc-termination" -> Termination.Static
   | "termination-transient" -> Termination.Transient
   | other ->
       invalid_arg
@@ -45,9 +41,9 @@ let audit (result : Runner.result) =
             let admissible =
               match (Site_id.is_master s.site, decision) with
               | true, Types.Commit -> admissible_commit_reasons_master
-              | true, Types.Abort -> admissible_abort_reasons_master
+              | true, Types.Abort -> Termination.master_abort_reasons
               | false, Types.Commit -> admissible_commit_reasons_slave ~variant
-              | false, Types.Abort -> admissible_abort_reasons_slave
+              | false, Types.Abort -> Termination.slave_abort_reasons
             in
             let tags = List.filter (fun r -> List.mem r admissible) s.reasons in
             let unknown =
@@ -56,9 +52,9 @@ let audit (result : Runner.result) =
                   not
                     (List.mem r
                        (admissible_commit_reasons_master
-                       @ admissible_abort_reasons_master
+                       @ Termination.master_abort_reasons
                        @ admissible_commit_reasons_slave ~variant
-                       @ admissible_abort_reasons_slave)))
+                       @ Termination.slave_abort_reasons)))
                 s.reasons
             in
             if tags = [] then

@@ -19,8 +19,9 @@ val pp_problem : Format.formatter -> problem -> unit
 
 val audit : Runner.result -> (unit, problem list) result
 (** Checks every decided, non-crashed site of a termination-protocol
-    run.  @raise Invalid_argument when applied to a result produced by
-    a different protocol (the tags would be meaningless). *)
+    run; a ["4pc-termination"] run is judged as the static variant.
+    @raise Invalid_argument when applied to a result produced by a
+    different protocol (the tags would be meaningless). *)
 
 val admissible_commit_reasons_slave : variant:Termination.variant -> string list
 

@@ -62,7 +62,7 @@ let all : entry list =
     {
       name = "4pc-termination";
       summary = "Theorem 10 four-phase commit with termination";
-      protocol = (module Theorem10.Four_phase_termination);
+      protocol = (module Termination.Four_phase);
     }
     ;
     {

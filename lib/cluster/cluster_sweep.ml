@@ -7,7 +7,6 @@ type grid = {
   timelines : (string * Partition.t) list;
   policies : Scheduler.policy list;
   protocols : (string * Site.packed) list;
-  faults : (string * Fault.spec list) list;
 }
 
 (* Labels are lazy ({!Label.Dynamic}): a clean run never renders its
@@ -20,45 +19,28 @@ let tasks grid =
     | [] -> [ (None, grid.base.Runtime.protocol) ]
     | ps -> List.map (fun (name, p) -> (Some name, p)) ps
   in
-  let faults =
-    match grid.faults with
-    | [] ->
-        [ (None, (grid.base.Runtime.crashes, grid.base.Runtime.recoveries)) ]
-    | fs -> List.map (fun (name, specs) -> (Some name, Fault.split specs)) fs
-  in
   List.concat_map
     (fun (timeline_label, timeline) ->
       List.concat_map
         (fun policy ->
           List.concat_map
             (fun (protocol_label, protocol) ->
-              List.concat_map
-                (fun (fault_label, (crashes, recoveries)) ->
-                  List.map
-                    (fun seed ->
-                      let label =
-                        Label.Dynamic
-                          (fun () ->
-                            let opt = function
-                              | None -> ""
-                              | Some s -> "/" ^ s
-                            in
-                            Printf.sprintf "%s/%s%s%s/seed=%Ld" timeline_label
-                              (Scheduler.policy_name policy)
-                              (opt protocol_label) (opt fault_label) seed)
-                      in
-                      ( label,
-                        {
-                          grid.base with
-                          Runtime.timeline;
-                          policy;
-                          protocol;
-                          crashes;
-                          recoveries;
-                          seed;
-                        } ))
-                    grid.seeds)
-                faults)
+              List.map
+                (fun seed ->
+                  let label =
+                    Label.Dynamic
+                      (fun () ->
+                        Printf.sprintf "%s/%s%s/seed=%Ld" timeline_label
+                          (Scheduler.policy_name policy)
+                          (match protocol_label with
+                          | None -> ""
+                          | Some s -> "/" ^ s)
+                          seed)
+                  in
+                  ( label,
+                    { grid.base with Runtime.timeline; policy; protocol; seed }
+                  ))
+                grid.seeds)
             protocols)
         grid.policies)
     grid.timelines

@@ -21,17 +21,14 @@ type grid = {
   protocols : (string * Site.packed) list;
       (** label × protocol; [[]] means "just [base.protocol]" and keeps
           the protocol name out of the task labels *)
-  faults : (string * Fault.spec list) list;
-      (** label × crash-recover schedule (see {!Fault.split}); [[]]
-          means "just [base.crashes]/[base.recoveries]" and keeps the
-          fault label out of the task labels *)
 }
 
 val tasks : grid -> (Label.t * Runtime.config) list
 (** The grid flattened in deterministic task order (timelines outer,
-    then policies, then protocols, then faults, then seeds), each with
-    a stable ["timeline/policy(/protocol)(/fault)/seed=N"] label.
-    Labels are lazy — a clean run never renders one. *)
+    then policies, then protocols, then seeds), each with a stable
+    ["timeline/policy(/protocol)/seed=N"] label.  Every task keeps
+    [base]'s crash-recover schedule.  Labels are lazy — a clean run
+    never renders one. *)
 
 type summary = {
   runs : int;

@@ -114,26 +114,28 @@ let make_scratch () =
   { scratch_engine = Engine.create ~trace:(Trace.create ~enabled:false ()) () }
 
 (* Decision reasons that only the termination machinery (or a timeout /
-   UD transition standing in for it) can produce; the failure-free flow
-   decides through fact1-case1 / fact2-case1 / plain command receipt. *)
+   UD transition standing in for it) can produce: every termination tag
+   except the failure-free flow's (fact1-case1 / fact2-case1, the votes
+   and plain command receipt). *)
 let termination_reason =
-  let tagged =
-    List.filter (fun r -> r <> "fact1-case1") Termination.fact1_reasons
-    @ List.filter (fun r -> r <> "fact2-case1") Termination.fact2_reasons
+  let failure_free =
+    [ "fact1-case1"; "fact2-case1"; "voted-no"; "no-vote"; "abort-cmd" ]
+  in
+  let tagged = Hashtbl.create 32 in
+  List.iter
+    (fun r ->
+      if not (List.mem r failure_free) then Hashtbl.replace tagged r ())
+    (Termination.fact1_reasons @ Termination.fact2_reasons
+    @ Termination.slave_abort_reasons @ Termination.master_abort_reasons
     @ [
         "transient-5t-commit";
-        "collect-abort";
-        "w2-expired";
-        "ud-yes";
-        "ud-xact";
-        "w1-timeout";
         (* Paxos Commit: a decision chosen at a ballot > 0 means a
            replacement leader drove the instances home — the consensus
            counterpart of a termination-protocol invocation. *)
         "px-chosen-recovery";
-      ]
-  in
-  fun r -> List.mem r tagged
+      ]);
+  (* Built once and only read after: safe to share across domains. *)
+  fun r -> Hashtbl.mem tagged r
 
 module Run (P : Site.S) = struct
   module Core = Txn_core.Make (P)

@@ -33,6 +33,25 @@
       after a 5T wait, which is safe because only case 3.2.2.2 — in
       which the master has committed — exceeds 5T.
 
+    {b Theorem 10, constructively.}  The paper's last theorem: {e any}
+    master/slave commit protocol satisfying Lemma 1 and Lemma 2 can be
+    made resilient by rebuilding the Section 5.2 ideas around the
+    message m that moves slaves from their last noncommittable state to
+    a committable one.  {!CONFIG.four_phase} carries the construction
+    out for {b four-phase commit} ([Commit_fsa.Catalog.four_phase] —
+    vote, pre-prepare, prepare, commit), whose m is still the prepare.
+    It adds only the round before m:
+    - the master sends pre-prepare once every slave voted yes and waits
+      in x1; a 2T timeout or a UD(pre-prepare) aborts everyone (no
+      prepare exists, so no slave anywhere can commit);
+    - a slave pre-acks and waits in x; a 3T timeout enters the same 6T
+      window as w (accepting an early commit — the Fig. 8 acceptance
+      generalised to both noncommittable states), and a bounced pre-ack
+      aborts its side, as a bounced yes does;
+    - the master sends the prepare once every slave pre-acked.
+    From m on it is the three-phase protocol above, with the same
+    decision tags.
+
     Decisions are annotated (see {!Commit_protocols.Runner.site_result}
     reasons) with stable strings of the form ["fact1-case3"] /
     ["fact2-case2"] matching the proof's case analysis, so tests can
@@ -41,8 +60,33 @@
 
 type variant = Static | Transient
 
+val fact1_reasons : string list
+(** The exact reason strings a slave may carry on a commit decision —
+    FACT 1's six cases.  (The failure-free flow is case 1: a commit
+    received from the master.)  The transient variant adds
+    ["transient-5t-commit"]. *)
+
+val fact2_reasons : string list
+(** The reason strings the master may carry on a commit decision —
+    FACT 2's three cases. *)
+
+val slave_abort_reasons : string list
+(** The reason strings a slave may carry on an abort decision:
+    ["voted-no"], ["abort-cmd"], ["w2-expired"], ["ud-yes"] and, in
+    four-phase commit, ["ud-pre-ack"]. *)
+
+val master_abort_reasons : string list
+(** The reason strings the master may carry on an abort decision:
+    ["w1-timeout"], ["ud-xact"], ["no-vote"], ["collect-abort"] and, in
+    four-phase commit, ["x1-timeout"] and ["ud-pre-prepare"]. *)
+
 module type CONFIG = sig
   val variant : variant
+
+  val four_phase : bool
+  (** Four-phase commit instead of three-phase: the master runs the
+      pre-prepare round (master state x1, slave state x) before m, the
+      prepare. *)
 
   val fig8_w_commit : bool
   (** Whether slaves accept a commit command in state w (the Fig. 8
@@ -61,12 +105,7 @@ module type CONFIG = sig
       (Fig. 7). *)
 end
 
-module Make_full (_ : CONFIG) : Site.S
-
-module Make (_ : sig
-  val variant : variant
-end) : Site.S
-(** [Make_full] with the Fig. 8 modification enabled. *)
+module Make (_ : CONFIG) : Site.S
 
 module Static : Site.S
 (** Section 5.3, ["termination"]. *)
@@ -86,12 +125,6 @@ module Static_without_fig8 : Site.S
 (** The ablation: Section 5.3 over the {e unmodified} 3PC slave
     (["termination-nofig8"]).  Not resilient — see Fig. 8. *)
 
-val fact1_reasons : string list
-(** The exact reason strings a slave may carry on a commit decision —
-    FACT 1's six cases.  (The failure-free flow is case 1: a commit
-    received from the master.)  The transient variant adds
-    ["transient-5t-commit"]. *)
-
-val fact2_reasons : string list
-(** The reason strings the master may carry on a commit decision —
-    FACT 2's three cases. *)
+module Four_phase : Site.S
+(** Theorem 10 over four-phase commit, static partitions
+    (["4pc-termination"]). *)

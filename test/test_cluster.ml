@@ -202,6 +202,27 @@ let test_runtime_termination_under_cut () =
   check Alcotest.bool "atomic through the partition" true
     (Runtime.atomic report)
 
+(* Four-phase commit decides through the three-phase termination tags
+   from m on, so the runtime counts its termination work like
+   three-phase termination's on the same cut. *)
+let test_runtime_four_phase_terminations () =
+  let run protocol =
+    Runtime.run
+      {
+        (Runtime.default_config ~protocol ()) with
+        Runtime.timeline =
+          Partition.make
+            ~group2:(Site_id.set_of_ints [ 3 ])
+            ~starts_at:(t 40) ~heals_at:(t 80) ~n:3 ();
+      }
+  in
+  let four_phase = run (module Termination.Four_phase : Site.S) in
+  check Alcotest.bool "terminations counted" true
+    (four_phase.Runtime.termination_invocations > 0);
+  check Alcotest.int "as many as three-phase termination"
+    (run (module Termination.Static)).Runtime.termination_invocations
+    four_phase.Runtime.termination_invocations
+
 let test_runtime_baselines_block () =
   List.iter
     (fun protocol ->
@@ -441,6 +462,8 @@ let () =
             test_runtime_failure_free;
           Alcotest.test_case "termination rides out the cut" `Quick
             test_runtime_termination_under_cut;
+          Alcotest.test_case "four-phase commit counts terminations" `Quick
+            test_runtime_four_phase_terminations;
           Alcotest.test_case "2pc/3pc wedge the window" `Quick
             test_runtime_baselines_block;
           Alcotest.test_case "deterministic JSON" `Quick

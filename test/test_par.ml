@@ -272,7 +272,6 @@ let cluster_grid () =
     policies =
       [ Cluster.Scheduler.Fixed_master; Cluster.Scheduler.Partition_aware ];
     protocols = [];
-    faults = [];
   }
 
 let test_cluster_sweep_jobs_deterministic () =

@@ -262,7 +262,6 @@ let test_cluster_crash_jobs_deterministic () =
       timelines = [ ("none", Partition.none) ];
       policies = [ Commit_cluster.Scheduler.Partition_aware ];
       protocols = [];
-      faults = [];
     }
   in
   let s1 = C.run ~jobs:1 grid in

@@ -88,7 +88,6 @@ let test_sweep_stream_jobs_invariant () =
       timelines = [ ("cut", small_config.Runtime.timeline) ];
       policies = [ Cluster.Scheduler.Partition_aware ];
       protocols = [];
-      faults = [];
     }
   in
   let lines jobs =

@@ -483,30 +483,24 @@ let test_larger_site_counts () =
 (* ------------------------------------------------------------------ *)
 
 let test_theorem10_4pc_failure_free () =
-  let result = Runner.run (module Theorem10.Four_phase_termination) (config ~n:5 ()) in
+  let result = Runner.run (module Termination.Four_phase) (config ~n:5 ()) in
   Array.iter
     (fun (s : Runner.site_result) ->
       check decision_t "committed" (Some Types.Commit) s.decision)
     result.sites;
   let abort =
-    Runner.run
-      (module Theorem10.Four_phase_termination)
-      (config ~votes:[ (site 3, false) ] ())
+    Runner.run (module Termination.Four_phase) (config ~votes:[ (site 3, false) ] ())
   in
   check Alcotest.bool "aborts on a no vote" true
     (List.for_all (( = ) (Some Types.Abort)) (Runner.decisions abort))
 
 let test_theorem10_4pc_resilient_n3 () =
-  let summary =
-    Sweep.run (module Theorem10.Four_phase_termination) (static_grid ~n:3)
-  in
+  let summary = Sweep.run (module Termination.Four_phase) (static_grid ~n:3) in
   check Alcotest.int "no violations" 0 summary.violations;
   check Alcotest.int "no blocked runs" 0 summary.blocked_runs
 
 let test_theorem10_4pc_resilient_n4 () =
-  let summary =
-    Sweep.run (module Theorem10.Four_phase_termination) (static_grid ~n:4)
-  in
+  let summary = Sweep.run (module Termination.Four_phase) (static_grid ~n:4) in
   check Alcotest.int "no violations" 0 summary.violations;
   check Alcotest.int "no blocked runs" 0 summary.blocked_runs
 
@@ -537,7 +531,7 @@ let theorem10_random_resilient =
           ~starts_at:(Vtime.of_int at) ~n ()
       in
       let cfg = config ~n ~partition:p ~delay () in
-      let result = Runner.run (module Theorem10.Four_phase_termination) cfg in
+      let result = Runner.run (module Termination.Four_phase) cfg in
       Verdict.resilient (Verdict.of_result result))
 
 (* ------------------------------------------------------------------ *)
@@ -583,29 +577,16 @@ let test_lemma8_case_family_decides_outcome () =
 (* FACT 1 / FACT 2 audit                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_facts_audit_static () =
+let audit_sweep protocol grid () =
   List.iter
     (fun cfg ->
-      let result = Runner.run (module Termination.Static) cfg in
-      match Facts.audit result with
+      match Facts.audit (Runner.run protocol cfg) with
       | Ok () -> ()
       | Error problems ->
           Alcotest.fail
             (Format.asprintf "%s: %a" (Scenario.config_id cfg) Facts.pp_problem
                (List.hd problems)))
-    (static_grid ~n:3)
-
-let test_facts_audit_transient () =
-  List.iter
-    (fun cfg ->
-      let result = Runner.run (module Termination.Transient) cfg in
-      match Facts.audit result with
-      | Ok () -> ()
-      | Error problems ->
-          Alcotest.fail
-            (Format.asprintf "%s: %a" (Scenario.config_id cfg) Facts.pp_problem
-               (List.hd problems)))
-    (transient_grid ~n:3)
+    grid
 
 let test_facts_rejects_other_protocols () =
   let result = Runner.run (module Two_phase) (config ()) in
@@ -813,9 +794,13 @@ let () =
         ] );
       ( "facts",
         [
-          Alcotest.test_case "audit static sweep" `Slow test_facts_audit_static;
+          Alcotest.test_case "audit static sweep" `Slow
+            (audit_sweep (module Termination.Static) (static_grid ~n:3));
           Alcotest.test_case "audit transient sweep" `Slow
-            test_facts_audit_transient;
+            (audit_sweep (module Termination.Transient) (transient_grid ~n:3));
+          (* Four-phase commit is judged as the static variant. *)
+          Alcotest.test_case "audit four-phase sweep" `Slow
+            (audit_sweep (module Termination.Four_phase) (static_grid ~n:3));
           Alcotest.test_case "audit refuses other protocols" `Quick
             test_facts_rejects_other_protocols;
         ] );

@@ -155,7 +155,7 @@ let runner_scenarios =
     ("paxos-f0-clean", trace_of Paxos_commit.protocol_f0 (config ()));
     ( "theorem10-4pc-cut",
       trace_of
-        (module Theorem10.Four_phase_termination)
+        (module Termination.Four_phase)
         (config ~partition:(partition ~g2:[ 3 ] ~at:2100 ~n:3 ()) ~delay:full ())
     );
   ]
@@ -281,7 +281,7 @@ let four_phase_grid ~cross:_ () =
       | Some heals_after -> { grid with Scenario.heals_after })
   in
   let row config =
-    let r = Runner.run (module Theorem10.Four_phase_termination) config in
+    let r = Runner.run (module Termination.Four_phase) config in
     let site (s : Runner.site_result) =
       Printf.sprintf " | %d %s@%s %s" (Site_id.to_int s.site)
         (match s.decision with
