@@ -265,51 +265,109 @@ let cluster_report ~cross:_ () =
   Format.asprintf "%a%a" Cluster.Runtime.pp_report report
     Cluster.Runtime.pp_timeline report
 
-(* Four-phase commit's outcomes over the checker grids, reason tags left
-   out: one row per run of the n=3 static grid (each site's decision,
-   decision time and final state, then the message counts), and the MD5
-   of the same rows over the n=4 static and n=3 transient grids. *)
-let four_phase_grid ~cross:_ () =
-  let grid ?heals_after ~n () =
-    let base =
+(* Outcome pins over the checker grids, reason tags left out: one row
+   per run (each site's decision, decision time and final state, then
+   the message counts), or the MD5 of a whole grid's rows. *)
+let grid_configs ?(base = fun b -> b) ?heals_after ?votes ~n () =
+  let base =
+    base
       { (Runner.default_config ~n ~t_unit ()) with Runner.trace_enabled = false }
+  in
+  let grid = Scenario.default_grid ~n ~t_unit in
+  let grid =
+    match heals_after with
+    | None -> grid
+    | Some heals_after -> { grid with Scenario.heals_after }
+  in
+  let grid =
+    match votes with None -> grid | Some votes -> { grid with Scenario.votes }
+  in
+  Scenario.configs ~base grid
+
+let transient_heals =
+  None :: List.map (fun m -> Some (Vtime.of_int (t m))) [ 1; 3; 6 ]
+
+let outcome_row protocol config =
+  let r = Runner.run protocol config in
+  let site (s : Runner.site_result) =
+    Printf.sprintf " | %d %s@%s %s" (Site_id.to_int s.site)
+      (match s.decision with
+      | Some Types.Commit -> "commit"
+      | Some Types.Abort -> "abort"
+      | None -> "none")
+      (match s.decided_at with
+      | Some at -> string_of_int (Vtime.to_int at)
+      | None -> "-")
+      s.final_state
+  in
+  let stats = r.Runner.net_stats in
+  Printf.sprintf "%s%s | sent=%d delivered=%d bounced=%d\n"
+    (Scenario.config_id config)
+    (String.concat "" (Array.to_list (Array.map site r.Runner.sites)))
+    stats.Network.sent stats.delivered stats.bounced
+
+let outcome_md5 protocol label configs =
+  Printf.sprintf "md5 %s (%d runs): %s\n" label (List.length configs)
+    (Digest.to_hex
+       (Digest.string (String.concat "" (List.map (outcome_row protocol) configs))))
+
+(* Four-phase commit: every n=3 static run, and the n=4 static and n=3
+   transient grids as MD5s. *)
+let four_phase_grid ~cross:_ () =
+  let protocol = (module Termination.Four_phase : Site.S) in
+  String.concat "" (List.map (outcome_row protocol) (grid_configs ~n:3 ()))
+  ^ outcome_md5 protocol "static n=4" (grid_configs ~n:4 ())
+  ^ outcome_md5 protocol "transient n=3"
+      (grid_configs ~n:3 ~heals_after:transient_heals ())
+
+(* The five protocols that are an FSA plus a timeout/UD assignment,
+   looked up by their registry names: every n=3 static run, then MD5s
+   over the other static sizes, heals, no votes, master crashes,
+   pessimistic return of messages and multiple partitionings. *)
+let fsa_protocols_grid ~cross:_ () =
+  let pin name =
+    let protocol =
+      match Registry.find name with
+      | Some e -> e.Registry.protocol
+      | None -> invalid_arg ("fsa_protocols_grid: no protocol " ^ name)
     in
-    let grid = Scenario.default_grid ~n ~t_unit in
-    Scenario.configs ~base
-      (match heals_after with
-      | None -> grid
-      | Some heals_after -> { grid with Scenario.heals_after })
+    let md5 = outcome_md5 protocol in
+    let site = Site_id.of_int in
+    Printf.sprintf "# %s\n" name
+    ^ String.concat "" (List.map (outcome_row protocol) (grid_configs ~n:3 ()))
+    ^ md5 "static n=2" (grid_configs ~n:2 ())
+    ^ md5 "static n=4" (grid_configs ~n:4 ())
+    ^ md5 "static n=5" (grid_configs ~n:5 ())
+    ^ md5 "transient n=3" (grid_configs ~n:3 ~heals_after:transient_heals ())
+    ^ md5 "votes-no n=3"
+        (grid_configs ~n:3
+           ~votes:[ [ (site 2, false) ]; [ (site 3, false) ] ]
+           ())
+    ^ md5 "master-crash n=3"
+        (Scenario.configs
+           ~base:
+             {
+               (Runner.default_config ~n:3 ~t_unit ()) with
+               Runner.trace_enabled = false;
+             }
+           (Scenario.master_crash_grid ~t_unit))
+    ^ md5 "pessimistic n=4"
+        (grid_configs
+           ~base:(fun b -> { b with Runner.mode = Network.Pessimistic })
+           ~n:4 ())
+    ^ md5 "multiple partitioning n=4"
+        (Scenario.multi_configs
+           ~base:
+             {
+               (Runner.default_config ~n:4 ~t_unit ()) with
+               Runner.trace_enabled = false;
+             }
+           ~starts:(Scenario.instants ~t_unit ~until_mult:8 ~per_t:2)
+           ~delays:[ Delay.minimal; full; uniform ]
+           ~seeds:[ 1L; 42L ])
   in
-  let row config =
-    let r = Runner.run (module Termination.Four_phase) config in
-    let site (s : Runner.site_result) =
-      Printf.sprintf " | %d %s@%s %s" (Site_id.to_int s.site)
-        (match s.decision with
-        | Some Types.Commit -> "commit"
-        | Some Types.Abort -> "abort"
-        | None -> "none")
-        (match s.decided_at with
-        | Some at -> string_of_int (Vtime.to_int at)
-        | None -> "-")
-        s.final_state
-    in
-    let stats = r.Runner.net_stats in
-    Printf.sprintf "%s%s | sent=%d delivered=%d bounced=%d\n"
-      (Scenario.config_id config)
-      (String.concat "" (Array.to_list (Array.map site r.Runner.sites)))
-      stats.Network.sent stats.delivered stats.bounced
-  in
-  let md5 label configs =
-    Printf.sprintf "md5 %s (%d runs): %s\n" label (List.length configs)
-      (Digest.to_hex (Digest.string (String.concat "" (List.map row configs))))
-  in
-  String.concat "" (List.map row (grid ~n:3 ()))
-  ^ md5 "static n=4" (grid ~n:4 ())
-  ^ md5 "transient n=3"
-      (grid ~n:3
-         ~heals_after:
-           (None :: List.map (fun m -> Some (Vtime.of_int (t m))) [ 1; 3; 6 ])
-         ())
+  String.concat ""
+    (List.map pin [ "2pc"; "ext2pc"; "3pc"; "3pc+rules"; "3pc+rules-strict" ])
 
 let db_scenarios =
   [
@@ -403,6 +461,7 @@ let () =
           @ [
               ("cluster-report-timeline", cluster_report);
               ("4pc-grid", four_phase_grid);
+              ("fsa-protocols-grid", fsa_protocols_grid);
             ]
           @ obs_scenarios) );
       ("cross-view", cases ~cross:true crossed);
