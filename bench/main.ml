@@ -64,14 +64,14 @@ let fig1 () =
   row "  blocking whenever an in-doubt site loses the master.@.";
   List.iter
     (fun n ->
-      let result = Runner.run (module Two_phase) (base_config ~n ()) in
+      let result = Runner.run Fsa_actor.two_phase (base_config ~n ()) in
       let v = Verdict.of_result result in
       row "  n=%d failure-free: %d messages (3(n-1)=%d), outcome %s@." n
         result.net_stats.sent
         (3 * (n - 1))
         (match Verdict.outcome v with `Committed -> "commit" | _ -> "?"))
     [ 2; 3; 5; 8 ];
-  let summary = Sweep.run (module Two_phase) (static_grid ~n:3) in
+  let summary = Sweep.run Fsa_actor.two_phase (static_grid ~n:3) in
   pp_summary_line "2pc under partitions" summary;
   row "  -> consistent but blocks in %d/%d scenarios (the paper's motivation)@."
     summary.blocked_runs summary.runs
@@ -89,8 +89,8 @@ let fig2 () =
       Format.printf "%a" Commit_fsa.Augment.pp
         (Commit_fsa.Augment.apply_rules analysis)
   | None -> ());
-  let s2 = Sweep.run (module Ext_two_phase) (static_grid ~n:2) in
-  let s3 = Sweep.run (module Ext_two_phase) (static_grid ~n:3) in
+  let s2 = Sweep.run Fsa_actor.ext_two_phase (static_grid ~n:2) in
+  let s3 = Sweep.run Fsa_actor.ext_two_phase (static_grid ~n:3) in
   pp_summary_line "ext2pc n=2" s2;
   pp_summary_line "ext2pc n=3" s3;
   row "  paper: resilient for two sites, inconsistent for more.@.";
@@ -114,13 +114,13 @@ let fig3 () =
          else "violated")
   | None -> ());
   pp_summary_line "3pc (no augmentation)"
-    (Sweep.run (module Three_phase) (static_grid ~n:3));
+    (Sweep.run Fsa_actor.three_phase (static_grid ~n:3));
   pp_summary_line "3pc+rules (paper reading)"
-    (Sweep.run (module Three_phase_rules.Paper) (static_grid ~n:3));
+    (Sweep.run Fsa_actor.three_phase_rules (static_grid ~n:3));
   pp_summary_line "3pc+rules-strict"
-    (Sweep.run (module Three_phase_rules.Strict) (static_grid ~n:3));
+    (Sweep.run Fsa_actor.three_phase_rules_strict (static_grid ~n:3));
   pp_summary_line "3pc+rules-strict n=4"
-    (Sweep.run (module Three_phase_rules.Strict) (static_grid ~n:4));
+    (Sweep.run Fsa_actor.three_phase_rules_strict (static_grid ~n:4));
   row "  paper (Lemma 3): timeout/UD transitions cannot make 3PC resilient;@.";
   row "  measured: plain 3PC blocks, both rule resolutions violate atomicity.@."
 
@@ -382,11 +382,11 @@ let thm9 () =
   section "Theorem 9 — resilience to optimistic multisite simple partitioning";
   let protocols : (string * Site.packed * string) list =
     [
-      ("2pc", (module Two_phase), "blocks");
-      ("ext2pc", (module Ext_two_phase), "violates (n>2)");
-      ("3pc", (module Three_phase), "blocks");
-      ("3pc+rules", (module Three_phase_rules.Paper), "violates");
-      ("3pc+rules-strict", (module Three_phase_rules.Strict), "violates");
+      ("2pc", Fsa_actor.two_phase, "blocks");
+      ("ext2pc", Fsa_actor.ext_two_phase, "violates (n>2)");
+      ("3pc", Fsa_actor.three_phase, "blocks");
+      ("3pc+rules", Fsa_actor.three_phase_rules, "violates");
+      ("3pc+rules-strict", Fsa_actor.three_phase_rules_strict, "violates");
       ("3pc-skeen (ref [4])", (module Three_phase_skeen), "violates");
       ("quorum", (module Quorum), "blocks minority");
       ("termination", (module Termination.Static), "resilient");
@@ -567,7 +567,7 @@ let multi_partitioning () =
       ("termination", (module Termination.Static : Site.S));
       ("termination-transient", (module Termination.Transient));
       ("quorum", (module Quorum));
-      ("2pc", (module Two_phase));
+      ("2pc", Fsa_actor.two_phase);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -936,8 +936,8 @@ let db_cost () =
         (Commit_db.Txn_core.money ~prefix:"acct:" report.Tm.stores)
         expected)
     [
-      ("2pc", (module Two_phase : Site.S));
-      ("ext2pc", (module Ext_two_phase));
+      ("2pc", Fsa_actor.two_phase);
+      ("ext2pc", Fsa_actor.ext_two_phase);
       ("quorum", (module Quorum));
       ("termination", (module Termination.Static));
     ]
@@ -967,8 +967,8 @@ let latency_distribution () =
           row "  %-24s %a@." name (Stats.pp_in_t ~unit_t:t_unit) stats
       | None -> row "  %-24s no decisions@." name)
     [
-      ("2pc", (module Two_phase : Site.S));
-      ("3pc", (module Three_phase));
+      ("2pc", Fsa_actor.two_phase);
+      ("3pc", Fsa_actor.three_phase);
       ("quorum", (module Quorum));
       ("termination", (module Termination.Static));
       ("termination-transient", (module Termination.Transient));
@@ -1004,8 +1004,8 @@ let scalability () =
         Printf.sprintf "%4d msgs, %2dT" result.net_stats.sent (latest / t 1)
       in
       row "  %-4d %-28s %-28s %-28s@." n
-        (cell (module Two_phase))
-        (cell (module Three_phase))
+        (cell Fsa_actor.two_phase)
+        (cell Fsa_actor.three_phase)
         (cell (module Termination.Static)))
     [ 2; 4; 8; 16; 32 ];
   row "@.  partitioned at 2.1T (half the slaves cut off), termination protocol:@.";
@@ -1440,11 +1440,11 @@ let engine_bench ~smoke () =
   ignore ev1;
   let off2, s2 =
     measure ~name:"3pc-partition" ~trace:"off" ~iters:(scale 2000)
-      (protocol_run (module Three_phase) protocol_off)
+      (protocol_run Fsa_actor.three_phase protocol_off)
   in
   let on3, s3 =
     measure ~name:"3pc-partition" ~trace:"on" ~iters:(scale 2000)
-      (protocol_run (module Three_phase) protocol_on)
+      (protocol_run Fsa_actor.three_phase protocol_on)
   in
   let off4, s4 =
     measure ~name:"termination-partition" ~trace:"off" ~iters:(scale 2000)
@@ -1766,9 +1766,9 @@ let microbenchmarks () =
   let tests =
     [
       Test.make ~name:"run/2pc-clean"
-        (Staged.stage (failure_free (module Two_phase)));
+        (Staged.stage (failure_free Fsa_actor.two_phase));
       Test.make ~name:"run/3pc-clean"
-        (Staged.stage (failure_free (module Three_phase)));
+        (Staged.stage (failure_free Fsa_actor.three_phase));
       Test.make ~name:"run/termination-clean"
         (Staged.stage (failure_free (module Termination.Static)));
       Test.make ~name:"run/termination-partitioned"

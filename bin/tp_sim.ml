@@ -27,6 +27,23 @@ let protocols : (string * Site.packed) list = Registry.enum
 
 open Cmdliner
 
+(* Every command documents the same exit codes.  Bad input exits 2,
+   command-line parse errors included: the evaluation at the end maps
+   cmdliner's parse error to 2. *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:
+        "when the outcome fails its check: an atomicity violation, a \
+         blocked site, a torn transaction or a failed claim.";
+    Cmd.Exit.info 2
+      ~doc:
+        "on bad input, command-line parse errors included; the error is \
+         reported on standard error.";
+    Cmd.Exit.info 125 ~doc:"on unexpected internal errors (bugs).";
+  ]
+
 let protocol_arg =
   Arg.(
     required
@@ -361,7 +378,7 @@ let run_cmd =
     if Verdict.resilient verdict then 0 else 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc)
+    (Cmd.info "run" ~doc ~exits)
     Term.(
       const run $ protocol_arg $ n_arg $ t_arg $ g2_arg $ at_arg $ heal_arg
       $ seed_arg $ delay_arg $ no_votes_arg $ pessimistic_arg $ quiet_arg
@@ -414,7 +431,7 @@ let spans_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "spans" ~doc)
+    (Cmd.info "spans" ~doc ~exits)
     Term.(
       const run $ protocol_arg $ n_arg $ t_arg $ g2_arg $ at_arg $ heal_arg
       $ seed_arg $ delay_arg $ no_votes_arg $ pessimistic_arg $ crash_arg
@@ -463,7 +480,7 @@ let sweep_cmd =
     if summary.violations = 0 then 0 else 1
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc)
+    (Cmd.info "sweep" ~doc ~exits)
     Term.(
       const run $ protocol_arg $ n_arg $ t_arg $ heals_arg $ grid_arg
       $ json_arg $ jobs_arg)
@@ -502,7 +519,7 @@ let analyze_cmd =
           (Commit_fsa.Augment.apply_rules analysis);
         0
   in
-  Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ name_arg $ n_arg $ dot_arg)
+  Cmd.v (Cmd.info "analyze" ~doc ~exits) Term.(const run $ name_arg $ n_arg $ dot_arg)
 
 let cases_cmd =
   let doc = "Classify a scenario into the Section 6 case tree." in
@@ -520,7 +537,7 @@ let cases_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "cases" ~doc)
+    (Cmd.info "cases" ~doc ~exits)
     Term.(
       const run $ protocol_arg $ n_arg $ t_arg $ g2_arg $ at_arg $ heal_arg
       $ seed_arg $ delay_arg)
@@ -545,7 +562,7 @@ let diagram_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "diagram" ~doc)
+    (Cmd.info "diagram" ~doc ~exits)
     Term.(
       const run $ protocol_arg $ n_arg $ t_arg $ g2_arg $ at_arg $ heal_arg
       $ seed_arg $ delay_arg $ no_votes_arg $ crash_arg)
@@ -619,7 +636,7 @@ let db_cmd =
     if Tm.count_status report Tm.Txn_torn = 0 then 0 else 1
   in
   Cmd.v
-    (Cmd.info "db" ~doc)
+    (Cmd.info "db" ~doc ~exits)
     Term.(
       const run $ protocol_arg $ n_arg $ t_arg $ g2_arg $ at_arg $ heal_arg
       $ seed_arg $ delay_arg $ workload_arg $ txns_arg)
@@ -652,11 +669,11 @@ let check_cmd =
     let s = sweep (module Termination.Four_phase) 3 in
     verdict "Theorem 10: 4pc-termination resilient (n=3)"
       (s.violations = 0 && s.blocked_runs = 0);
-    let s = sweep (module Ext_two_phase) 3 in
+    let s = sweep Fsa_actor.ext_two_phase 3 in
     verdict "Section 3 obs. 1: ext2pc violates for n=3" (s.violations > 0);
-    let s = sweep (module Three_phase_rules.Paper) 3 in
+    let s = sweep Fsa_actor.three_phase_rules 3 in
     verdict "Section 3 obs. 2: 3pc+rules violates" (s.violations > 0);
-    let s = sweep (module Two_phase) 3 in
+    let s = sweep Fsa_actor.two_phase 3 in
     verdict "Fig. 1: 2pc blocks but stays atomic"
       (s.violations = 0 && s.blocked_runs > 0);
     let s = sweep (module Quorum) 3 in
@@ -715,7 +732,7 @@ let check_cmd =
        else Printf.sprintf "%d check(s) FAILED" !failures);
     if !failures = 0 then 0 else 1
   in
-  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "check" ~doc ~exits) Term.(const run $ const ())
 
 let lemma3_cmd =
   let doc =
@@ -790,7 +807,7 @@ let lemma3_cmd =
       (List.length survivors);
     if survivors = [] then 0 else 1
   in
-  Cmd.v (Cmd.info "lemma3" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "lemma3" ~doc ~exits) Term.(const run $ const ())
 
 (* Unlike the single-scenario runner, cluster/soak default to the
    paper's protocol instead of requiring --protocol. *)
@@ -1088,7 +1105,7 @@ let cluster_cmd =
         if Cluster.Cluster_sweep.clean summary then 0 else 1
   in
   Cmd.v
-    (Cmd.info "cluster" ~doc)
+    (Cmd.info "cluster" ~doc ~exits)
     Term.(
       const run $ cluster_protocol_arg $ n_arg $ t_arg $ g2_arg $ cut_arg
       $ cluster_heal_arg $ seed_arg $ delay_arg $ pessimistic_arg
@@ -1199,7 +1216,7 @@ let soak_cmd =
     if Cluster.Soak.conserved summary then 0 else 1
   in
   Cmd.v
-    (Cmd.info "soak" ~doc)
+    (Cmd.info "soak" ~doc ~exits)
     Term.(
       const run $ cluster_protocol_arg $ n_arg $ t_arg $ seed_arg $ delay_arg
       $ pessimistic_arg $ epochs_arg $ segment_arg $ load_arg $ fault_free_arg
@@ -1319,7 +1336,7 @@ let metrics_cmd =
       records;
     0
   in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const run $ file_arg)
+  Cmd.v (Cmd.info "metrics" ~doc ~exits) Term.(const run $ file_arg)
 
 let list_cmd =
   let doc = "List available protocols and subcommands." in
@@ -1363,24 +1380,34 @@ let list_cmd =
     Format.printf "the summary is byte-identical for every N.@.";
     0
   in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "list" ~doc ~exits) Term.(const run $ const ())
 
 let () =
   let doc = "Termination protocol for simple network partitioning (ICDE 1987)" in
-  let info = Cmd.info "tp_sim" ~doc in
-  exit (Cmd.eval' (Cmd.group info
-       [
-         analyze_cmd;
-         cases_cmd;
-         check_cmd;
-         cluster_cmd;
-         db_cmd;
-         diagram_cmd;
-         lemma3_cmd;
-         list_cmd;
-         metrics_cmd;
-         run_cmd;
-         soak_cmd;
-         spans_cmd;
-         sweep_cmd;
-       ]))
+  let info = Cmd.info "tp_sim" ~doc ~exits in
+  let cmd =
+    Cmd.group info
+      [
+        analyze_cmd;
+        cases_cmd;
+        check_cmd;
+        cluster_cmd;
+        db_cmd;
+        diagram_cmd;
+        lemma3_cmd;
+        list_cmd;
+        metrics_cmd;
+        run_cmd;
+        soak_cmd;
+        spans_cmd;
+        sweep_cmd;
+      ]
+  in
+  (* cmdliner reports an unknown subcommand as a term error; no tp_sim
+     term returns one, so both error kinds mean bad command-line input. *)
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

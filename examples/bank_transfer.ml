@@ -51,8 +51,8 @@ let describe name report =
 let () =
   Format.printf
     "Eight cross-site transfers; site3 cut off at 20.2T (during transfer 3).@.@.";
-  let _ = describe "2pc" (run (module Two_phase)) in
-  let _ = describe "ext2pc" (run (module Ext_two_phase)) in
+  let _ = describe "2pc" (run Fsa_actor.two_phase) in
+  let _ = describe "ext2pc" (run Fsa_actor.ext_two_phase) in
   let report = describe "termination (paper)" (run (module Termination.Static)) in
 
   (* With the termination protocol every store is cleanly terminated:

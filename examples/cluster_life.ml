@@ -58,7 +58,7 @@ let committed_per_bucket report =
 let () =
   let protocols =
     [
-      ("2pc", (module Two_phase : Site.S));
+      ("2pc", Fsa_actor.two_phase);
       ("quorum", (module Quorum));
       ("termination-transient", (module Termination.Transient));
     ]

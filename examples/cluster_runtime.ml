@@ -56,8 +56,8 @@ let () =
         r.Cluster.Runtime.blocked r.Cluster.Runtime.starved
         r.Cluster.Runtime.rejected)
     [
-      ("2pc", (module Two_phase : Site.S));
-      ("3pc", (module Three_phase));
+      ("2pc", Fsa_actor.two_phase);
+      ("3pc", Fsa_actor.three_phase);
       ("quorum", (module Quorum));
     ];
   Format.printf

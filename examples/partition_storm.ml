@@ -15,11 +15,11 @@ let t_unit = Vtime.of_int 1000
 
 let protocols : Site.packed list =
   [
-    (module Two_phase);
-    (module Ext_two_phase);
-    (module Three_phase);
-    (module Three_phase_rules.Paper);
-    (module Three_phase_rules.Strict);
+    Fsa_actor.two_phase;
+    Fsa_actor.ext_two_phase;
+    Fsa_actor.three_phase;
+    Fsa_actor.three_phase_rules;
+    Fsa_actor.three_phase_rules_strict;
     (module Three_phase_skeen);
     (module Quorum);
     (module Termination.Static);

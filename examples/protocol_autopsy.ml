@@ -53,7 +53,7 @@ let () =
         "Partition at 2.1T separates site3 just as the commit commands \
          travel.\ncommit2 is delivered; commit3 bounces; the master aborts \
          on UD(commit3)."
-      (module Ext_two_phase)
+      Fsa_actor.ext_two_phase
       (base ~n:3 (partition ~g2:[ 3 ] ~at:2100 ~n:3 ()))
   in
 
@@ -66,7 +66,7 @@ let () =
         "Partition at 2.1T renders prepare3 undeliverable.  site3 times \
          out in w3 and aborts;\nthe p-side commits.  Lemma 3: no assignment \
          of timeout/UD transitions can fix this."
-      (module Three_phase_rules.Paper)
+      Fsa_actor.three_phase_rules
       (base ~n:3 (partition ~g2:[ 3 ] ~at:2100 ~n:3 ()))
   in
 

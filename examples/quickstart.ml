@@ -48,5 +48,5 @@ let () =
   print_outcome "partition at 2.1T cutting off site3" result;
 
   (* 3. The same scenario under plain 3PC: blocked sites. *)
-  let result_3pc = Runner.run (module Three_phase) config in
+  let result_3pc = Runner.run Fsa_actor.three_phase config in
   print_outcome "same scenario, plain 3PC (blocks)" result_3pc

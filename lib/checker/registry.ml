@@ -8,31 +8,31 @@ let all : entry list =
     {
       name = "2pc";
       summary = "two-phase commit; blocks when the master is unreachable";
-      protocol = (module Two_phase);
+      protocol = Fsa_actor.two_phase;
     }
     ;
     {
       name = "ext2pc";
       summary = "2PC with the paper's extended (cooperative) termination";
-      protocol = (module Ext_two_phase);
+      protocol = Fsa_actor.ext_two_phase;
     }
     ;
     {
       name = "3pc";
       summary = "three-phase commit, no termination rules";
-      protocol = (module Three_phase);
+      protocol = Fsa_actor.three_phase;
     }
     ;
     {
       name = "3pc+rules";
       summary = "3PC with the paper's timeout/UD rules (a)-(d)";
-      protocol = (module Three_phase_rules);
+      protocol = Fsa_actor.three_phase_rules;
     }
     ;
     {
       name = "3pc+rules-strict";
       summary = "3PC rules with the strict rule (c) reading";
-      protocol = (module Three_phase_rules.Strict);
+      protocol = Fsa_actor.three_phase_rules_strict;
     }
     ;
     {

@@ -267,6 +267,10 @@ module Run (P : Site.S) = struct
   let run ~obs ~scratch config =
     if config.load < 1 then invalid_arg "Runtime.run: load must be >= 1";
     if config.window < 1 then invalid_arg "Runtime.run: window must be >= 1";
+    (match config.queue_limit with
+    | Some limit when limit < 0 ->
+        invalid_arg "Runtime.run: queue_limit must be >= 0"
+    | Some _ | None -> ());
     if config.amount <= 0 || config.amount >= config.balance then
       invalid_arg "Runtime.run: need 0 < amount < balance";
     if config.n < 2 then invalid_arg "Runtime.run: need at least two sites";

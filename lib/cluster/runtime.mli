@@ -140,8 +140,8 @@ val run : ?obs:Obs.t -> ?scratch:scratch -> config -> report
     is [obs], its text view on exactly when [config.trace_enabled] is.
     [scratch] reuses a per-domain engine via {!Engine.reset}; the
     returned [report.trace] is never the scratch's.
-    @raise Invalid_argument on a non-positive load/window,
-    [amount >= balance], or a crash or recovery schedule the core
+    @raise Invalid_argument on a non-positive load/window, a negative
+    queue limit, fewer than two sites, [amount >= balance], or a crash or recovery schedule the core
     rejects (a site outside [1..n], a recovery without an earlier
     crash). *)
 

@@ -70,8 +70,8 @@ val run : ?jobs:int -> config -> summary
     folds the epochs with {!Commit_par.Pool.fold}, which clamps it to
     [Pool.default_jobs ()] domains; the summary is identical for every
     value.
-    @raise Invalid_argument if [epochs < 1], [segment < 10T] or
-    [jobs < 1]. *)
+    @raise Invalid_argument if the base config has fewer than two
+    sites, [epochs < 1], [segment < 10T] or [jobs < 1]. *)
 
 val merge : summary -> summary -> summary
 (** The ordered associative merge the parallel path folds with

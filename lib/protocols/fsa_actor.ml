@@ -2,39 +2,30 @@ module M = Commit_fsa.Machine
 
 type outcome = [ `To_commit | `To_abort ]
 
-let tmpl_fsa_transition = Ctx.str2_template ~prefix:"fsa: " ~mid:" -> " ~suffix:""
-
 type assignment = {
   timeouts : ((M.role * string) * outcome) list;
   uds : ((M.role * string) * outcome) list;
 }
 
-let msg_of_tag = function
-  | "xact" -> Types.Xact
-  | "yes" -> Types.Yes
-  | "no" -> Types.No
-  | "pre-prepare" -> Types.Pre_prepare
-  | "pre-ack" -> Types.Pre_ack
-  | "prepare" -> Types.Prepare
-  | "ack" -> Types.Ack
-  | "commit" -> Types.Commit_cmd
-  | "abort" -> Types.Abort_cmd
-  | tag -> invalid_arg (Printf.sprintf "Fsa_actor: unknown message tag %S" tag)
+(* The FSA alphabet, indexed by [Types.msg_code]; a tag is its message's
+   [Types.msg_tag].  One more edge slot after it holds the master's
+   [Start] transition, taken on the user's request. *)
+let alphabet =
+  Types.
+    [|
+      Xact; Yes; No; Pre_prepare; Pre_ack; Prepare; Ack; Commit_cmd; Abort_cmd;
+    |]
 
-let tag_of_msg = function
-  | Types.Xact -> Some "xact"
-  | Types.Yes -> Some "yes"
-  | Types.No -> Some "no"
-  | Types.Pre_prepare -> Some "pre-prepare"
-  | Types.Pre_ack -> Some "pre-ack"
-  | Types.Prepare -> Some "prepare"
-  | Types.Ack -> Some "ack"
-  | Types.Commit_cmd -> Some "commit"
-  | Types.Abort_cmd -> Some "abort"
-  | Types.Probe _ | Types.State_inquiry _ | Types.State_answer _
-  | Types.Px_vote _ | Types.Px_accept _ | Types.Px_poll _ | Types.Px_promise _
-    ->
-      None
+let start_slot = Array.length alphabet
+
+let index_of_tag tag =
+  match
+    Array.find_index (fun m -> String.equal (Types.msg_tag m) tag) alphabet
+  with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Fsa_actor: unknown message tag %S" tag)
+
+let abort_slot = index_of_tag "abort"
 
 let is_waiting machine id =
   (not (M.is_final machine id)) && M.receivable_tags machine id <> []
@@ -74,197 +65,299 @@ let validate_assignment (fsa : M.t) assignment =
              Commit_fsa.Analysis.pp_site_state state))
     (assignment.timeouts @ assignment.uds)
 
-(* One module per (fsa, assignment) pair, packed as a first-class
-   Site.S. *)
+(* ------------------------------------------------------------------ *)
+(* The compiled machine                                                *)
+(* ------------------------------------------------------------------ *)
+
+type send = To_slaves of Types.msg | To_master of Types.msg
+
+let rec send ctx = function
+  | [] -> ()
+  | To_slaves msg :: rest ->
+      Ctx.broadcast_slaves ctx msg;
+      send ctx rest
+  | To_master msg :: rest ->
+      Ctx.send_master ctx msg;
+      send ctx rest
+
+type edge = {
+  target : int;  (* index into [compiled.states] *)
+  sends : send list;
+  collect : bool;  (* Recv_all_votes: taken once every slave sent it *)
+  reason : string;  (* the decision's reason, when [target] is final *)
+}
+
+(* A timeout or returned message's jump to a final state.  [why] is the
+   whole reason for a timeout, and the text after "UD(<msg>" for a
+   returned message. *)
+type jump = { goal : int; command : Types.msg option; why : string }
+
+type state = {
+  id : string;
+  final : Types.decision option;
+  edges : edge option array;  (* by message index, then [start_slot] *)
+  timeout : jump option;
+  ud : jump option;
+  label : Label.t;
+}
+
+type compiled = { states : state array; initial : int; mult_t : int }
+
+let reason_of (guard : M.guard) =
+  match guard with
+  | M.Recv "xact" -> "voted no"
+  | M.Recv "no" -> "received a no vote"
+  | M.Recv_all_votes "yes" -> "all yes votes received"
+  | M.Recv_all_votes tag -> Printf.sprintf "all %ss received" tag
+  | M.Recv tag -> tag ^ " command"
+  | M.Start -> "request"
+
+(* One role machine, for one vote: a state's edges on a tag are the
+   transitions reading it, and where a vote choice offers two, the one
+   whose [votes_yes] matches. *)
+let compile ~protocol assignment (machine : M.machine) ~vote_yes =
+  let states = Array.of_list machine.M.states in
+  (* [M.validate_exn] has checked that every transition's states exist. *)
+  let index id =
+    Option.get
+      (Array.find_index (fun (s : M.state) -> String.equal s.M.id id) states)
+  in
+  let final_of kind =
+    match Array.find_index (fun (s : M.state) -> s.M.kind = kind) states with
+    | Some i -> i
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Fsa_actor: %s has no %s state" protocol
+             (if kind = M.Commit then "commit" else "abort"))
+  in
+  let commit_state = final_of M.Commit and abort_state = final_of M.Abort in
+  let slot_of (tr : M.transition) =
+    match tr.M.guard with
+    | M.Start -> start_slot
+    | M.Recv tag | M.Recv_all_votes tag -> index_of_tag tag
+  in
+  let edge_of (tr : M.transition) =
+    {
+      target = index tr.M.target;
+      sends =
+        List.map
+          (function
+            | M.Send_slaves tag -> To_slaves alphabet.(index_of_tag tag)
+            | M.Send_master tag -> To_master alphabet.(index_of_tag tag))
+          tr.M.actions;
+      collect =
+        (match tr.M.guard with M.Recv_all_votes _ -> true | _ -> false);
+      reason = reason_of tr.M.guard;
+    }
+  in
+  let state_of (s : M.state) =
+    let out =
+      List.filter
+        (fun (tr : M.transition) -> String.equal tr.M.source s.M.id)
+        machine.M.transitions
+    in
+    let edges =
+      Array.init (start_slot + 1) (fun slot ->
+          match List.filter (fun tr -> slot_of tr = slot) out with
+          | [] -> None
+          | [ tr ] -> Some (edge_of tr)
+          | choice ->
+              Option.map edge_of
+                (List.find_opt
+                   (fun (tr : M.transition) -> tr.M.votes_yes = vote_yes)
+                   choice))
+    in
+    let final =
+      match s.M.kind with
+      | M.Commit -> Some Types.Commit
+      | M.Abort -> Some Types.Abort
+      | M.Initial | M.Intermediate -> None
+    in
+    (* The network is not FIFO, so an abort command can overtake xact:
+       it moves any non-final slave state to abort. *)
+    if machine.M.role = M.Slave && final = None && edges.(abort_slot) = None
+    then
+      edges.(abort_slot) <-
+        Some
+          {
+            target = abort_state;
+            sends = [];
+            collect = false;
+            reason = "abort command";
+          };
+    (* A master never re-sends the command it entered this state by
+       sending. *)
+    let entered_by msg =
+      List.exists
+        (fun (tr : M.transition) ->
+          String.equal tr.M.target s.M.id
+          && List.mem (M.Send_slaves (Types.msg_tag msg)) tr.M.actions)
+        machine.M.transitions
+    in
+    let jump table ~why =
+      Option.map
+        (fun outcome ->
+          let goal, command, word =
+            match outcome with
+            | `To_commit -> (commit_state, Types.Commit_cmd, "commit")
+            | `To_abort -> (abort_state, Types.Abort_cmd, "abort")
+          in
+          {
+            goal;
+            command =
+              (if machine.M.role = M.Master && not (entered_by command) then
+                 Some command
+               else None);
+            why = why ^ word;
+          })
+        (List.assoc_opt (machine.M.role, s.M.id) table)
+    in
+    {
+      id = s.M.id;
+      final;
+      edges;
+      timeout = jump assignment.timeouts ~why:(s.M.id ^ " timeout -> ");
+      ud = jump assignment.uds ~why:(") in " ^ s.M.id ^ " -> ");
+      label = Label.Static (s.M.id ^ "-timeout");
+    }
+  in
+  {
+    states = Array.map state_of states;
+    initial = index machine.M.initial;
+    mult_t = (match machine.M.role with M.Master -> 2 | M.Slave -> 3);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The interpreter                                                     *)
+(* ------------------------------------------------------------------ *)
+
 let make ~name:protocol_name fsa assignment =
   let fsa = M.validate_exn fsa in
   validate_assignment fsa assignment;
-  (* Check every tag is realisable up front. *)
-  List.iter
-    (fun (machine : M.machine) ->
-      List.iter
-        (fun (tr : M.transition) ->
-          (match tr.M.guard with
-          | M.Recv tag | M.Recv_all_votes tag -> ignore (msg_of_tag tag)
-          | M.Start -> ());
-          List.iter
-            (function
-              | M.Send_slaves tag | M.Send_master tag -> ignore (msg_of_tag tag))
-            tr.M.actions)
-        machine.M.transitions)
-    [ fsa.M.master; fsa.M.slave ];
+  let compile = compile ~protocol:protocol_name assignment in
+  let master = compile fsa.M.master ~vote_yes:true in
+  let yes_slave = compile fsa.M.slave ~vote_yes:true in
+  let no_slave = compile fsa.M.slave ~vote_yes:false in
   let module Actor = struct
     let name = protocol_name
 
-    let blocking_by_design = false
+    let blocking_by_design = assignment.timeouts = [] && assignment.uds = []
 
     type t = {
       ctx : Ctx.t;
-      machine : M.machine;
-      vote_yes : bool;
+      machine : compiled;
       timer : Ctx.Timer_slot.slot;
-      mutable state : string;
-      mutable votes : (string * Site_id.Set.t) list;  (* Recv_all_votes *)
+      mutable state : state;
+      mutable votes : Site_id.Set.t;  (* senders toward a [collect] edge *)
     }
 
-    let role_of t = t.machine.M.role
-
     let create ctx role =
-      let machine, vote_yes =
+      let machine =
         match role with
-        | Site.Master_role -> (fsa.M.master, true)
-        | Site.Slave_role { vote_yes } -> (fsa.M.slave, vote_yes)
+        | Site.Master_role -> master
+        | Site.Slave_role { vote_yes } ->
+            if vote_yes then yes_slave else no_slave
       in
-      Ctx.obs_state ctx machine.M.initial;
+      let state = machine.states.(machine.initial) in
+      Ctx.obs_state ctx state.id;
       {
         ctx;
         machine;
-        vote_yes;
         timer = Ctx.Timer_slot.create ();
-        state = machine.M.initial;
-        votes = [];
+        state;
+        votes = Site_id.Set.empty;
       }
 
-    let state_name t = t.state
+    let state_name t = t.state.id
 
-    let lookup table t = List.assoc_opt (role_of t, t.state) table
-
-    let final_of t kind =
-      match
-        List.find_opt (fun (s : M.state) -> s.M.kind = kind) t.machine.M.states
-      with
-      | Some s -> s.M.id
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Fsa_actor: %s has no %s state" protocol_name
-               (match kind with M.Commit -> "commit" | _ -> "abort"))
-
-    let do_action t = function
-      | M.Send_slaves tag -> Ctx.broadcast_slaves t.ctx (msg_of_tag tag)
-      | M.Send_master tag -> Ctx.send_master t.ctx (msg_of_tag tag)
-
-    let decide_if_final t =
-      match M.kind_of t.machine t.state with
-      | M.Commit -> Ctx.decide t.ctx Types.Commit ~reason:"fsa: commit state"
-      | M.Abort -> Ctx.decide t.ctx Types.Abort ~reason:"fsa: abort state"
-      | M.Initial | M.Intermediate -> ()
-
-    (* Jump to the assigned final state on a timeout or returned
-       message; the master announces the outcome. *)
-    let rec jump t why outcome =
+    (* Every state change goes through [enter], which cancels the timer;
+       so a timer that fires is always the current state's. *)
+    let enter t index =
       Ctx.Timer_slot.cancel t.timer;
-      let kind = match outcome with `To_commit -> M.Commit | `To_abort -> M.Abort in
-      t.state <- final_of t kind;
-      Ctx.obs_state t.ctx t.state;
-      if Ctx.tracing t.ctx then
-        Ctx.log2 t.ctx tmpl_fsa_transition (Ctx.intern t.ctx why)
-          (Ctx.intern t.ctx t.state);
-      if role_of t = M.Master then
-        Ctx.broadcast_slaves t.ctx
-          (match outcome with
-          | `To_commit -> Types.Commit_cmd
-          | `To_abort -> Types.Abort_cmd);
-      decide_if_final t
+      t.state <- t.machine.states.(index);
+      t.votes <- Site_id.Set.empty;
+      Ctx.obs_state t.ctx t.state.id
 
-    and arm_timer t =
-      Ctx.Timer_slot.cancel t.timer;
-      if is_waiting t.machine t.state then
-        match lookup assignment.timeouts t with
-        | None -> ()
-        | Some outcome ->
-            let mult_t = if role_of t = M.Master then 2 else 3 in
-            let here = t.state in
-            Ctx.Timer_slot.set t.ctx t.timer ~mult_t ~label:(Label.Static "fsa-timeout")
-              (fun () ->
-                if String.equal t.state here then
-                  jump t ("timeout in " ^ here) outcome)
+    let decide t reason =
+      match t.state.final with
+      | Some decision -> Ctx.decide t.ctx decision ~reason
+      | None -> ()
 
-    let apply t (tr : M.transition) =
-      t.state <- tr.M.target;
-      Ctx.obs_state t.ctx t.state;
-      List.iter (do_action t) tr.M.actions;
-      arm_timer t;
-      decide_if_final t
+    let jump t (j : jump) ~reason =
+      enter t j.goal;
+      Option.iter (Ctx.broadcast_slaves t.ctx) j.command;
+      decide t reason
+
+    let take t (e : edge) =
+      enter t e.target;
+      send t.ctx e.sends;
+      (match t.state.timeout with
+      | Some j ->
+          Ctx.Timer_slot.set t.ctx t.timer ~mult_t:t.machine.mult_t
+            ~label:t.state.label (fun () -> jump t j ~reason:j.why)
+      | None -> ());
+      decide t e.reason
 
     let begin_transaction t =
-      match
-        List.find_opt
-          (fun (tr : M.transition) ->
-            tr.M.guard = M.Start && String.equal tr.M.source t.state)
-          t.machine.M.transitions
-      with
-      | Some tr -> apply t tr
-      | None -> ()
-
-    let candidate_transitions t tag =
-      List.filter
-        (fun (tr : M.transition) ->
-          String.equal tr.M.source t.state
-          &&
-          match tr.M.guard with
-          | M.Recv tag' | M.Recv_all_votes tag' -> String.equal tag tag'
-          | M.Start -> false)
-        t.machine.M.transitions
-
-    let on_message t (envelope : Types.msg Network.envelope) =
-      match tag_of_msg envelope.payload with
-      | None -> ()
-      | Some tag -> (
-          (* A vote choice appears as two transitions reading the same
-             tag; the voting flag picks the branch. *)
-          let candidates = candidate_transitions t tag in
-          let chosen =
-            match candidates with
-            | [] -> None
-            | [ tr ] -> Some tr
-            | multiple ->
-                List.find_opt
-                  (fun (tr : M.transition) -> tr.M.votes_yes = t.vote_yes)
-                  multiple
-          in
-          match chosen with
-          | None -> ()
-          | Some tr -> (
-              match tr.M.guard with
-              | M.Start -> ()
-              | M.Recv _ -> apply t tr
-              | M.Recv_all_votes tag ->
-                  let seen =
-                    Option.value
-                      (List.assoc_opt tag t.votes)
-                      ~default:Site_id.Set.empty
-                  in
-                  let seen = Site_id.Set.add envelope.src seen in
-                  t.votes <- (tag, seen) :: List.remove_assoc tag t.votes;
-                  if Site_id.Set.cardinal seen = Ctx.n t.ctx - 1 then
-                    apply t tr))
+      match t.state.edges.(start_slot) with Some e -> take t e | None -> ()
 
     let on_delivery t = function
-      | Network.Msg envelope -> on_message t envelope
-      | Network.Undeliverable _ -> (
-          match lookup assignment.uds t with
-          | Some outcome -> jump t ("UD in " ^ t.state) outcome
-          | None -> ())
+      | Network.Msg envelope -> (
+          let code = Types.msg_code envelope.payload in
+          let edge = if code < start_slot then t.state.edges.(code) else None in
+          match edge with
+          | Some e when e.collect ->
+              t.votes <- Site_id.Set.add envelope.src t.votes;
+              if Site_id.Set.cardinal t.votes = Ctx.n t.ctx - 1 then take t e
+          | Some e -> take t e
+          | None -> Ctx.log_ignoring t.ctx envelope.payload t.state.id)
+      | Network.Undeliverable envelope -> (
+          match t.state.ud with
+          | Some j ->
+              jump t j ~reason:("UD(" ^ Types.msg_tag envelope.payload ^ j.why)
+          | None -> Ctx.log_ud_ignored t.ctx envelope.payload t.state.id)
   end in
   (module Actor : Site.S)
 
-let of_augment ~name augment =
-  let analysis = augment.Commit_fsa.Augment.analysis in
-  let fsa = Commit_fsa.Analysis.protocol analysis in
-  let to_outcome = function
-    | Commit_fsa.Augment.To_commit -> `To_commit
-    | Commit_fsa.Augment.To_abort -> `To_abort
+(* Rules (a)/(b) over [fsa]'s failure-free concurrency sets at [n]
+   sites: timeouts from Rule (a); UDs from Rule (b) where it decides,
+   else from Rule (a). *)
+let rules ~name fsa ~n =
+  let open Commit_fsa.Augment in
+  let outcome = function To_commit -> `To_commit | To_abort -> `To_abort in
+  let rules = (apply_rules (Commit_fsa.Analysis.analyze fsa ~n)).assignments in
+  let each f = List.map (fun a -> (a.state, outcome (f a))) rules in
+  make ~name fsa
+    {
+      timeouts = each (fun a -> a.timeout);
+      uds =
+        each (fun a -> Option.value a.on_undeliverable ~default:a.timeout);
+    }
+
+(* ------------------------------------------------------------------ *)
+(* The five protocols                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let none = { timeouts = []; uds = [] }
+
+let two_phase = make ~name:"2pc" Commit_fsa.Catalog.two_phase none
+
+let ext_two_phase =
+  rules ~name:"ext2pc" Commit_fsa.Catalog.extended_two_phase ~n:2
+
+let three_phase = make ~name:"3pc" Commit_fsa.Catalog.three_phase none
+
+let three_phase_rules =
+  let commit_leaning =
+    [
+      ((M.Master, "w1"), `To_abort);
+      ((M.Master, "p1"), `To_commit);
+      ((M.Slave, "w"), `To_abort);
+      ((M.Slave, "p"), `To_commit);
+    ]
   in
-  let timeouts, uds =
-    List.fold_left
-      (fun (timeouts, uds) (a : Commit_fsa.Augment.assignment) ->
-        let timeout = to_outcome a.Commit_fsa.Augment.timeout in
-        let ud =
-          match a.Commit_fsa.Augment.on_undeliverable with
-          | Some o -> to_outcome o
-          | None -> timeout (* ambiguous: follow Rule(a) *)
-        in
-        ((a.state, timeout) :: timeouts, (a.state, ud) :: uds))
-      ([], []) augment.Commit_fsa.Augment.assignments
-  in
-  make ~name fsa { timeouts; uds }
+  make ~name:"3pc+rules" Commit_fsa.Catalog.three_phase
+    { timeouts = commit_leaning; uds = commit_leaning }
+
+let three_phase_rules_strict =
+  rules ~name:"3pc+rules-strict" Commit_fsa.Catalog.three_phase ~n:3

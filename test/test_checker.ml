@@ -36,7 +36,7 @@ let test_verdict_mixed () =
   let p = partition ~g2:[ 3 ] ~at:2100 ~n:3 () in
   let result =
     Runner.run
-      (module Ext_two_phase)
+      Fsa_actor.ext_two_phase
       (config ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   let v = Verdict.of_result result in
@@ -50,7 +50,7 @@ let test_verdict_blocked_and_vacuous () =
   let p = partition ~g2:[ 3 ] ~at:100 ~n:3 () in
   let result =
     Runner.run
-      (module Two_phase)
+      Fsa_actor.two_phase
       (config ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   let v = Verdict.of_result result in
@@ -146,7 +146,7 @@ let test_sweep_accounting () =
   check Alcotest.int "termination never violates" 0 summary.violations
 
 let test_sweep_collects_examples () =
-  let summary = Sweep.run ~keep:2 (module Two_phase) (tiny_grid ~n:3) in
+  let summary = Sweep.run ~keep:2 Fsa_actor.two_phase (tiny_grid ~n:3) in
   check Alcotest.bool "blocked runs found" true (summary.blocked_runs > 0);
   check Alcotest.bool "examples kept" true
     (List.length summary.blocked_examples > 0

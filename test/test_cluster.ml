@@ -232,7 +232,7 @@ let test_runtime_baselines_block () =
       check Alcotest.bool "queue backs up" true (report.Runtime.starved > 0);
       check Alcotest.bool "never invokes termination" true
         (report.Runtime.termination_invocations = 0))
-    [ (module Two_phase : Site.S); (module Three_phase) ]
+    [ Fsa_actor.two_phase; Fsa_actor.three_phase ]
 
 let test_runtime_deterministic_json () =
   let dump () =

@@ -219,8 +219,8 @@ let no_deadlock_property =
 
 let protocols_under_test : (string * Site.packed) list =
   [
-    ("2pc", (module Two_phase));
-    ("3pc", (module Three_phase));
+    ("2pc", Fsa_actor.two_phase);
+    ("3pc", Fsa_actor.three_phase);
     ("quorum", (module Quorum));
     ("termination", (module Termination.Static));
     ("termination-transient", (module Termination.Transient));
@@ -271,7 +271,7 @@ let test_tm_no_vote_aborts_cleanly () =
     (Txn_core.money ~prefix:"acct:" report.Tm.stores)
 
 let test_tm_duplicate_tids_rejected () =
-  let config = Tm.default_config ~protocol:(module Two_phase) () in
+  let config = Tm.default_config ~protocol:Fsa_actor.two_phase () in
   let t1 = Tm.txn ~tid:1 ~start_at:Vtime.zero [] in
   let raised =
     try
@@ -330,7 +330,7 @@ let test_tm_crash_schedule_checked () =
      not when (or if) the crash fires. *)
   let config =
     {
-      (Tm.default_config ~protocol:(module Two_phase) ()) with
+      (Tm.default_config ~protocol:Fsa_actor.two_phase ()) with
       Tm.crashes = [ (site 5, Vtime.of_int 1_000_000) ];
     }
   in
@@ -412,7 +412,7 @@ let hot_config ~protocol =
 
 let test_2pc_blocked_txn_pins_lock_queue () =
   let w = Workload.hot_spot ~n:3 ~txns:4 ~spacing:(Vtime.of_int 10000) in
-  let config = { (hot_config ~protocol:(module Two_phase)) with Tm.initial = w.Workload.initial } in
+  let config = { (hot_config ~protocol:Fsa_actor.two_phase) with Tm.initial = w.Workload.initial } in
   let report = Tm.run config w.Workload.txns in
   (* t1 blocks; t2..t4 never get the hot lock. *)
   check Alcotest.int "one blocked" 1 (Tm.count_status report Tm.Txn_blocked);
@@ -494,7 +494,7 @@ let test_ext2pc_partition_breaks_conservation () =
   let torn =
     List.exists
       (fun at ->
-        Txn_core.money ~prefix:"acct:" (run (module Ext_two_phase) at).Tm.stores <> 2000)
+        Txn_core.money ~prefix:"acct:" (run Fsa_actor.ext_two_phase at).Tm.stores <> 2000)
       instants
   in
   check Alcotest.bool "ext2pc tears a transfer at some instant" true torn;
@@ -638,7 +638,7 @@ let test_inventory_consistent_failure_free () =
       | Ok () -> ()
       | Error e -> Alcotest.fail (name ^ ": " ^ e))
     [
-      ("2pc", (module Two_phase : Site.S));
+      ("2pc", Fsa_actor.two_phase);
       ("termination", (module Termination.Static));
     ]
 
@@ -665,7 +665,7 @@ let test_inventory_ext2pc_can_tear () =
             ~group2:(Site_id.set_of_ints [ 3 ])
             ~starts_at:(Vtime.of_int at) ~n:3 ()
         in
-        let report = inventory_run ~partition (module Ext_two_phase) in
+        let report = inventory_run ~partition Fsa_actor.ext_two_phase in
         Workload.inventory_consistent report <> Ok ())
       (List.init 40 (fun i -> 6000 + (500 * i)))
   in
@@ -821,8 +821,8 @@ let conservation_any_atomic_protocol =
     (fun (at, proto_ix, seed) ->
       let protocol : Site.packed =
         match proto_ix with
-        | 0 -> (module Two_phase)
-        | 1 -> (module Three_phase)
+        | 0 -> Fsa_actor.two_phase
+        | 1 -> Fsa_actor.three_phase
         | 2 -> (module Quorum)
         | _ -> (module Termination.Static)
       in

@@ -254,7 +254,7 @@ let test_augment_3pc () =
   check Alcotest.bool "slave w -> abort" true (w.Augment.timeout = Augment.To_abort);
   check Alcotest.bool "slave p -> commit" true (p.Augment.timeout = Augment.To_commit);
   (* Mechanical Rule(a): C(p1) holds no commit state, so p1 times out to
-     abort — the "strict" strawman; see Three_phase_rules. *)
+     abort — the "strict" strawman, Fsa_actor.three_phase_rules_strict. *)
   check Alcotest.bool "master p1 -> abort" true
     (p1.Augment.timeout = Augment.To_abort);
   (* The slave initial state waits for xact whose sender (q1) never
@@ -275,8 +275,8 @@ let test_actors_land_in_fsa_terminals () =
   let t_unit = Vtime.of_int 1000 in
   let pairs : (Site.packed * M.t) list =
     [
-      ((module Two_phase), Catalog.two_phase);
-      ((module Three_phase), Catalog.three_phase);
+      (Fsa_actor.two_phase, Catalog.two_phase);
+      (Fsa_actor.three_phase, Catalog.three_phase);
     ]
   in
   List.iter

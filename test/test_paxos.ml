@@ -109,7 +109,7 @@ let test_f0_is_2pc () =
             (fun votes ->
               let cfg = config ~delay ~seed ~votes () in
               let px = Runner.run Paxos_commit.protocol_f0 cfg in
-              let tp = Runner.run (module Two_phase) cfg in
+              let tp = Runner.run Fsa_actor.two_phase cfg in
               check
                 Alcotest.(
                   list

@@ -38,11 +38,11 @@ let decisions result = Runner.decisions result
 
 let all_protocols : Site.packed list =
   [
-    (module Two_phase);
-    (module Ext_two_phase);
-    (module Three_phase);
-    (module Three_phase_rules.Paper);
-    (module Three_phase_rules.Strict);
+    Fsa_actor.two_phase;
+    Fsa_actor.ext_two_phase;
+    Fsa_actor.three_phase;
+    Fsa_actor.three_phase_rules;
+    Fsa_actor.three_phase_rules_strict;
     (module Three_phase_skeen);
     (module Quorum);
     (module Termination.Static);
@@ -85,13 +85,13 @@ let test_all_abort_on_no_vote () =
 
 let test_2pc_message_count () =
   (* Fig. 1: xact, yes, commit — one per slave per phase. *)
-  let result = Runner.run (module Two_phase) (config ~n:4 ()) in
+  let result = Runner.run Fsa_actor.two_phase (config ~n:4 ()) in
   check Alcotest.int "3 * (n-1) messages" 9 result.net_stats.sent;
   check Alcotest.int "all delivered" 9 result.net_stats.delivered
 
 let test_3pc_message_count () =
   (* Fig. 3: xact, yes, prepare, ack, commit. *)
-  let result = Runner.run (module Three_phase) (config ~n:4 ()) in
+  let result = Runner.run Fsa_actor.three_phase (config ~n:4 ()) in
   check Alcotest.int "5 * (n-1) messages" 15 result.net_stats.sent
 
 let test_decision_time_failure_free () =
@@ -123,7 +123,7 @@ let test_2pc_blocks_under_partition () =
   let p = partition ~g2:[ 3 ] ~at:1100 ~n:3 () in
   let result =
     Runner.run
-      (module Two_phase)
+      Fsa_actor.two_phase
       (config ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   let v = Verdict.of_result result in
@@ -137,7 +137,7 @@ let test_3pc_blocks_under_partition () =
   let p = partition ~g2:[ 3 ] ~at:2100 ~n:3 () in
   let result =
     Runner.run
-      (module Three_phase)
+      Fsa_actor.three_phase
       (config ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   let v = Verdict.of_result result in
@@ -154,12 +154,12 @@ let small_grid ~n =
   Scenario.configs ~base grid
 
 let test_ext2pc_two_site_resilient () =
-  let summary = Sweep.run (module Ext_two_phase) (small_grid ~n:2) in
+  let summary = Sweep.run Fsa_actor.ext_two_phase (small_grid ~n:2) in
   check Alcotest.int "no violations" 0 summary.violations;
   check Alcotest.int "no blocked runs" 0 summary.blocked_runs
 
 let test_ext2pc_multisite_violates () =
-  let summary = Sweep.run (module Ext_two_phase) (small_grid ~n:3) in
+  let summary = Sweep.run Fsa_actor.ext_two_phase (small_grid ~n:3) in
   check Alcotest.bool "violations found" true (summary.violations > 0)
 
 let test_ext2pc_specific_counterexample () =
@@ -170,7 +170,7 @@ let test_ext2pc_specific_counterexample () =
   let p = partition ~g2:[ 3 ] ~at:2100 ~n:3 () in
   let result =
     Runner.run
-      (module Ext_two_phase)
+      Fsa_actor.ext_two_phase
       (config ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   check decision_t "site2 committed" (Some Types.Commit)
@@ -189,7 +189,7 @@ let test_3pc_rules_paper_counterexample () =
   let p = partition ~g2:[ 3 ] ~at:2100 ~n:3 () in
   let result =
     Runner.run
-      (module Three_phase_rules.Paper)
+      Fsa_actor.three_phase_rules
       (config ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   check decision_t "site3 aborted" (Some Types.Abort)
@@ -210,7 +210,7 @@ let test_3pc_rules_strict_survives_singleton_cuts () =
     }
   in
   let summary =
-    Sweep.run (module Three_phase_rules.Strict) (Scenario.configs ~base grid)
+    Sweep.run Fsa_actor.three_phase_rules_strict (Scenario.configs ~base grid)
   in
   check Alcotest.int "no violations on singleton cuts" 0 summary.violations
 
@@ -218,11 +218,11 @@ let test_3pc_rules_strict_breaks_on_split_acks () =
   (* ... but a two-slave cut can split the acks: one G2 slave acked
      before the partition (commits on p-timeout), the other's ack
      bounced (master aborts on p1 timeout). *)
-  let summary = Sweep.run (module Three_phase_rules.Strict) (small_grid ~n:3) in
+  let summary = Sweep.run Fsa_actor.three_phase_rules_strict (small_grid ~n:3) in
   check Alcotest.bool "violations on {2,3} cuts" true (summary.violations > 0)
 
 let test_3pc_rules_never_blocks () =
-  let summary = Sweep.run (module Three_phase_rules.Paper) (small_grid ~n:3) in
+  let summary = Sweep.run Fsa_actor.three_phase_rules (small_grid ~n:3) in
   check Alcotest.int "no blocked runs" 0 summary.blocked_runs
 
 (* ------------------------------------------------------------------ *)
@@ -422,6 +422,8 @@ let make_probe_ctx ~self ~n =
   in
   (ctx, { engine; sent; decided })
 
+module Two_phase = (val Fsa_actor.two_phase)
+
 let deliver_to actor msg ~src ~dst =
   Two_phase.on_delivery actor
     (Network.Msg { Network.src; dst; payload = msg; sent_at = Vtime.zero })
@@ -513,24 +515,6 @@ let test_fsa_actor_rejects_bad_assignment () =
   in
   check Alcotest.bool "final-state assignment rejected" true raised
 
-let derived_ext2pc () =
-  Fsa_actor.of_augment ~name:"ext2pc-derived"
-    (Commit_fsa.Augment.apply_rules
-       (Commit_fsa.Analysis.analyze Commit_fsa.Catalog.extended_two_phase ~n:2))
-
-let test_fsa_actor_matches_handwritten_ext2pc () =
-  (* The Rule(a)/(b)-derived interpretation of the ext2pc FSA makes the
-     same decision as the hand-written actor in every n=2 scenario. *)
-  let derived = derived_ext2pc () in
-  List.iter
-    (fun cfg ->
-      let a = Runner.decisions (Runner.run derived cfg) in
-      let b = Runner.decisions (Runner.run (module Ext_two_phase) cfg) in
-      check
-        Alcotest.(list decision_t)
-        (Scenario.config_id cfg) b a)
-    (small_grid ~n:2)
-
 let test_fsa_actor_failure_free_flows () =
   (* The interpreter handles votes and the happy path for each
      catalogued FSA. *)
@@ -579,7 +563,7 @@ let test_types_pp () =
 let test_runner_rejects_tiny_n () =
   let raised =
     try
-      ignore (Runner.run (module Two_phase) (config ~n:1 ()));
+      ignore (Runner.run Fsa_actor.two_phase (config ~n:1 ()));
       false
     with Invalid_argument _ -> true
   in
@@ -628,8 +612,8 @@ let test_runner_rejects_bad_crash_site () =
   check Alcotest.int "rejected before the run" 0 !sent
 
 let test_runner_trace_toggle () =
-  let on = Runner.run (module Two_phase) { (config ()) with Runner.trace_enabled = true } in
-  let off = Runner.run (module Two_phase) (config ()) in
+  let on = Runner.run Fsa_actor.two_phase { (config ()) with Runner.trace_enabled = true } in
+  let off = Runner.run Fsa_actor.two_phase (config ()) in
   check Alcotest.bool "trace recorded" true (Trace.length on.trace > 0);
   check Alcotest.int "trace suppressed" 0 (Trace.length off.trace)
 
@@ -781,8 +765,6 @@ let () =
             test_fsa_actor_enumeration;
           Alcotest.test_case "bad assignment rejected" `Quick
             test_fsa_actor_rejects_bad_assignment;
-          Alcotest.test_case "derived ext2pc matches hand-written" `Slow
-            test_fsa_actor_matches_handwritten_ext2pc;
           Alcotest.test_case "failure-free flows interpret" `Quick
             test_fsa_actor_failure_free_flows;
         ] );

@@ -589,7 +589,7 @@ let audit_sweep protocol grid () =
     grid
 
 let test_facts_rejects_other_protocols () =
-  let result = Runner.run (module Two_phase) (config ()) in
+  let result = Runner.run Fsa_actor.two_phase (config ()) in
   let raised =
     try
       ignore (Facts.audit result);

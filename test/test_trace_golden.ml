@@ -88,26 +88,26 @@ let uniform = Delay.uniform ~t_max:t_unit
    partitioned runs, and a votes-no abort. *)
 let runner_scenarios =
   [
-    ("2pc-clean", trace_of (module Two_phase) (config ()));
+    ("2pc-clean", trace_of Fsa_actor.two_phase (config ()));
     ( "2pc-pessimistic-cut",
       trace_of
-        (module Two_phase)
+        Fsa_actor.two_phase
         (config ~partition:(partition ~g2:[ 3 ] ~at:1500 ~n:3 ())
            ~mode:Network.Pessimistic ~delay:full ()) );
     ( "ext2pc-cut",
       trace_of
-        (module Ext_two_phase)
+        Fsa_actor.ext_two_phase
         (config ~partition:(partition ~g2:[ 3 ] ~at:2100 ~n:3 ()) ~delay:full ())
     );
     ( "3pc-partition-heal",
       trace_of
-        (module Three_phase)
+        Fsa_actor.three_phase
         (config ~n:5
            ~partition:(partition ~heals_after:(t 3) ~g2:[ 4; 5 ] ~at:2100 ~n:5 ())
            ~delay:full ()) );
     ( "3pc-rules-strict-cut",
       trace_of
-        (module Three_phase_rules.Strict)
+        Fsa_actor.three_phase_rules_strict
         (config ~n:4
            ~partition:(partition ~g2:[ 3; 4 ] ~at:2100 ~n:4 ())
            ~delay:uniform ~seed:42L ()) );
@@ -372,7 +372,7 @@ let fsa_protocols_grid ~cross:_ () =
 let db_scenarios =
   [
     ("tm-termination-cut", tm_trace (module Termination.Static : Site.S));
-    ("tm-2pc-cut", tm_trace (module Two_phase));
+    ("tm-2pc-cut", tm_trace Fsa_actor.two_phase);
     ("tm-hot-spot-cut", tm_hot_spot_trace);
     ("cluster-cut", fun ~cross () -> cluster_trace ~cross ());
     ( "cluster-crash",
@@ -433,9 +433,9 @@ let obs_scenarios =
   in
   [
     ( "spans-3pc-partition",
-      spans_export `Trace_event (module Three_phase) cut3pc );
+      spans_export `Trace_event Fsa_actor.three_phase cut3pc );
     ( "causality-3pc-partition",
-      spans_export `Causality (module Three_phase) cut3pc );
+      spans_export `Causality Fsa_actor.three_phase cut3pc );
     ( "spans-termination-partition",
       spans_export `Trace_event (module Termination.Transient) cut_term );
     ( "causality-termination-partition",
