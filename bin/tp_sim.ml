@@ -519,7 +519,9 @@ let analyze_cmd =
           (Commit_fsa.Augment.apply_rules analysis);
         0
   in
-  Cmd.v (Cmd.info "analyze" ~doc ~exits) Term.(const run $ name_arg $ n_arg $ dot_arg)
+  Cmd.v
+    (Cmd.info "analyze" ~doc ~exits)
+    Term.(const run $ name_arg $ n_arg $ dot_arg)
 
 let cases_cmd =
   let doc = "Classify a scenario into the Section 6 case tree." in

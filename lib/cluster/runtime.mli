@@ -141,9 +141,9 @@ val run : ?obs:Obs.t -> ?scratch:scratch -> config -> report
     [scratch] reuses a per-domain engine via {!Engine.reset}; the
     returned [report.trace] is never the scratch's.
     @raise Invalid_argument on a non-positive load/window, a negative
-    queue limit, fewer than two sites, [amount >= balance], or a crash or recovery schedule the core
-    rejects (a site outside [1..n], a recovery without an earlier
-    crash). *)
+    queue limit, fewer than two sites, [amount >= balance], or a crash
+    or recovery schedule the core rejects (a site outside [1..n], a
+    recovery without an earlier crash). *)
 
 val atomic : report -> bool
 (** No torn transactions, no conservation breaches, and the durable

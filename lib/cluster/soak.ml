@@ -179,7 +179,8 @@ let eval config scratch epoch =
   of_report ~epoch (Runtime.run ~scratch (epoch_config config ~epoch))
 
 let run ?jobs config =
-  if config.base.Runtime.n < 2 then invalid_arg "Soak.run: need at least two sites";
+  if config.base.Runtime.n < 2 then
+    invalid_arg "Soak.run: need at least two sites";
   if config.epochs < 1 then invalid_arg "Soak.run: epochs must be >= 1";
   if Vtime.to_int config.segment < 10 * Vtime.to_int config.base.Runtime.t_unit
   then invalid_arg "Soak.run: segment must be at least 10T";

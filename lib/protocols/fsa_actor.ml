@@ -16,6 +16,8 @@ let alphabet =
       Xact; Yes; No; Pre_prepare; Pre_ack; Prepare; Ack; Commit_cmd; Abort_cmd;
     |]
 
+let () = Array.iteri (fun i m -> assert (Types.msg_code m = i)) alphabet
+
 let start_slot = Array.length alphabet
 
 let index_of_tag tag =

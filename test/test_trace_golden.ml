@@ -268,11 +268,11 @@ let cluster_report ~cross:_ () =
 (* Outcome pins over the checker grids, reason tags left out: one row
    per run (each site's decision, decision time and final state, then
    the message counts), or the MD5 of a whole grid's rows. *)
+let untraced ~n =
+  { (Runner.default_config ~n ~t_unit ()) with Runner.trace_enabled = false }
+
 let grid_configs ?(base = fun b -> b) ?heals_after ?votes ~n () =
-  let base =
-    base
-      { (Runner.default_config ~n ~t_unit ()) with Runner.trace_enabled = false }
-  in
+  let base = base (untraced ~n) in
   let grid = Scenario.default_grid ~n ~t_unit in
   let grid =
     match heals_after with
@@ -309,7 +309,8 @@ let outcome_row protocol config =
 let outcome_md5 protocol label configs =
   Printf.sprintf "md5 %s (%d runs): %s\n" label (List.length configs)
     (Digest.to_hex
-       (Digest.string (String.concat "" (List.map (outcome_row protocol) configs))))
+       (Digest.string
+          (String.concat "" (List.map (outcome_row protocol) configs))))
 
 (* Four-phase commit: every n=3 static run, and the n=4 static and n=3
    transient grids as MD5s. *)
@@ -322,8 +323,8 @@ let four_phase_grid ~cross:_ () =
 
 (* The five protocols that are an FSA plus a timeout/UD assignment,
    looked up by their registry names: every n=3 static run, then MD5s
-   over the other static sizes, heals, no votes, master crashes,
-   pessimistic return of messages and multiple partitionings. *)
+   over the other static sizes, heals, no votes, master crashes, lost
+   messages (pessimistic mode) and multiple partitionings. *)
 let fsa_protocols_grid ~cross:_ () =
   let pin name =
     let protocol =
@@ -344,24 +345,14 @@ let fsa_protocols_grid ~cross:_ () =
            ~votes:[ [ (site 2, false) ]; [ (site 3, false) ] ]
            ())
     ^ md5 "master-crash n=3"
-        (Scenario.configs
-           ~base:
-             {
-               (Runner.default_config ~n:3 ~t_unit ()) with
-               Runner.trace_enabled = false;
-             }
+        (Scenario.configs ~base:(untraced ~n:3)
            (Scenario.master_crash_grid ~t_unit))
     ^ md5 "pessimistic n=4"
         (grid_configs
            ~base:(fun b -> { b with Runner.mode = Network.Pessimistic })
            ~n:4 ())
     ^ md5 "multiple partitioning n=4"
-        (Scenario.multi_configs
-           ~base:
-             {
-               (Runner.default_config ~n:4 ~t_unit ()) with
-               Runner.trace_enabled = false;
-             }
+        (Scenario.multi_configs ~base:(untraced ~n:4)
            ~starts:(Scenario.instants ~t_unit ~until_mult:8 ~per_t:2)
            ~delays:[ Delay.minimal; full; uniform ]
            ~seeds:[ 1L; 42L ])
