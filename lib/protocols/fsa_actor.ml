@@ -105,6 +105,8 @@ type state = {
 
 type compiled = { states : state array; initial : int; mult_t : int }
 
+(* The reason a decision taken on this guard gives.  A slave reaches a
+   final state on [xact] only by voting no. *)
 let reason_of (guard : M.guard) =
   match guard with
   | M.Recv "xact" -> "voted no"
