@@ -321,44 +321,49 @@ let four_phase_grid ~cross:_ () =
   ^ outcome_md5 protocol "transient n=3"
       (grid_configs ~n:3 ~heals_after:transient_heals ())
 
-(* The five protocols that are an FSA plus a timeout/UD assignment,
-   looked up by their registry names: every n=3 static run, then MD5s
-   over the other static sizes, heals, no votes, master crashes, lost
-   messages (pessimistic mode) and multiple partitionings. *)
-let fsa_protocols_grid ~cross:_ () =
-  let pin name =
-    let protocol =
-      match Registry.find name with
-      | Some e -> e.Registry.protocol
-      | None -> invalid_arg ("fsa_protocols_grid: no protocol " ^ name)
-    in
-    let md5 = outcome_md5 protocol in
-    let site = Site_id.of_int in
-    Printf.sprintf "# %s\n" name
-    ^ String.concat "" (List.map (outcome_row protocol) (grid_configs ~n:3 ()))
-    ^ md5 "static n=2" (grid_configs ~n:2 ())
-    ^ md5 "static n=4" (grid_configs ~n:4 ())
-    ^ md5 "static n=5" (grid_configs ~n:5 ())
-    ^ md5 "transient n=3" (grid_configs ~n:3 ~heals_after:transient_heals ())
-    ^ md5 "votes-no n=3"
-        (grid_configs ~n:3
-           ~votes:[ [ (site 2, false) ]; [ (site 3, false) ] ]
-           ())
-    ^ md5 "master-crash n=3"
-        (Scenario.configs ~base:(untraced ~n:3)
-           (Scenario.master_crash_grid ~t_unit))
-    ^ md5 "pessimistic n=4"
-        (grid_configs
-           ~base:(fun b -> { b with Runner.mode = Network.Pessimistic })
-           ~n:4 ())
-    ^ md5 "multiple partitioning n=4"
-        (Scenario.multi_configs ~base:(untraced ~n:4)
-           ~starts:(Scenario.instants ~t_unit ~until_mult:8 ~per_t:2)
-           ~delays:[ Delay.minimal; full; uniform ]
-           ~seeds:[ 1L; 42L ])
+(* One protocol's outcome pin, looked up by its registry name: every
+   n=3 static run, then MD5s over the other static sizes, heals, no
+   votes, master crashes, lost messages (pessimistic mode) and multiple
+   partitionings. *)
+let pin_grid name =
+  let protocol =
+    match Registry.find name with
+    | Some e -> e.Registry.protocol
+    | None -> invalid_arg ("pin_grid: no protocol " ^ name)
   in
+  let md5 = outcome_md5 protocol in
+  let site = Site_id.of_int in
+  Printf.sprintf "# %s\n" name
+  ^ String.concat "" (List.map (outcome_row protocol) (grid_configs ~n:3 ()))
+  ^ md5 "static n=2" (grid_configs ~n:2 ())
+  ^ md5 "static n=4" (grid_configs ~n:4 ())
+  ^ md5 "static n=5" (grid_configs ~n:5 ())
+  ^ md5 "transient n=3" (grid_configs ~n:3 ~heals_after:transient_heals ())
+  ^ md5 "votes-no n=3"
+      (grid_configs ~n:3 ~votes:[ [ (site 2, false) ]; [ (site 3, false) ] ] ())
+  ^ md5 "master-crash n=3"
+      (Scenario.configs ~base:(untraced ~n:3)
+         (Scenario.master_crash_grid ~t_unit))
+  ^ md5 "pessimistic n=4"
+      (grid_configs
+         ~base:(fun b -> { b with Runner.mode = Network.Pessimistic })
+         ~n:4 ())
+  ^ md5 "multiple partitioning n=4"
+      (Scenario.multi_configs ~base:(untraced ~n:4)
+         ~starts:(Scenario.instants ~t_unit ~until_mult:8 ~per_t:2)
+         ~delays:[ Delay.minimal; full; uniform ]
+         ~seeds:[ 1L; 42L ])
+
+(* The five protocols that are an FSA plus a timeout/UD assignment. *)
+let fsa_protocols_grid ~cross:_ () =
   String.concat ""
-    (List.map pin [ "2pc"; "ext2pc"; "3pc"; "3pc+rules"; "3pc+rules-strict" ])
+    (List.map pin_grid
+       [ "2pc"; "ext2pc"; "3pc"; "3pc+rules"; "3pc+rules-strict" ])
+
+(* The two protocols that terminate by polling every site for its
+   phase: Skeen's cooperative termination and quorum commit. *)
+let inquiry_grid ~cross:_ () =
+  String.concat "" (List.map pin_grid [ "3pc-skeen"; "quorum" ])
 
 let db_scenarios =
   [
@@ -453,6 +458,7 @@ let () =
               ("cluster-report-timeline", cluster_report);
               ("4pc-grid", four_phase_grid);
               ("fsa-protocols-grid", fsa_protocols_grid);
+              ("inquiry-grid", inquiry_grid);
             ]
           @ obs_scenarios) );
       ("cross-view", cases ~cross:true crossed);
