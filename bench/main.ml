@@ -387,8 +387,8 @@ let thm9 () =
       ("3pc", Fsa_actor.three_phase, "blocks");
       ("3pc+rules", Fsa_actor.three_phase_rules, "violates");
       ("3pc+rules-strict", Fsa_actor.three_phase_rules_strict, "violates");
-      ("3pc-skeen (ref [4])", (module Three_phase_skeen), "violates");
-      ("quorum", (module Quorum), "blocks minority");
+      ("3pc-skeen (ref [4])", Inquiry.skeen, "violates");
+      ("quorum", Inquiry.quorum, "blocks minority");
       ("termination", (module Termination.Static), "resilient");
       ("termination-transient", (module Termination.Transient), "resilient");
     ]
@@ -566,7 +566,7 @@ let multi_partitioning () =
     [
       ("termination", (module Termination.Static : Site.S));
       ("termination-transient", (module Termination.Transient));
-      ("quorum", (module Quorum));
+      ("quorum", Inquiry.quorum);
       ("2pc", Fsa_actor.two_phase);
     ]
 
@@ -619,7 +619,7 @@ let ref4 () =
       row "  %-18s partition   : %d runs, %d violations, %d blocked@." "" pr pv
         pb)
     [
-      ("3pc-skeen", (module Three_phase_skeen : Site.S));
+      ("3pc-skeen", Inquiry.skeen);
       ("termination", (module Termination.Static));
     ];
   row "  paper: Skeen's protocol terminates site failures but not partitions;@.";
@@ -938,7 +938,7 @@ let db_cost () =
     [
       ("2pc", Fsa_actor.two_phase);
       ("ext2pc", Fsa_actor.ext_two_phase);
-      ("quorum", (module Quorum));
+      ("quorum", Inquiry.quorum);
       ("termination", (module Termination.Static));
     ]
 
@@ -969,7 +969,7 @@ let latency_distribution () =
     [
       ("2pc", Fsa_actor.two_phase);
       ("3pc", Fsa_actor.three_phase);
-      ("quorum", (module Quorum));
+      ("quorum", Inquiry.quorum);
       ("termination", (module Termination.Static));
       ("termination-transient", (module Termination.Transient));
     ];
@@ -1774,7 +1774,7 @@ let microbenchmarks () =
       Test.make ~name:"run/termination-partitioned"
         (Staged.stage (partitioned (module Termination.Static)));
       Test.make ~name:"run/quorum-partitioned"
-        (Staged.stage (partitioned (module Quorum)));
+        (Staged.stage (partitioned Inquiry.quorum));
       Test.make ~name:"engine/1k-events" (Staged.stage engine_churn);
       Test.make ~name:"fsa/analyze-3pc-n3" (Staged.stage fsa_analyze);
       Test.make ~name:"db/bank-4-transfers" (Staged.stage bank);

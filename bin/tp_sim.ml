@@ -678,7 +678,7 @@ let check_cmd =
     let s = sweep Fsa_actor.two_phase 3 in
     verdict "Fig. 1: 2pc blocks but stays atomic"
       (s.violations = 0 && s.blocked_runs > 0);
-    let s = sweep (module Quorum) 3 in
+    let s = sweep Inquiry.quorum 3 in
     verdict "Ref [5]: quorum atomic, blocks the minority"
       (s.violations = 0 && s.blocked_runs > 0);
     let s = sweep Paxos_commit.protocol 3 in

@@ -59,7 +59,7 @@ let () =
   let protocols =
     [
       ("2pc", Fsa_actor.two_phase);
-      ("quorum", (module Quorum));
+      ("quorum", Inquiry.quorum);
       ("termination-transient", (module Termination.Transient));
     ]
   in

@@ -58,7 +58,7 @@ let () =
     [
       ("2pc", Fsa_actor.two_phase);
       ("3pc", Fsa_actor.three_phase);
-      ("quorum", (module Quorum));
+      ("quorum", Inquiry.quorum);
     ];
   Format.printf
     "@.each cut strands whatever 2pc/3pc had in flight: the stuck transactions@.";

@@ -20,8 +20,8 @@ let protocols : Site.packed list =
     Fsa_actor.three_phase;
     Fsa_actor.three_phase_rules;
     Fsa_actor.three_phase_rules_strict;
-    (module Three_phase_skeen);
-    (module Quorum);
+    Inquiry.skeen;
+    Inquiry.quorum;
     (module Termination.Static);
     (module Termination.Transient);
     (module Termination.Four_phase);

@@ -38,13 +38,13 @@ let all : entry list =
     {
       name = "3pc-skeen";
       summary = "Skeen-style 3PC with cooperative termination";
-      protocol = (module Three_phase_skeen);
+      protocol = Inquiry.skeen;
     }
     ;
     {
       name = "quorum";
       summary = "quorum-commit baseline with state-inquiry termination";
-      protocol = (module Quorum);
+      protocol = Inquiry.quorum;
     }
     ;
     {

@@ -221,7 +221,7 @@ let protocols_under_test : (string * Site.packed) list =
   [
     ("2pc", Fsa_actor.two_phase);
     ("3pc", Fsa_actor.three_phase);
-    ("quorum", (module Quorum));
+    ("quorum", Inquiry.quorum);
     ("termination", (module Termination.Static));
     ("termination-transient", (module Termination.Transient));
   ]
@@ -823,7 +823,7 @@ let conservation_any_atomic_protocol =
         match proto_ix with
         | 0 -> Fsa_actor.two_phase
         | 1 -> Fsa_actor.three_phase
-        | 2 -> (module Quorum)
+        | 2 -> Inquiry.quorum
         | _ -> (module Termination.Static)
       in
       let w =
@@ -876,7 +876,7 @@ let test_tm_multi_partition_quorum () =
   in
   let config =
     {
-      (Tm.default_config ~protocol:(module Quorum) ~n:4 ()) with
+      (Tm.default_config ~protocol:Inquiry.quorum ~n:4 ()) with
       Tm.initial = w.Workload.initial;
       partition;
     }

@@ -43,8 +43,8 @@ let all_protocols : Site.packed list =
     Fsa_actor.three_phase;
     Fsa_actor.three_phase_rules;
     Fsa_actor.three_phase_rules_strict;
-    (module Three_phase_skeen);
-    (module Quorum);
+    Inquiry.skeen;
+    Inquiry.quorum;
     (module Termination.Static);
     (module Termination.Transient);
   ]
@@ -230,21 +230,19 @@ let test_3pc_rules_never_blocks () =
 (* ------------------------------------------------------------------ *)
 
 let test_quorum_values () =
-  check Alcotest.int "q_c n=3" 2 (Quorum.commit_quorum ~n:3);
-  check Alcotest.int "q_a n=3" 2 (Quorum.abort_quorum ~n:3);
-  check Alcotest.int "q_c n=5" 3 (Quorum.commit_quorum ~n:5);
+  let open Inquiry in
+  check Alcotest.int "q_c n=3" 2 (commit_quorum one_vote ~n:3);
+  check Alcotest.int "q_a n=3" 2 (abort_quorum one_vote ~n:3);
+  check Alcotest.int "q_c n=5" 3 (commit_quorum one_vote ~n:5);
   check Alcotest.bool "q_c + q_a > n" true
-    (Quorum.commit_quorum ~n:4 + Quorum.abort_quorum ~n:4 > 4)
+    (commit_quorum one_vote ~n:4 + abort_quorum one_vote ~n:4 > 4)
 
 let test_quorum_majority_decides_minority_blocks () =
   (* n=5, G2={4,5}: majority side terminates, minority blocks. *)
   let p = partition ~g2:[ 4; 5 ] ~at:2100 ~n:5 () in
   let result =
-    Runner.run
-      (module Quorum)
-      (config ~n:5 ~partition:p
-         ~delay:(Delay.full ~t_max:t_unit)
-         ())
+    Runner.run Inquiry.quorum
+      (config ~n:5 ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   let v = Verdict.of_result result in
   check Alcotest.bool "atomic" true v.atomic;
@@ -258,7 +256,7 @@ let test_quorum_majority_decides_minority_blocks () =
   check Alcotest.bool "minority blocked" true (v.blocked <> [])
 
 let test_quorum_never_violates () =
-  let summary = Sweep.run (module Quorum) (small_grid ~n:3) in
+  let summary = Sweep.run Inquiry.quorum (small_grid ~n:3) in
   check Alcotest.int "no violations" 0 summary.violations;
   check Alcotest.bool "but blocking happens" true (summary.blocked_runs > 0)
 
@@ -266,31 +264,28 @@ let test_quorum_transient_eventually_decides () =
   (* The re-poll loop drains after the heal: nobody stays blocked. *)
   let p = partition ~g2:[ 2 ] ~at:2100 ~heals_after:12000 ~n:3 () in
   let result =
-    Runner.run
-      (module Quorum)
+    Runner.run Inquiry.quorum
       (config ~partition:p ~delay:(Delay.full ~t_max:t_unit) ())
   in
   let v = Verdict.of_result result in
   check Alcotest.bool "resilient after heal" true (Verdict.resilient v)
 
-module Heavy_master_quorum = Quorum.Make (struct
-  let weight site = if Site_id.is_master site then 3 else 1
-end)
+let heavy_master site = if Site_id.is_master site then 3 else 1
 
 let test_weighted_quorum_shifts_liveness () =
   (* n=4, master weight 3 (total 6, V_C=4, V_A=3).  Cut {3,4} during the
      ack phase: the master's side has weight 4 and can commit, where the
      uniform weighting (side size 2 < 3) blocks. *)
-  check Alcotest.int "V_C" 4 (Heavy_master_quorum.commit_quorum ~n:4);
-  check Alcotest.int "V_A" 3 (Heavy_master_quorum.abort_quorum ~n:4);
+  check Alcotest.int "V_C" 4 (Inquiry.commit_quorum heavy_master ~n:4);
+  check Alcotest.int "V_A" 3 (Inquiry.abort_quorum heavy_master ~n:4);
   check Alcotest.bool "V_C + V_A > total" true
-    (Heavy_master_quorum.commit_quorum ~n:4
-     + Heavy_master_quorum.abort_quorum ~n:4
-    > Heavy_master_quorum.total_weight ~n:4);
+    (Inquiry.commit_quorum heavy_master ~n:4
+     + Inquiry.abort_quorum heavy_master ~n:4
+    > Inquiry.total_weight heavy_master ~n:4);
   let p = partition ~g2:[ 3; 4 ] ~at:3050 ~n:4 () in
   let cfg = config ~n:4 ~partition:p ~delay:(Delay.full ~t_max:t_unit) () in
-  let uniform = Runner.run (module Quorum) cfg in
-  let weighted = Runner.run (module Heavy_master_quorum) cfg in
+  let uniform = Runner.run Inquiry.quorum cfg in
+  let weighted = Runner.run (Inquiry.weighted_quorum heavy_master) cfg in
   let v_uniform = Verdict.of_result uniform in
   let v_weighted = Verdict.of_result weighted in
   check Alcotest.bool "uniform G1 blocked" true
@@ -342,7 +337,7 @@ let quorum_universal_safety =
           ~seed:(Int64.of_int ((seed * 31) + 1))
           ()
       in
-      let v = Verdict.of_result (Runner.run (module Quorum) cfg) in
+      let v = Verdict.of_result (Runner.run Inquiry.quorum cfg) in
       v.Verdict.atomic)
 
 (* ------------------------------------------------------------------ *)
@@ -365,7 +360,7 @@ let test_skeen_survives_master_failure () =
                   Runner.crashes = [ (site 1, Vtime.of_int at) ];
                 }
               in
-              let result = Runner.run (module Three_phase_skeen) cfg in
+              let result = Runner.run Inquiry.skeen cfg in
               let v = Verdict.of_result result in
               check Alcotest.bool
                 (Printf.sprintf "atomic (crash at %d)" at)
@@ -383,7 +378,7 @@ let test_skeen_survives_slave_failure () =
     (fun at ->
       let cfg = config ~n:4 ~delay:(Delay.full ~t_max:t_unit) () in
       let cfg = { cfg with Runner.crashes = [ (site 3, Vtime.of_int at) ] } in
-      let result = Runner.run (module Three_phase_skeen) cfg in
+      let result = Runner.run Inquiry.skeen cfg in
       let v = Verdict.of_result result in
       check Alcotest.bool (Printf.sprintf "atomic (slave dies at %d)" at) true
         v.atomic;
@@ -396,7 +391,7 @@ let test_skeen_breaks_under_partition () =
   (* ... and the reason this paper exists: the same protocol is
      inconsistent under a simple network partition, because each side
      terminates over different evidence. *)
-  let summary = Sweep.run (module Three_phase_skeen) (small_grid ~n:3) in
+  let summary = Sweep.run Inquiry.skeen (small_grid ~n:3) in
   check Alcotest.bool "violations under partitions" true
     (summary.violations > 0)
 
@@ -633,8 +628,8 @@ let test_runner_deterministic_replay () =
       Runner.trace_enabled = true;
     }
   in
-  let a = Runner.run (module Three_phase_skeen) cfg in
-  let b = Runner.run (module Three_phase_skeen) cfg in
+  let a = Runner.run Inquiry.skeen cfg in
+  let b = Runner.run Inquiry.skeen cfg in
   check Alcotest.int "same events_run" a.Runner.events_run
     b.Runner.events_run;
   check Alcotest.bool "ran a nontrivial schedule" true

@@ -402,7 +402,7 @@ let test_multiple_partitioning_quorum_safe_but_blocks () =
      two cells can both assemble a quorum) at the price of blocking —
      the classic trade-off the paper's protocol sidesteps by assuming
      simple partitions. *)
-  let summary = Sweep.run (module Quorum) (multi_grid ~n:4) in
+  let summary = Sweep.run Inquiry.quorum (multi_grid ~n:4) in
   check Alcotest.int "no violations" 0 summary.violations;
   check Alcotest.bool "blocking instead" true (summary.blocked_runs > 0)
 

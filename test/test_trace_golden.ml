@@ -113,12 +113,12 @@ let runner_scenarios =
            ~delay:uniform ~seed:42L ()) );
     ( "skeen-cut",
       trace_of
-        (module Three_phase_skeen)
+        Inquiry.skeen
         (config ~partition:(partition ~g2:[ 3 ] ~at:1500 ~n:3 ()) ~delay:full ())
     );
     ( "quorum-cut",
       trace_of
-        (module Quorum)
+        Inquiry.quorum
         (config ~n:4
            ~partition:(partition ~g2:[ 3; 4 ] ~at:2100 ~n:4 ())
            ~delay:full ()) );
