@@ -167,6 +167,23 @@ let test_probe_round_span_recorded () =
         probe_round := true);
   check Alcotest.bool "a probe-round span exists" true !probe_round
 
+(* Every registered protocol records its states: in the cut scenario
+   each site's timeline holds at least one state span. *)
+let test_every_protocol_records_states () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let obs = Obs.create () in
+      let (_ : Runner.result) = Runner.run ~obs e.protocol (runner_config ()) in
+      let sites = Hashtbl.create 4 in
+      Obs.iter obs (fun ev ->
+          if ev.Obs.kind = Obs.Span_begin && ev.Obs.cat = "state" then
+            Hashtbl.replace sites ev.Obs.site ());
+      check Alcotest.(list int)
+        (e.name ^ ": a state span at every site")
+        [ 1; 2; 3 ]
+        (List.sort compare (List.of_seq (Hashtbl.to_seq_keys sites))))
+    Registry.all
+
 (* ------------------------------------------------------------------ *)
 (* The disabled recorder allocates nothing                             *)
 (* ------------------------------------------------------------------ *)
@@ -221,6 +238,8 @@ let () =
             test_bounce_edge_recorded;
           Alcotest.test_case "probe-round span recorded" `Quick
             test_probe_round_span_recorded;
+          Alcotest.test_case "every protocol records states" `Quick
+            test_every_protocol_records_states;
         ] );
       ( "allocation",
         [
