@@ -29,8 +29,14 @@ let index_of_tag tag =
 
 let abort_slot = index_of_tag "abort"
 
-let is_waiting machine id =
-  (not (M.is_final machine id)) && M.receivable_tags machine id <> []
+(* Non-final, awaiting a message, and entered by some transition: no
+   timer runs in an initial state, and nothing sent from it can bounce. *)
+let is_waiting (machine : M.machine) id =
+  (not (M.is_final machine id))
+  && M.receivable_tags machine id <> []
+  && List.exists
+       (fun (tr : M.transition) -> String.equal tr.M.target id)
+       machine.M.transitions
 
 let waiting_states (fsa : M.t) =
   let of_machine (machine : M.machine) =
@@ -324,12 +330,16 @@ let make ~name:protocol_name fsa assignment =
   (module Actor : Site.S)
 
 (* Rules (a)/(b) over [fsa]'s failure-free concurrency sets at [n]
-   sites: timeouts from Rule (a); UDs from Rule (b) where it decides,
-   else from Rule (a). *)
+   sites, restricted to {!waiting_states}: timeouts from Rule (a); UDs
+   from Rule (b) where it decides, else from Rule (a). *)
 let rules ~name fsa ~n =
   let open Commit_fsa.Augment in
   let outcome = function To_commit -> `To_commit | To_abort -> `To_abort in
-  let rules = (apply_rules (Commit_fsa.Analysis.analyze fsa ~n)).assignments in
+  let domain = waiting_states fsa in
+  let rules =
+    List.filter (fun a -> List.mem a.state domain)
+      (apply_rules (Commit_fsa.Analysis.analyze fsa ~n)).assignments
+  in
   let each f = List.map (fun a -> (a.state, outcome (f a))) rules in
   make ~name fsa
     {

@@ -7,7 +7,7 @@
     Section 3 strawman with the assignments Rules (a)/(b) give them (the
     five definitions at the end).  {e Lemma 3 is an exhaustive
     experiment} on the same interpreter: [tp_sim lemma3] runs every
-    assignment of timeout/UD outcomes for 3PC's waiting states (4^5 of
+    assignment of timeout/UD outcomes for 3PC's waiting states (4^4 of
     them) and checks that each one either violates atomicity or blocks
     somewhere on an adversarial grid.
 
@@ -53,13 +53,15 @@ val make : name:string -> Commit_fsa.Machine.t -> assignment -> Site.packed
 
 val waiting_states :
   Commit_fsa.Machine.t -> (Commit_fsa.Machine.role * string) list
-(** The states an assignment ranges over (non-final, message-awaiting),
-    master's first — the enumeration domain of Lemma 3. *)
+(** The states an assignment ranges over (non-final, message-awaiting,
+    entered by some transition), master's first — the enumeration
+    domain of Lemma 3.  A slave's initial state is left out: no timer
+    runs there, and a site in it has sent nothing that could bounce. *)
 
 val all_assignments : Commit_fsa.Machine.t -> assignment list
 (** Every total assignment of both timeout and UD outcomes over
     {!waiting_states} — [4^k] of them for [k] waiting states.  3PC has
-    [k = 5], giving 1024. *)
+    [k = 4] (w1, p1, w, p), giving 256. *)
 
 (** {1 The protocols} *)
 
