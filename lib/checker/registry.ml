@@ -13,7 +13,7 @@ let all : entry list =
     ;
     {
       name = "ext2pc";
-      summary = "2PC with the paper's extended (cooperative) termination";
+      summary = "extended 2PC (Fig. 2) with Rule (a)/(b) timeout/UD transitions";
       protocol = Fsa_actor.ext_two_phase;
     }
     ;
@@ -25,13 +25,13 @@ let all : entry list =
     ;
     {
       name = "3pc+rules";
-      summary = "3PC with the paper's timeout/UD rules (a)-(d)";
+      summary = "3PC with the commit-leaning timeout/UD assignment (Section 3)";
       protocol = Fsa_actor.three_phase_rules;
     }
     ;
     {
       name = "3pc+rules-strict";
-      summary = "3PC rules with the strict rule (c) reading";
+      summary = "3PC with Rule (a)/(b) timeout/UD transitions at n=3";
       protocol = Fsa_actor.three_phase_rules_strict;
     }
     ;

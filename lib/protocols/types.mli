@@ -3,8 +3,9 @@
     One message alphabet serves every protocol in the repository; each
     protocol simply never sends the tags it does not use.  [Probe] is the
     termination protocol's probe(trans_id, slave_id) message
-    (Section 5.3); [State_inquiry]/[State_answer] belong to the
-    quorum-commit baseline's termination rule; the [Px_*] family carries
+    (Section 5.3); [State_inquiry]/[State_answer] carry the state
+    inquiry that Skeen's cooperative termination and quorum commit both
+    run ({!Inquiry}); the [Px_*] family carries
     Paxos Commit (Gray & Lamport), one consensus instance per
     participant's prepared/aborted vote. *)
 
@@ -14,7 +15,7 @@ val pp_decision : Format.formatter -> decision -> unit
 
 val equal_decision : decision -> decision -> bool
 
-(** A slave's phase, as reported during quorum termination. *)
+(** A site's phase, as reported to a state inquiry. *)
 type phase = Ph_initial | Ph_wait | Ph_prepared | Ph_committed | Ph_aborted
 
 type msg =
@@ -33,7 +34,7 @@ type msg =
       (** termination protocol: sent to the master by a slave that timed
           out in state p *)
   | State_inquiry of { coordinator : Site_id.t }
-      (** quorum termination: the elected in-group coordinator polls *)
+      (** state inquiry: a terminator polls every site for its phase *)
   | State_answer of { phase : phase }
   | Px_vote of { instance : Site_id.t; ballot : int; prepared : bool }
       (** Paxos phase 2a: the ballot leader (or, at ballot 0, the
