@@ -33,8 +33,13 @@ type poll =
   | Repreparing of { mutable pending : Site_id.Set.t }
 
 let make rule =
+  let name, tmpl_start, window =
+    match rule with
+    | Cooperative -> ("3pc-skeen", tmpl_cooperative, Label.Static "term-collect")
+    | Quorum _ -> ("quorum", tmpl_quorum, Label.Static "quorum-window")
+  in
   let module Actor = struct
-    let name = match rule with Cooperative -> "3pc-skeen" | Quorum _ -> "quorum"
+    let name = name
 
     let blocking_by_design =
       match rule with Cooperative -> false | Quorum _ -> true
@@ -50,17 +55,13 @@ let make rule =
 
     (* Literals, so a state change with spans off builds no string. *)
     let base_name t =
-      match (t.role, t.phase) with
-      | Site.Master_role, Types.Ph_initial -> "q1"
-      | Site.Master_role, Types.Ph_wait -> "w1"
-      | Site.Master_role, Types.Ph_prepared -> "p1"
-      | Site.Master_role, Types.Ph_committed -> "c1"
-      | Site.Master_role, Types.Ph_aborted -> "a1"
-      | Site.Slave_role _, Types.Ph_initial -> "q"
-      | Site.Slave_role _, Types.Ph_wait -> "w"
-      | Site.Slave_role _, Types.Ph_prepared -> "p"
-      | Site.Slave_role _, Types.Ph_committed -> "c"
-      | Site.Slave_role _, Types.Ph_aborted -> "a"
+      let master = Ctx.is_master t.ctx in
+      match t.phase with
+      | Types.Ph_initial -> if master then "q1" else "q"
+      | Types.Ph_wait -> if master then "w1" else "w"
+      | Types.Ph_prepared -> if master then "p1" else "p"
+      | Types.Ph_committed -> if master then "c1" else "c"
+      | Types.Ph_aborted -> if master then "a1" else "a"
 
     let state_name t =
       match (t.poll, rule) with
@@ -94,17 +95,13 @@ let make rule =
       Ctx.Timer_slot.cancel t.timer;
       t.poll <- Idle;
       enter t
-        (match decision with
-        | Types.Commit -> Types.Ph_committed
-        | Types.Abort -> Types.Ph_aborted);
+        (if decision = Types.Commit then Types.Ph_committed else Types.Ph_aborted);
       Ctx.decide t.ctx decision ~reason
 
     let decide_and_tell t decision ~reason =
       finish t decision ~reason;
       Ctx.broadcast_all t.ctx
-        (match decision with
-        | Types.Commit -> Types.Commit_cmd
-        | Types.Abort -> Types.Abort_cmd)
+        (if decision = Types.Commit then Types.Commit_cmd else Types.Abort_cmd)
 
     (* ---- the state-inquiry poll ----------------------------------------- *)
 
@@ -112,11 +109,7 @@ let make rule =
       match t.phase with
       | Types.Ph_committed | Types.Ph_aborted -> ()
       | Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared ->
-          Ctx.log_str t.ctx
-            (match rule with
-            | Cooperative -> tmpl_cooperative
-            | Quorum _ -> tmpl_quorum)
-            why;
+          Ctx.log_str t.ctx tmpl_start why;
           let round =
             match t.poll with
             | Collecting { round; _ } -> round + 1
@@ -127,12 +120,8 @@ let make rule =
           Ctx.broadcast_all t.ctx
             (Types.State_inquiry { coordinator = Ctx.self t.ctx });
           (* One round trip gathers every reachable answer. *)
-          Ctx.Timer_slot.set t.ctx t.timer ~mult_t:2
-            ~label:
-              (match rule with
-              | Cooperative -> Label.Static "term-collect"
-              | Quorum _ -> Label.Static "quorum-window")
-            (fun () -> close_poll t)
+          Ctx.Timer_slot.set t.ctx t.timer ~mult_t:2 ~label:window (fun () ->
+              close_poll t)
 
     and close_poll t =
       match t.poll with
@@ -262,11 +251,9 @@ let make rule =
           | Idle -> arm t ~mult_t:3 ~label:(Label.Static "p")
           | Collecting _ | Repreparing _ -> ())
       (* decisions, from the master or any terminator *)
-      | _, (Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared), Types.Commit_cmd
-        ->
+      | _, (Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared), Types.Commit_cmd ->
           finish t Types.Commit ~reason:"commit command"
-      | _, (Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared), Types.Abort_cmd
-        ->
+      | _, (Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared), Types.Abort_cmd ->
           finish t Types.Abort ~reason:"abort command"
       (* termination traffic *)
       | _, _, Types.State_inquiry { coordinator } ->
