@@ -35,9 +35,10 @@ type poll =
 let make rule =
   let name, tmpl_start, window =
     match rule with
-    | Cooperative -> ("3pc-skeen", tmpl_cooperative, Label.Static "term-collect")
-    | Quorum _ -> ("quorum", tmpl_quorum, Label.Static "quorum-window")
+    | Cooperative -> ("3pc-skeen", tmpl_cooperative, "term-collect")
+    | Quorum _ -> ("quorum", tmpl_quorum, "quorum-window")
   in
+  let window_label = Label.Static window in
   let module Actor = struct
     let name = name
 
@@ -73,11 +74,10 @@ let make rule =
 
     (* A running poll is a phase span inside the state span. *)
     let obs_poll t =
-      match (t.poll, rule) with
-      | Idle, _ -> ()
-      | Collecting _, Cooperative -> Ctx.obs_phase t.ctx "term-collect"
-      | Collecting _, Quorum _ -> Ctx.obs_phase t.ctx "quorum-round"
-      | Repreparing _, _ -> Ctx.obs_phase t.ctx "term-reprepare"
+      match t.poll with
+      | Idle -> ()
+      | Collecting _ -> Ctx.obs_phase t.ctx window
+      | Repreparing _ -> Ctx.obs_phase t.ctx "term-reprepare"
 
     let enter t phase =
       t.phase <- phase;
@@ -86,8 +86,10 @@ let make rule =
       obs_poll t
 
     let create ctx role =
-      let timer = Ctx.Timer_slot.create () and phase = Types.Ph_initial in
-      let t = { ctx; role; timer; phase; replies = Site_id.Set.empty; poll = Idle } in
+      let t =
+        { ctx; role; timer = Ctx.Timer_slot.create (); phase = Types.Ph_initial;
+          replies = Site_id.Set.empty; poll = Idle }
+      in
       Ctx.obs_state ctx (base_name t);
       t
 
@@ -120,8 +122,8 @@ let make rule =
           Ctx.broadcast_all t.ctx
             (Types.State_inquiry { coordinator = Ctx.self t.ctx });
           (* One round trip gathers every reachable answer. *)
-          Ctx.Timer_slot.set t.ctx t.timer ~mult_t:2 ~label:window (fun () ->
-              close_poll t)
+          Ctx.Timer_slot.set t.ctx t.timer ~mult_t:2 ~label:window_label
+            (fun () -> close_poll t)
 
     and close_poll t =
       match t.poll with
