@@ -365,6 +365,54 @@ let fsa_protocols_grid ~cross:_ () =
 let inquiry_grid ~cross:_ () =
   String.concat "" (List.map pin_grid [ "3pc-skeen"; "quorum" ])
 
+(* Every registered protocol through [Sweep.run] itself, as the MD5 of
+   its exported summary: the large grids, master crashes, no votes with
+   heals, lost messages (pessimistic mode) and multiple partitionings.
+   The pins above call [Runner.run]; this one pins what the sweep
+   folds, counterexamples included. *)
+let sweep_grid ~cross:_ () =
+  let site = Site_id.of_int in
+  let large n =
+    Scenario.configs ~base:(untraced ~n) (Scenario.large_grid ~n ~t_unit)
+  in
+  let grids =
+    [
+      ("large n=3", large 3);
+      ("large n=4", large 4);
+      ( "master-crash n=3",
+        Scenario.configs ~base:(untraced ~n:3)
+          (Scenario.master_crash_grid ~t_unit) );
+      ( "votes-no heals n=4",
+        grid_configs ~n:4 ~heals_after:transient_heals
+          ~votes:[ [ (site 2, false) ]; [ (site 4, false) ] ]
+          () );
+      ( "pessimistic n=4",
+        grid_configs
+          ~base:(fun b -> { b with Runner.mode = Network.Pessimistic })
+          ~n:4 () );
+      ( "multiple partitioning n=4",
+        Scenario.multi_configs ~base:(untraced ~n:4)
+          ~starts:(Scenario.instants ~t_unit ~until_mult:8 ~per_t:2)
+          ~delays:[ Delay.minimal; full; uniform ]
+          ~seeds:[ 1L; 42L ] );
+    ]
+  in
+  let pin (e : Registry.entry) =
+    Printf.sprintf "# %s\n" e.name
+    ^ String.concat ""
+        (List.map
+           (fun (label, configs) ->
+             let json =
+               Export.to_string
+                 (Export.of_summary (Sweep.run e.protocol configs))
+             in
+             Printf.sprintf "md5 %s (%d runs): %s\n" label
+               (List.length configs)
+               (Digest.to_hex (Digest.string json)))
+           grids)
+  in
+  String.concat "" (List.map pin Registry.all)
+
 let db_scenarios =
   [
     ("tm-termination-cut", tm_trace (module Termination.Static : Site.S));
@@ -459,6 +507,7 @@ let () =
               ("4pc-grid", four_phase_grid);
               ("fsa-protocols-grid", fsa_protocols_grid);
               ("inquiry-grid", inquiry_grid);
+              ("sweep-grid", sweep_grid);
             ]
           @ obs_scenarios) );
       ("cross-view", cases ~cross:true crossed);
