@@ -88,17 +88,58 @@ let merge ~keep a b =
     blocked_examples = cap_append ~keep a.blocked_examples b.blocked_examples;
   }
 
+(* Runs that end before their partition starts, keyed by their config
+   with the partition taken out.  The network reads a run's partition
+   only when a message arrives ([Network.arrival]), so a run whose last
+   event comes before [Partition.starts_at] never meets its partition:
+   it is the partition-free run of its key, and so is every config of
+   that key whose partition starts later still.  A [Per_link] closure
+   may carry state from one run to the next, so its runs are never
+   stored. *)
+module Quiet = Hashtbl.Make (struct
+  type t = Runner.config
+
+  let equal = ( = )
+
+  let hash (c : t) = Hashtbl.hash (c.seed, c.delay, c.votes, c.crashes, c.n)
+end)
+
+type scratch = {
+  runner : Runner.scratch;
+  quiet : (Vtime.t * Verdict.t) Quiet.t;  (* finish time, verdict *)
+}
+
+let make_scratch () =
+  { runner = Runner.make_scratch (); quiet = Quiet.create 64 }
+
 let eval ~protocol ~protocol_name scratch config =
   let config = { config with Runner.trace_enabled = false } in
-  let result = Runner.run ~scratch protocol config in
-  of_verdict ~protocol:protocol_name (config, Verdict.of_result result)
+  let starts_at = Partition.starts_at config.partition in
+  let key =
+    match config.delay with
+    | Delay.Per_link _ -> None
+    | Fixed _ | Uniform _ -> Some { config with partition = Partition.none }
+  in
+  let verdict =
+    match Option.bind key (Quiet.find_opt scratch.quiet) with
+    | Some (finished_at, v) when Vtime.( < ) finished_at starts_at -> v
+    | _ ->
+        let result = Runner.run ~scratch:scratch.runner protocol config in
+        let v = Verdict.of_result result in
+        (match key with
+        | Some key when Vtime.( < ) result.finished_at starts_at ->
+            Quiet.replace scratch.quiet key (result.finished_at, v)
+        | _ -> ());
+        v
+  in
+  of_verdict ~protocol:protocol_name (config, verdict)
 
 let run ?(keep = 3) ?jobs protocol configs =
   let protocol_name = Site.name protocol in
   match configs with
   | [] -> empty ~protocol:protocol_name
   | configs ->
-      Commit_par.Pool.fold ?jobs ~init:Runner.make_scratch
+      Commit_par.Pool.fold ?jobs ~init:make_scratch
         ~f:(eval ~protocol ~protocol_name) ~merge:(merge ~keep) configs
 
 let mean_decision_time s =

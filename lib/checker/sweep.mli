@@ -32,14 +32,21 @@ type summary = {
 
 val run :
   ?keep:int -> ?jobs:int -> Site.packed -> Runner.config list -> summary
-(** Runs every config with tracing off (grids are large) and keeps up
-    to [keep] (default 3) example configs per failure class.  [jobs]
-    (default 1 = sequential, no domains spawned) folds the grid with
-    {!Commit_par.Pool.fold}, which clamps it to
-    [Pool.default_jobs ()] domains; the summary is identical for every
-    [jobs], so the flag is purely a performance knob.  Every executor
-    reuses one {!Runner.scratch} across all its runs.  An empty grid
-    yields the empty summary.
+(** Summarises every config as if each were run with tracing off
+    (grids are large), and keeps up to [keep] (default 3) example
+    configs per failure class.  Not every config is simulated: a run
+    that ends before its partition starts is the partition-free run of
+    its config, so each executor keeps its verdict and gives it to
+    every later config that differs only in a partition starting later
+    still.  Configs with a [Delay.Per_link] delay are always simulated.
+    The summary equals the plain per-config fold ({!Runner.run},
+    {!Verdict.of_result}, {!of_verdict}, {!merge}).  [jobs] (default 1
+    = sequential, no domains spawned) folds the grid with
+    {!Commit_par.Pool.fold}, which clamps it to [Pool.default_jobs ()]
+    domains; the summary is identical for every [jobs], so the flag is
+    purely a performance knob.  Every executor reuses one
+    {!Runner.scratch} across all its runs.  An empty grid yields the
+    empty summary.
     @raise Invalid_argument if [jobs < 1] on a non-empty grid. *)
 
 val of_verdict : protocol:string -> Runner.config * Verdict.t -> summary

@@ -152,6 +152,127 @@ let test_sweep_collects_examples () =
     (List.length summary.blocked_examples > 0
     && List.length summary.blocked_examples <= 2)
 
+(* Cuts that start after the failure-free run has ended never meet the
+   network, so the sweep builds actors for one of them and reuses its
+   verdict for the rest. *)
+let test_sweep_reuses_quiet_runs () =
+  let creates = ref 0 in
+  let module Counting = struct
+    include Termination.Transient
+
+    let create ctx role =
+      incr creates;
+      Termination.Transient.create ctx role
+  end in
+  let configs =
+    List.concat_map
+      (fun g2 ->
+        List.map
+          (fun at ->
+            config ~partition:(partition ~g2 ~at ~n:3 ())
+              ~delay:(Delay.full ~t_max:t_unit) ())
+          [ 20_000; 25_000; 30_000 ])
+      [ [ 2 ]; [ 3 ]; [ 2; 3 ] ]
+  in
+  let summary = Sweep.run (module Counting) configs in
+  check Alcotest.int "every late cut counted" 9 summary.runs;
+  check Alcotest.int "every late cut committed" 9 summary.committed;
+  check Alcotest.int "actors for one run of three sites" 3 !creates
+
+(* The plain per-config fold that [Sweep.run] must reproduce whatever
+   runs it skips: a fresh [Runner.run] per config, merged in order. *)
+let plain_fold protocol configs =
+  let name = Site.name protocol in
+  List.fold_left
+    (fun acc config ->
+      let v = Verdict.of_result (Runner.run protocol config) in
+      Sweep.merge ~keep:3 acc (Sweep.of_verdict ~protocol:name (config, v)))
+    (Sweep.run protocol []) configs
+
+(* A random grid over one to three keys (n, delay, seed, votes,
+   crashes, mode), so keys repeat, each crossed with no partition,
+   early and late simple cuts with and without heals, and multiple
+   partitionings.  The delays include a pure [Per_link] function. *)
+let random_sweep =
+  let open QCheck.Gen in
+  let key =
+    let* n = int_range 3 4 in
+    let* delay =
+      oneofl
+        [
+          Delay.minimal;
+          Delay.full ~t_max:t_unit;
+          Delay.uniform ~t_max:t_unit;
+          Delay.Per_link
+            (fun src dst ->
+              let src = Site_id.to_int src and dst = Site_id.to_int dst in
+              Vtime.of_int (1 + (((97 * src) + (31 * dst)) mod 1000)));
+        ]
+    in
+    let* seed = map Int64.of_int (int_range 1 2) in
+    let* votes = oneofl [ []; [ (Site_id.of_int 2, false) ] ] in
+    let* crashes =
+      oneofl
+        [
+          [];
+          [ (Site_id.of_int 2, Vtime.of_int 1500) ];
+          [ (Site_id.master, Vtime.of_int 2500) ];
+        ]
+    in
+    let+ mode = oneofl [ Network.Optimistic; Network.Pessimistic ] in
+    { (config ~n ~delay ~seed ()) with Runner.votes; crashes; mode }
+  in
+  (* Cut instants are early, late, or on the grids' quarter-T points,
+     where a cut can start exactly as a run ends. *)
+  let partition (c : Runner.config) =
+    let n = c.n in
+    let* at =
+      oneof
+        [
+          int_range 1 3_000;
+          int_range 3_000 12_000;
+          map (fun k -> 250 * k) (int_range 1 48);
+        ]
+    in
+    let* heal = opt (int_range 1 6_000) in
+    let heals_at = Option.map (fun d -> Vtime.of_int (at + d)) heal in
+    let starts_at = Vtime.of_int at in
+    frequency
+      [
+        (1, return Partition.none);
+        ( 3,
+          let+ group2 = oneofl (Scenario.all_cuts ~n) in
+          Partition.make ?heals_at ~group2 ~starts_at ~n () );
+        ( 1,
+          let+ groups = oneofl (Scenario.all_multi_cuts ~n) in
+          Partition.make_multiple ?heals_at ~groups ~starts_at ~n () );
+      ]
+  in
+  let* protocol = oneofl Registry.all in
+  let* keys = list_size (int_range 1 3) key in
+  let+ configs =
+    list_size (int_range 1 40)
+      (let* c = oneofl keys in
+       let+ partition = partition c in
+       { c with Runner.partition })
+  in
+  (protocol, configs)
+
+let qcheck_sweep_equals_plain_fold =
+  let print ((e : Registry.entry), configs) =
+    String.concat "\n" (e.name :: List.map Scenario.config_id configs)
+  in
+  QCheck.Test.make ~count:100
+    ~name:"Sweep.run at jobs 1 and 2 = the plain per-config fold"
+    (QCheck.make ~print random_sweep)
+    (fun ((e : Registry.entry), configs) ->
+      let export s = Export.to_string (Export.of_summary s) in
+      let expected = export (plain_fold e.protocol configs) in
+      List.for_all
+        (fun jobs ->
+          String.equal expected (export (Sweep.run ~jobs e.protocol configs)))
+        [ 1; 2 ])
+
 (* ------------------------------------------------------------------ *)
 (* Case classifier                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -525,6 +646,9 @@ let () =
           Alcotest.test_case "accounting" `Quick test_sweep_accounting;
           Alcotest.test_case "collects examples" `Quick
             test_sweep_collects_examples;
+          Alcotest.test_case "reuses runs that end before their cut" `Quick
+            test_sweep_reuses_quiet_runs;
+          QCheck_alcotest.to_alcotest qcheck_sweep_equals_plain_fold;
         ] );
       ( "cases",
         [
