@@ -431,11 +431,10 @@ let window_ablation () =
         (if collect = 5 && wait = 6 then "   <- the paper's values" else ""))
     [ (3, 6); (4, 6); (5, 4); (5, 5); (4, 5); (5, 6); (6, 7) ];
   row "  -> the collect window is minimal: at 3T or 4T it closes before@.";
-  row "     legitimate probes land and the master mis-decides.  The 6T wait@.";
-  row "     is attained by abort outcomes (Fig. 7 measured max = 6T) but is@.";
-  row "     conservative for commits under simultaneous prepares -- no grid@.";
-  row "     scenario needs more than 5T to receive one; longer windows only@.";
-  row "     add latency.@."
+  row "     legitimate probes land and the master mis-decides.  The grid@.";
+  row "     cannot show that the 6T wait is needed, but a mixed-delay hop@.";
+  row "     schedule does: with a 5T wait a G2 slave aborts while the master@.";
+  row "     commits (EXPERIMENTS.md; test_termination.ml, window-ablation).@."
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 3 — exhaustively: every augmentation of 3PC fails             *)

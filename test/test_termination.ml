@@ -312,6 +312,58 @@ let test_paper_windows_clean () =
   check Alcotest.int "no violations" 0 summary.violations;
   check Alcotest.int "no blocked" 0 summary.blocked_runs
 
+module Short_wait = Termination.With_windows (struct
+  let collect_window_mult = 5
+
+  let wait_window_mult = 5
+end)
+
+(* Hop delays read in send order (return hops included) from [hops];
+   every later hop takes T.  The closure counts, so each run needs a
+   fresh one. *)
+let hop_vector hops =
+  let next = ref hops in
+  Delay.Per_link
+    (fun _ _ ->
+      match !next with
+      | d :: rest ->
+          next := rest;
+          Vtime.of_int d
+      | [] -> t_unit)
+
+let test_short_wait_window_breaks () =
+  (* No grid needs more than a 5T wait, but this schedule does: site2
+     enters w at 1 and times out at 3001, while site3's relayed commit
+     reaches it only at 8500.  A 5T wait aborts site2 at 8001 after the
+     master and site3 commit; the paper's 6T wait lets the commit
+     land. *)
+  let run protocol =
+    Runner.run protocol
+      (config
+         ~partition:(partition ~g2:[ 2; 3 ] ~at:2750 ~n:3 ())
+         ~delay:(hop_vector [ 1; 1000; 1; 1000; 1000; 500; 1; 1 ])
+         ())
+  in
+  let decided result id =
+    let s = Runner.site_result result (site id) in
+    (s.decision, Option.map Vtime.to_int s.decided_at)
+  in
+  let at = Alcotest.(pair decision_t (option int)) in
+  let short = run (module Short_wait) in
+  check decision_t "5T: master commits" (Some Types.Commit)
+    (fst (decided short 1));
+  check decision_t "5T: site3 commits" (Some Types.Commit)
+    (fst (decided short 3));
+  check at "5T: site2 aborts at 8001" (Some Types.Abort, Some 8001)
+    (decided short 2);
+  expect_site short 2 ~decision:Types.Abort ~reason:"w2-expired";
+  check Alcotest.bool "5T: atomicity violated" false
+    (Verdict.of_result short).atomic;
+  let paper = run (module Termination.Static) in
+  check at "6T: site2 commits at 8500" (Some Types.Commit, Some 8500)
+    (decided paper 2);
+  check Alcotest.bool "6T: atomic" true (Verdict.of_result paper).atomic
+
 (* ------------------------------------------------------------------ *)
 (* Assumption 2: no subsequent partition before termination completes  *)
 (* ------------------------------------------------------------------ *)
@@ -753,6 +805,8 @@ let () =
             test_short_collect_window_breaks;
           Alcotest.test_case "paper windows are clean" `Slow
             test_paper_windows_clean;
+          Alcotest.test_case "5T wait window breaks" `Quick
+            test_short_wait_window_breaks;
         ] );
       ( "assumption2",
         [
