@@ -321,38 +321,88 @@ let four_phase_grid ~cross:_ () =
   ^ outcome_md5 protocol "transient n=3"
       (grid_configs ~n:3 ~heals_after:transient_heals ())
 
-(* One protocol's outcome pin, looked up by its registry name: every
-   n=3 static run, then MD5s over the other static sizes, heals, no
-   votes, master crashes, lost messages (pessimistic mode) and multiple
-   partitionings. *)
-let pin_grid name =
-  let protocol =
-    match Registry.find name with
-    | Some e -> e.Registry.protocol
-    | None -> invalid_arg ("pin_grid: no protocol " ^ name)
-  in
-  let md5 = outcome_md5 protocol in
+(* The grids a pin hashes after its n=3 static rows: the other static
+   sizes, heals, no votes, master crashes, lost messages (pessimistic
+   mode) and multiple partitionings. *)
+let pin_grids () =
   let site = Site_id.of_int in
+  [
+    ("static n=2", grid_configs ~n:2 ());
+    ("static n=4", grid_configs ~n:4 ());
+    ("static n=5", grid_configs ~n:5 ());
+    ("transient n=3", grid_configs ~n:3 ~heals_after:transient_heals ());
+    ( "votes-no n=3",
+      grid_configs ~n:3 ~votes:[ [ (site 2, false) ]; [ (site 3, false) ] ] ()
+    );
+    ( "master-crash n=3",
+      Scenario.configs ~base:(untraced ~n:3)
+        (Scenario.master_crash_grid ~t_unit) );
+    ( "pessimistic n=4",
+      grid_configs
+        ~base:(fun b -> { b with Runner.mode = Network.Pessimistic })
+        ~n:4 () );
+    ( "multiple partitioning n=4",
+      Scenario.multi_configs ~base:(untraced ~n:4)
+        ~starts:(Scenario.instants ~t_unit ~until_mult:8 ~per_t:2)
+        ~delays:[ Delay.minimal; full; uniform ]
+        ~seeds:[ 1L; 42L ] );
+  ]
+
+(* One protocol's outcome pin: every n=3 static run, then an MD5 per
+   grid of [pin_grids]. *)
+let pin_protocol name protocol =
   Printf.sprintf "# %s\n" name
   ^ String.concat "" (List.map (outcome_row protocol) (grid_configs ~n:3 ()))
-  ^ md5 "static n=2" (grid_configs ~n:2 ())
-  ^ md5 "static n=4" (grid_configs ~n:4 ())
-  ^ md5 "static n=5" (grid_configs ~n:5 ())
-  ^ md5 "transient n=3" (grid_configs ~n:3 ~heals_after:transient_heals ())
-  ^ md5 "votes-no n=3"
-      (grid_configs ~n:3 ~votes:[ [ (site 2, false) ]; [ (site 3, false) ] ] ())
-  ^ md5 "master-crash n=3"
-      (Scenario.configs ~base:(untraced ~n:3)
-         (Scenario.master_crash_grid ~t_unit))
-  ^ md5 "pessimistic n=4"
-      (grid_configs
-         ~base:(fun b -> { b with Runner.mode = Network.Pessimistic })
-         ~n:4 ())
-  ^ md5 "multiple partitioning n=4"
-      (Scenario.multi_configs ~base:(untraced ~n:4)
-         ~starts:(Scenario.instants ~t_unit ~until_mult:8 ~per_t:2)
-         ~delays:[ Delay.minimal; full; uniform ]
-         ~seeds:[ 1L; 42L ])
+  ^ String.concat ""
+      (List.map
+         (fun (label, configs) -> outcome_md5 protocol label configs)
+         (pin_grids ()))
+
+let registered name =
+  match Registry.find name with
+  | Some e -> e.Registry.protocol
+  | None -> invalid_arg ("pin_grid: no protocol " ^ name)
+
+(* [pin_protocol] for a protocol looked up by its registry name. *)
+let pin_grid name = pin_protocol name (registered name)
+
+(* An outcome row followed by each site's decision reasons, which
+   [outcome_row] leaves out. *)
+let reasoned_row protocol config =
+  let r = Runner.run protocol config in
+  let reasons (s : Runner.site_result) = " | " ^ String.concat "," s.reasons in
+  outcome_row protocol config
+  ^ Scenario.config_id config
+  ^ String.concat "" (Array.to_list (Array.map reasons r.Runner.sites))
+  ^ "\n"
+
+(* One MD5 over the reasoned rows of every grid a pin covers. *)
+let reasons_md5 protocol =
+  let configs =
+    grid_configs ~n:3 () @ List.concat_map snd (pin_grids ())
+  in
+  Printf.sprintf "md5 reasons %s (%d runs): %s\n" (Site.name protocol)
+    (List.length configs)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "" (List.map (reasoned_row protocol) configs))))
+
+(* The termination family: both registered variants, the Fig. 8
+   ablation (not registered, so taken by module), and the decision
+   reasons of all four, four-phase commit included. *)
+let termination_grid ~cross:_ () =
+  let nofig8 = (module Termination.Static_without_fig8 : Site.S) in
+  pin_grid "termination"
+  ^ pin_grid "termination-transient"
+  ^ pin_protocol (Site.name nofig8) nofig8
+  ^ String.concat ""
+      (List.map reasons_md5
+         [
+           registered "termination";
+           registered "termination-transient";
+           nofig8;
+           registered "4pc-termination";
+         ])
 
 (* The five protocols that are an FSA plus a timeout/UD assignment. *)
 let fsa_protocols_grid ~cross:_ () =
@@ -505,6 +555,7 @@ let () =
           @ [
               ("cluster-report-timeline", cluster_report);
               ("4pc-grid", four_phase_grid);
+              ("termination-grid", termination_grid);
               ("fsa-protocols-grid", fsa_protocols_grid);
               ("inquiry-grid", inquiry_grid);
               ("sweep-grid", sweep_grid);
