@@ -1,3 +1,6 @@
+module M = Commit_fsa.Machine
+module A = Commit_fsa.Analysis
+
 type variant = Static | Transient
 
 let fact1_reasons =
@@ -42,382 +45,358 @@ let tmpl_collect_crossed =
       Site_id.buf_set_mask b pb;
       Buffer.add_string b " -> a prepare crossed B")
 
-let tmpl_probe_no_partition =
-  Ctx.site_template ~prefix:"probe from "
-    ~suffix:" in p1 ignored (no partition detected)"
+(* ---- Theorem 10: where the rules attach ------------------------------ *)
+
+type classes = {
+  m : string;
+  before_m : A.site_state list;
+  after_m : A.site_state list;
+}
+
+let classify (fsa : M.t) =
+  let fail fmt =
+    Printf.ksprintf
+      (fun why -> invalid_arg ("Termination: " ^ fsa.M.name ^ ": " ^ why))
+      fmt
+  in
+  let analysis = A.analyze fsa ~n:3 in
+  let check lemma = function
+    | [] -> ()
+    | states ->
+        fail "Lemma %d violated at %s" lemma
+          (String.concat ", "
+             (List.map (Format.asprintf "%a" A.pp_site_state) states))
+  in
+  check 1 (A.lemma1_violations analysis);
+  check 2 (A.lemma2_violations analysis);
+  (* m moves a slave into the one waiting state concurrent with a
+     commit, p; the master enters p1 by sending m.  Both exist: p is
+     entered by some transition, and a slave occupies it only once the
+     master has sent m. *)
+  let waiting = Fsa_actor.waiting_states fsa in
+  match
+    List.filter
+      (fun ((role, _) as s) ->
+        role = M.Slave && List.mem M.Commit (A.concurrent_kinds analysis s))
+      waiting
+  with
+  | [ (_, p) ] ->
+      let enters_p (tr : M.transition) = String.equal tr.M.target p in
+      let m =
+        match (List.find enters_p fsa.M.slave.M.transitions).M.guard with
+        | M.Recv m | M.Recv_all_votes m -> m
+        | M.Start -> fail "slave:%s entered on a request" p
+      in
+      let sends_m (tr : M.transition) = List.mem (M.Send_slaves m) tr.M.actions in
+      let p1 = (List.find sends_m fsa.M.master.M.transitions).M.target in
+      let after_m = [ (M.Master, p1); (M.Slave, p) ] in
+      { m; before_m = List.filter (fun s -> not (List.mem s after_m)) waiting; after_m }
+  | _ -> fail "no single slave waiting state is concurrent with a commit"
+
+(* ---- the derived actor ----------------------------------------------- *)
+
+(* What a state adds to its FSA edges: nothing (initial and final
+   states), the rules before m or the rules from m on. *)
+type rule = Plain | Before_m | After_m
+
+type node = {
+  s : Fsa_actor.state;
+  rule : rule;
+  sent : string;  (* the tag of the message sent on entering this state *)
+  timeout_reason : string;  (* "<state>-timeout" *)
+  ud_reason : string;  (* "ud-<sent>" *)
+  sub : string;  (* the state's name during its termination phase *)
+}
+
+type machine = { nodes : node array; initial : node; commit : node; abort : node }
+
+let machine classes fsa role ~vote_yes =
+  let c = Fsa_actor.compile fsa role ~vote_yes in
+  let node (s : Fsa_actor.state) =
+    let rule =
+      if List.mem (role, s.id) classes.after_m then After_m
+      else if List.mem (role, s.id) classes.before_m then Before_m
+      else Plain
+    in
+    let sent =
+      List.find_map
+        (fun (tr : M.transition) ->
+          match tr.M.actions with
+          | (M.Send_slaves tag | M.Send_master tag) :: _
+            when String.equal tr.M.target s.id ->
+              Some tag
+          | _ -> None)
+        (M.machine_of_role fsa role).M.transitions
+    in
+    let sent = Option.value sent ~default:"" in
+    {
+      s;
+      rule;
+      sent;
+      timeout_reason = s.id ^ "-timeout";
+      ud_reason = "ud-" ^ sent;
+      sub =
+        (s.id
+        ^
+        match (role, rule) with
+        | M.Master, After_m -> "/collect"
+        | M.Slave, Before_m -> "/waiting"
+        | M.Slave, After_m -> "/probing"
+        | M.Master, Before_m | _, Plain -> "");
+    }
+  in
+  let nodes = Array.map node c.states in
+  (* [Fsa_actor.compile] has checked that both final states exist. *)
+  let final d = Option.get (Array.find_opt (fun n -> n.s.final = Some d) nodes) in
+  { nodes; initial = nodes.(c.initial); commit = final Types.Commit; abort = final Types.Abort }
 
 module type CONFIG = sig
   val variant : variant
 
-  val four_phase : bool
-
-  val fig8_w_commit : bool
+  val fsa : Commit_fsa.Machine.t
 
   val collect_window_mult : int
 
   val wait_window_mult : int
 end
 
-module Make (V : CONFIG) = struct
+module Make (C : CONFIG) = struct
+  let classes = classify C.fsa
+
+  let master = machine classes C.fsa M.Master ~vote_yes:true
+
+  let yes_slave = machine classes C.fsa M.Slave ~vote_yes:true
+
+  let no_slave = machine classes C.fsa M.Slave ~vote_yes:false
+
+  (* The paper's protocol has one round, the vote, before m; over any
+     other FSA the name carries the FSA's ("4pc-termination").  A slave
+     that cannot commit before m lacks the Fig. 8 transition. *)
   let name =
-    (if V.four_phase then "4pc-" else "")
-    ^ (match V.variant with
+    let before_m (m : machine) =
+      List.filter (fun n -> n.rule = Before_m) (Array.to_list m.nodes)
+    in
+    let fig8 =
+      List.for_all
+        (fun n -> Option.is_some (Fsa_actor.edge n.s Types.Commit_cmd))
+        (before_m yes_slave)
+    in
+    (if List.length (before_m master) = 1 then "" else C.fsa.M.name ^ "-")
+    ^ (match C.variant with
       | Static -> "termination"
       | Transient -> "termination-transient")
-    ^ (if V.fig8_w_commit then "" else "-nofig8")
+    ^ (if fig8 then "" else "-nofig8")
     ^
     if
-      V.collect_window_mult = Timing.collect_window_mult
-      && V.wait_window_mult = Timing.wait_window_mult
+      C.collect_window_mult = Timing.collect_window_mult
+      && C.wait_window_mult = Timing.wait_window_mult
     then ""
-    else Printf.sprintf "-w%d-%d" V.collect_window_mult V.wait_window_mult
+    else Printf.sprintf "-w%d-%d" C.collect_window_mult C.wait_window_mult
 
   let blocking_by_design = false
 
-  type master_state =
-    | M_initial  (** q1 *)
-    | M_wait of { yes : Site_id.Set.t }  (** w1, timer 2T *)
-    | M_buffer of { pre_acks : Site_id.Set.t }  (** x1 (4PC), timer 2T *)
-    | M_prepared of { acks : Site_id.Set.t }  (** p1, timer 2T *)
-    | M_collect of { ud : Site_id.Set.t; pb : Site_id.Set.t }
-        (** p1 after the first UD(prepare); 5T collection window *)
-    | M_committed
-    | M_aborted
+  (* A waiting state's termination phase: a slave's 6T wait after a
+     timeout before m, its probe after one from m on, and the master's
+     collect window after the first UD(m). *)
+  type phase = Base | Waiting | Probing | Collect
 
-  type slave_state =
-    | S_initial  (** q *)
-    | S_wait  (** w, timer 3T *)
-    | S_buffer  (** x (4PC), timer 3T *)
-    | S_wait2
-        (** w or x after timeout; 6T window for a command (Fig. 7) *)
-    | S_prepared  (** p, timer 3T *)
-    | S_probing  (** p after timeout; probe sent (5T window if transient) *)
-    | S_committed
-    | S_aborted
-
-  type machine =
-    | Master of master_state
-    | Slave of { vote_yes : bool; state : slave_state }
-
-  type t = { ctx : Ctx.t; timer : Ctx.Timer_slot.slot; mutable machine : machine }
+  type t = {
+    ctx : Ctx.t;
+    machine : machine;
+    is_master : bool;
+    timer : Ctx.Timer_slot.slot;
+    mutable node : node;
+    mutable phase : phase;
+    mutable votes : Site_id.Set.t;  (* senders toward a [collect] edge *)
+    mutable ud : Site_id.Set.t;  (* the collect window's UD and PB *)
+    mutable pb : Site_id.Set.t;
+  }
 
   let create ctx role =
-    let timer = Ctx.Timer_slot.create () in
-    match role with
-    | Site.Master_role ->
-        Ctx.obs_state ctx "q1";
-        { ctx; timer; machine = Master M_initial }
-    | Site.Slave_role { vote_yes } ->
-        Ctx.obs_state ctx "q";
-        { ctx; timer; machine = Slave { vote_yes; state = S_initial } }
+    let machine =
+      match role with
+      | Site.Master_role -> master
+      | Site.Slave_role { vote_yes } -> if vote_yes then yes_slave else no_slave
+    in
+    Ctx.obs_state ctx machine.initial.s.id;
+    let none = Site_id.Set.empty in
+    { ctx; machine; is_master = Ctx.is_master ctx; timer = Ctx.Timer_slot.create ();
+      node = machine.initial; phase = Base; votes = none; ud = none; pb = none }
 
-  let state_name t =
-    match t.machine with
-    | Master M_initial -> "q1"
-    | Master (M_wait _) -> "w1"
-    | Master (M_buffer _) -> "x1"
-    | Master (M_prepared _) -> "p1"
-    | Master (M_collect _) -> "p1/collect"
-    | Master M_committed -> "c1"
-    | Master M_aborted -> "a1"
-    | Slave { state = S_initial; _ } -> "q"
-    | Slave { state = S_wait; _ } -> "w"
-    | Slave { state = S_buffer; _ } -> "x"
-    | Slave { state = S_wait2; _ } -> "w/waiting"
-    | Slave { state = S_prepared; _ } -> "p"
-    | Slave { state = S_probing; _ } -> "p/probing"
-    | Slave { state = S_committed; _ } -> "c"
-    | Slave { state = S_aborted; _ } -> "a"
+  let state_name t = match t.phase with Base -> t.node.s.id | _ -> t.node.sub
 
-  (* ---- master ---------------------------------------------------------- *)
+  let enter t node =
+    t.node <- node;
+    t.phase <- Base;
+    t.votes <- Site_id.Set.empty;
+    Ctx.obs_state t.ctx node.s.id
 
-  let master_decide t decision ~reason =
+  let enter_phase t phase =
+    t.phase <- phase;
+    Ctx.obs_state t.ctx t.node.sub
+
+  (* The master announces every decision to its slaves, its FSA's
+     included; a slave that acts for its group ([tell]) tells every
+     site: it does not know the boundary, and copies addressed across B
+     bounce and are ignored. *)
+  let decide t decision ~reason ~tell =
     Ctx.Timer_slot.cancel t.timer;
-    t.machine <-
-      Master
-        (match decision with Types.Commit -> M_committed | Types.Abort -> M_aborted);
-    Ctx.obs_state t.ctx
-      (match decision with Types.Commit -> "c1" | Types.Abort -> "a1");
-    Ctx.broadcast_slaves t.ctx
-      (match decision with
-      | Types.Commit -> Types.Commit_cmd
-      | Types.Abort -> Types.Abort_cmd);
+    let final, command =
+      match decision with
+      | Types.Commit -> (t.machine.commit, Types.Commit_cmd)
+      | Types.Abort -> (t.machine.abort, Types.Abort_cmd)
+    in
+    enter t final;
+    if t.is_master then Ctx.broadcast_slaves t.ctx command
+    else if tell then Ctx.broadcast_all t.ctx command;
     Ctx.decide t.ctx decision ~reason
 
-  let begin_transaction t =
-    match t.machine with
-    | Master M_initial ->
-        Ctx.broadcast_slaves t.ctx Types.Xact;
-        t.machine <- Master (M_wait { yes = Site_id.Set.empty });
-        Ctx.obs_state t.ctx "w1";
-        Ctx.Timer_slot.set t.ctx t.timer ~mult_t:Timing.master_timeout_mult
-          ~label:(Label.Static "w1-timeout") (fun () ->
-            match t.machine with
-            | Master (M_wait _) ->
-                (* Idea 2: no prepare was ever generated, so no slave in
-                   G2 can commit; aborting G1 is safe. *)
-                master_decide t Types.Abort ~reason:"w1-timeout"
-            | Master _ | Slave _ -> ())
-    | Master _ | Slave _ -> ()
-
-  (* Sending m: every slave voted (and, in 4PC, pre-acked). *)
-  let send_prepare t =
-    Ctx.broadcast_slaves t.ctx Types.Prepare;
-    t.machine <- Master (M_prepared { acks = Site_id.Set.empty });
-    Ctx.obs_state t.ctx "p1";
-    Ctx.Timer_slot.set t.ctx t.timer ~mult_t:Timing.master_timeout_mult
-      ~label:(Label.Static "p1-timeout") (fun () ->
-        match t.machine with
-        | Master (M_prepared _) ->
-            (* Idea 3: the timer outlived every possible UD(prepare)
-               return, so every prepare was delivered and every slave
-               will commit. *)
-            master_decide t Types.Commit ~reason:"fact2-case2"
-        | Master _ | Slave _ -> ())
-
-  (* The four-phase round before m; while the master waits in x1 no
-     prepare exists, so aborting is still safe (idea 2). *)
-  let send_pre_prepare t =
-    Ctx.broadcast_slaves t.ctx Types.Pre_prepare;
-    t.machine <- Master (M_buffer { pre_acks = Site_id.Set.empty });
-    Ctx.obs_state t.ctx "x1";
-    Ctx.Timer_slot.set t.ctx t.timer ~mult_t:Timing.master_timeout_mult
-      ~label:(Label.Static "x1-timeout") (fun () ->
-        match t.machine with
-        | Master (M_buffer _) ->
-            master_decide t Types.Abort ~reason:"x1-timeout"
-        | Master _ | Slave _ -> ())
-
-  let close_collect_window t ~ud ~pb =
+  let close_collect_window t =
     (* The paper's test N - UD = PB, with N read as the slave set (see
        DESIGN.md): the probes received came exactly from the slaves
        whose prepare was delivered iff no prepare crossed boundary B. *)
     let slaves = Site_id.Set.of_list (Ctx.slaves t.ctx) in
-    let reached = Site_id.Set.diff slaves ud in
-    if Site_id.Set.equal reached pb then begin
+    let reached = Site_id.Set.diff slaves t.ud in
+    if Site_id.Set.equal reached t.pb then begin
       if Ctx.tracing t.ctx then
-        Ctx.log1 t.ctx tmpl_collect_no_cross (Site_id.set_to_mask pb);
-      master_decide t Types.Abort ~reason:"collect-abort"
+        Ctx.log1 t.ctx tmpl_collect_no_cross (Site_id.set_to_mask t.pb);
+      decide t Types.Abort ~reason:"collect-abort" ~tell:true
     end
     else begin
       if Ctx.tracing t.ctx then
         Ctx.log2 t.ctx tmpl_collect_crossed
           (Site_id.set_to_mask reached)
-          (Site_id.set_to_mask pb);
-      master_decide t Types.Commit ~reason:"fact2-case3"
+          (Site_id.set_to_mask t.pb);
+      decide t Types.Commit ~reason:"fact2-case3" ~tell:true
     end
 
-  let enter_collect t ~ud ~pb =
-    t.machine <- Master (M_collect { ud; pb });
-    (* The 5T collection window is a phase of p1, not a new protocol
-       state — the paper keeps the master "in p1" while it gathers
-       probes and UD(prepare)s. *)
-    Ctx.obs_state t.ctx "p1/collect";
-    Ctx.obs_phase t.ctx "collect-window";
-    Ctx.Timer_slot.set t.ctx t.timer ~mult_t:V.collect_window_mult
-      ~label:(Label.Static "collect-window") (fun () ->
-        match t.machine with
-        | Master (M_collect { ud; pb }) -> close_collect_window t ~ud ~pb
-        | Master _ | Slave _ -> ())
-
-  let on_master_msg t state (envelope : Types.msg Network.envelope) =
-    match (state, envelope.payload) with
-    | M_wait { yes }, Types.Yes ->
-        let yes = Site_id.Set.add envelope.src yes in
-        if Site_id.Set.cardinal yes = Ctx.n t.ctx - 1 then
-          if V.four_phase then send_pre_prepare t else send_prepare t
-        else t.machine <- Master (M_wait { yes })
-    | M_wait _, Types.No -> master_decide t Types.Abort ~reason:"no-vote"
-    | M_buffer { pre_acks }, Types.Pre_ack ->
-        let pre_acks = Site_id.Set.add envelope.src pre_acks in
-        if Site_id.Set.cardinal pre_acks = Ctx.n t.ctx - 1 then send_prepare t
-        else t.machine <- Master (M_buffer { pre_acks })
-    | M_prepared { acks }, Types.Ack ->
-        let acks = Site_id.Set.add envelope.src acks in
-        if Site_id.Set.cardinal acks = Ctx.n t.ctx - 1 then
-          master_decide t Types.Commit ~reason:"fact2-case1"
-        else t.machine <- Master (M_prepared { acks })
-    | M_collect { ud; pb }, Types.Probe { slave; _ } ->
-        Ctx.obs_instant t.ctx ~cat:"probe" "probe-collected";
-        t.machine <- Master (M_collect { ud; pb = Site_id.Set.add slave pb })
-    | M_prepared _, Types.Probe _ ->
-        (* A slave's p-timer fired early on a fast path with no
-           partition; it will receive the commit command in due course. *)
-        Ctx.log_site t.ctx tmpl_probe_no_partition envelope.src
-    | (M_initial | M_committed | M_aborted), _
-    | M_wait _, _
-    | M_buffer _, _
-    | M_prepared _, _
-    | M_collect _, _ ->
-        Ctx.log_ignoring t.ctx envelope.payload (state_name t)
-
-  let on_master_ud t state (envelope : Types.msg Network.envelope) =
-    match (state, envelope.payload) with
-    | M_wait _, Types.Xact ->
-        (* The transaction never reached some slave: that slave never
-           voted, so nobody can commit. *)
-        master_decide t Types.Abort ~reason:"ud-xact"
-    | M_buffer _, Types.Pre_prepare ->
-        (* Still before m: some slave will never pre-ack, so no prepare
-           will be sent. *)
-        master_decide t Types.Abort ~reason:"ud-pre-prepare"
-    | M_prepared _, Types.Prepare ->
-        Ctx.obs_instant t.ctx ~cat:"probe" "ud-prepare";
-        enter_collect t ~ud:(Site_id.Set.singleton envelope.dst) ~pb:Site_id.Set.empty
-    | M_collect { ud; pb }, Types.Prepare ->
-        Ctx.obs_instant t.ctx ~cat:"probe" "ud-prepare";
-        t.machine <- Master (M_collect { ud = Site_id.Set.add envelope.dst ud; pb })
-    | ( ( M_initial | M_wait _ | M_buffer _ | M_prepared _ | M_collect _
-        | M_committed | M_aborted ),
-        _ ) ->
-        Ctx.log_ud_ignored t.ctx envelope.payload (state_name t)
-
-  (* ---- slaves ----------------------------------------------------------- *)
-
-  let slave_decide t ~vote_yes decision ~reason ~tell =
-    Ctx.Timer_slot.cancel t.timer;
-    t.machine <-
-      Slave
-        {
-          vote_yes;
-          state =
-            (match decision with
-            | Types.Commit -> S_committed
-            | Types.Abort -> S_aborted);
-        };
-    Ctx.obs_state t.ctx
-      (match decision with Types.Commit -> "c" | Types.Abort -> "a");
-    if tell then
-      (* "It will send to all the slaves in G2": the slave does not know
-         the boundary, so it sends to everyone; copies addressed across
-         B bounce and are ignored. *)
-      Ctx.broadcast_all t.ctx
-        (match decision with
-        | Types.Commit -> Types.Commit_cmd
-        | Types.Abort -> Types.Abort_cmd);
-    Ctx.decide t.ctx decision ~reason
-
-  let set_slave t ~vote_yes state =
-    t.machine <- Slave { vote_yes; state };
-    Ctx.obs_state t.ctx (state_name t)
-
-  let arm_slave_timer t ~mult_t ~label ~expected f =
-    Ctx.Timer_slot.set t.ctx t.timer ~mult_t ~label (fun () ->
-        match t.machine with
-        | Slave { state; vote_yes } when state = expected -> f ~vote_yes
-        | Slave _ | Master _ -> ())
-
-  let enter_wait2 t ~vote_yes =
-    set_slave t ~vote_yes S_wait2;
-    arm_slave_timer t ~mult_t:V.wait_window_mult ~label:(Label.Static "w2-window")
-      ~expected:S_wait2 (fun ~vote_yes ->
+  (* A slave's timeout: before m, wait 6T for a command (Fig. 7); from m
+     on, probe the master. *)
+  let wait t =
+    enter_phase t Waiting;
+    Ctx.Timer_slot.set t.ctx t.timer ~mult_t:C.wait_window_mult
+      ~label:(Label.Static "w2-window") (fun () ->
         (* 6T passed with no command: no commit exists anywhere
            reachable; abort (Fig. 7's bound makes this safe). *)
-        slave_decide t ~vote_yes Types.Abort ~reason:"w2-expired" ~tell:false)
+        decide t Types.Abort ~reason:"w2-expired" ~tell:false)
 
-  let enter_probing t ~vote_yes =
+  let probe t =
     Ctx.send_master t.ctx
       (Types.Probe { trans_id = Ctx.trans_id t.ctx; slave = Ctx.self t.ctx });
-    set_slave t ~vote_yes S_probing;
+    enter_phase t Probing;
     Ctx.obs_phase t.ctx "probe-round";
     Ctx.obs_instant t.ctx ~cat:"probe" "probe-sent";
-    match V.variant with
-    | Static -> Ctx.Timer_slot.cancel t.timer
+    match C.variant with
+    | Static -> ()
     | Transient ->
-        arm_slave_timer t ~mult_t:Timing.probe_window_mult ~label:(Label.Static "probe-window")
-          ~expected:S_probing (fun ~vote_yes ->
+        Ctx.Timer_slot.set t.ctx t.timer ~mult_t:Timing.probe_window_mult
+          ~label:(Label.Static "probe-window") (fun () ->
             (* Section 6: only case 3.2.2.2 keeps a probing slave waiting
                beyond 5T, and in that case the master has committed. *)
-            slave_decide t ~vote_yes Types.Commit ~reason:"transient-5t-commit"
-              ~tell:false)
+            decide t Types.Commit ~reason:"transient-5t-commit" ~tell:false)
 
-  let commit_reason ~state (envelope : Types.msg Network.envelope) =
-    match state with
-    | S_wait2 -> "fact1-case2"
-    | S_probing -> "fact1-case4"
-    | S_wait | S_buffer | S_prepared ->
-        if Site_id.is_master envelope.src then "fact1-case1" else "fact1-case6"
-    | S_initial | S_committed | S_aborted -> "fact1-unexpected"
+  let timeout t =
+    match (t.node.rule, t.is_master) with
+    | Before_m, true ->
+        (* Idea 2: no prepare was ever generated, so no slave in G2 can
+           commit; aborting G1 is safe. *)
+        decide t Types.Abort ~reason:t.node.timeout_reason ~tell:true
+    | After_m, true ->
+        (* Idea 3: the timer outlived every possible UD(m) return, so
+           every m was delivered and every slave will commit. *)
+        decide t Types.Commit ~reason:"fact2-case2" ~tell:true
+    | Before_m, false -> wait t
+    | After_m, false -> probe t
+    | Plain, _ -> ()
 
-  let on_slave_msg t ~vote_yes state (envelope : Types.msg Network.envelope) =
-    match (state, envelope.payload) with
-    | S_initial, Types.Xact ->
-        if vote_yes then begin
-          Ctx.send_master t.ctx Types.Yes;
-          set_slave t ~vote_yes S_wait;
-          arm_slave_timer t ~mult_t:Timing.slave_timeout_mult ~label:(Label.Static "w-timeout")
-            ~expected:S_wait (fun ~vote_yes -> enter_wait2 t ~vote_yes)
-        end
-        else begin
-          Ctx.send_master t.ctx Types.No;
-          slave_decide t ~vote_yes Types.Abort ~reason:"voted-no" ~tell:false
-        end
-    | S_wait, Types.Pre_prepare ->
-        (* Only the master chooses three or four phases; a slave follows
-           whichever round reaches it.  The prepare is m either way. *)
-        Ctx.send_master t.ctx Types.Pre_ack;
-        set_slave t ~vote_yes S_buffer;
-        arm_slave_timer t ~mult_t:Timing.slave_timeout_mult ~label:(Label.Static "x-timeout")
-          ~expected:S_buffer (fun ~vote_yes -> enter_wait2 t ~vote_yes)
-    | (S_wait | S_buffer), Types.Prepare ->
-        Ctx.send_master t.ctx Types.Ack;
-        set_slave t ~vote_yes S_prepared;
-        arm_slave_timer t ~mult_t:Timing.slave_timeout_mult ~label:(Label.Static "p-timeout")
-          ~expected:S_prepared (fun ~vote_yes -> enter_probing t ~vote_yes)
-    | S_wait, Types.Commit_cmd when not V.fig8_w_commit ->
-        (* Ablation: the unmodified 3PC slave of Fig. 3 has no w -> c
-           transition; it drops the relayed commit — which may be the
-           only commit it will ever receive ("a fly in the ointment"). *)
-        Ctx.log_text t.ctx "commit in w dropped (Fig. 8 modification disabled)"
-    | S_wait2, Types.Prepare ->
-        (* Cannot happen within the model's timing envelope: a prepare
-           arrives at most 3T after the slave entered w (or x).  Logged
-           for the failure-injection tests. *)
-        Ctx.log_text t.ctx "late prepare ignored in w/waiting"
-    | ( (S_wait | S_buffer | S_wait2 | S_prepared | S_probing | S_initial),
-        Types.Commit_cmd ) ->
-        slave_decide t ~vote_yes Types.Commit
-          ~reason:(commit_reason ~state envelope)
+  (* A base transition into a waiting state arms its Fig. 5 timer. *)
+  let advance t (e : Fsa_actor.edge) =
+    let next = t.machine.nodes.(e.target) in
+    Fsa_actor.send t.ctx e.sends;
+    enter t next;
+    if next.rule <> Plain then
+      Ctx.Timer_slot.set t.ctx t.timer
+        ~mult_t:
+          (if t.is_master then Timing.master_timeout_mult
+           else Timing.slave_timeout_mult)
+        ~label:next.s.label (fun () -> timeout t)
+
+  (* A decision of the FSA's own carries the FACT tag of its case.  A
+     slave sends its no vote before it aborts; the master's command is
+     the one [decide] announces. *)
+  let take t (e : Fsa_actor.edge) (envelope : Types.msg Network.envelope) =
+    match t.machine.nodes.(e.target).s.final with
+    | None -> advance t e
+    | Some decision ->
+        let reason =
+          match (decision, envelope.payload) with
+          | Types.Commit, _ when t.is_master -> "fact2-case1"
+          | Types.Commit, _ when Site_id.is_master envelope.src -> "fact1-case1"
+          | Types.Commit, _ -> "fact1-case6"
+          | Types.Abort, _ when t.is_master -> "no-vote"
+          | Types.Abort, Types.Abort_cmd -> "abort-cmd"
+          | Types.Abort, _ -> "voted-no"
+        in
+        if not t.is_master then Fsa_actor.send t.ctx e.sends;
+        decide t decision ~reason ~tell:false
+
+  let begin_transaction t =
+    match Fsa_actor.start_edge t.node.s with Some e -> advance t e | None -> ()
+
+  let on_msg t (envelope : Types.msg Network.envelope) =
+    match (t.phase, envelope.payload) with
+    | Base, payload -> (
+        match Fsa_actor.edge t.node.s payload with
+        | Some e when e.collect ->
+            t.votes <- Site_id.Set.add envelope.src t.votes;
+            if Site_id.Set.cardinal t.votes = Ctx.n t.ctx - 1 then
+              take t e envelope
+        | Some e -> take t e envelope
+        | None -> Ctx.log_ignoring t.ctx payload t.node.s.id)
+    | (Waiting | Probing), Types.Commit_cmd ->
+        decide t Types.Commit
+          ~reason:(if t.phase = Waiting then "fact1-case2" else "fact1-case4")
           ~tell:false
-    | ( (S_wait | S_buffer | S_wait2 | S_prepared | S_probing | S_initial),
-        Types.Abort_cmd ) ->
-        slave_decide t ~vote_yes Types.Abort ~reason:"abort-cmd" ~tell:false
-    | ( ( S_initial | S_wait | S_buffer | S_wait2 | S_prepared | S_probing
-        | S_committed | S_aborted ),
-        _ ) ->
-        Ctx.log_ignoring t.ctx envelope.payload (state_name t)
+    | (Waiting | Probing), Types.Abort_cmd ->
+        decide t Types.Abort ~reason:"abort-cmd" ~tell:false
+    | Collect, Types.Probe { slave; _ } ->
+        Ctx.obs_instant t.ctx ~cat:"probe" "probe-collected";
+        t.pb <- Site_id.Set.add slave t.pb
+    | (Waiting | Probing | Collect), payload ->
+        Ctx.log_ignoring t.ctx payload t.node.sub
 
-  let on_slave_ud t ~vote_yes state (envelope : Types.msg Network.envelope) =
-    match (state, envelope.payload) with
-    | S_wait, Types.Yes ->
-        (* My vote never reached the master, so the master cannot have
-           collected all votes and no prepare exists: abort my side. *)
-        slave_decide t ~vote_yes Types.Abort ~reason:"ud-yes" ~tell:true
-    | S_buffer, Types.Pre_ack ->
-        (* The same before m in 4PC: the master cannot collect every
-           pre-ack, so it never sends a prepare. *)
-        slave_decide t ~vote_yes Types.Abort ~reason:"ud-pre-ack" ~tell:true
-    | (S_prepared | S_probing), Types.Ack ->
+  (* The rules read the bounce of the message a state was entered by
+     sending, and a probing slave's bounced probe. *)
+  let on_ud t (envelope : Types.msg Network.envelope) =
+    let own = String.equal (Types.msg_tag envelope.payload) t.node.sent in
+    match (t.phase, t.node.rule, envelope.payload) with
+    | Base, Before_m, _ when own ->
+        (* Before m some site never answers, so no prepare exists (or
+           will): abort.  A slave whose vote bounced aborts its side. *)
+        decide t Types.Abort ~reason:t.node.ud_reason ~tell:true
+    | Base, After_m, _ when own && t.is_master ->
+        Ctx.obs_instant t.ctx ~cat:"probe" t.node.ud_reason;
+        t.ud <- Site_id.Set.singleton envelope.dst;
+        t.pb <- Site_id.Set.empty;
+        enter_phase t Collect;
+        Ctx.obs_phase t.ctx "collect-window";
+        Ctx.Timer_slot.set t.ctx t.timer ~mult_t:C.collect_window_mult
+          ~label:(Label.Static "collect-window") (fun () -> close_collect_window t)
+    | Collect, _, _ when own ->
+        Ctx.obs_instant t.ctx ~cat:"probe" t.node.ud_reason;
+        t.ud <- Site_id.Set.add envelope.dst t.ud
+    | (Base | Probing), After_m, _ when own ->
         (* Idea 6(1): I hold a prepare and my ack bounced — I am in G2
            and responsible for committing it. *)
-        slave_decide t ~vote_yes Types.Commit ~reason:"fact1-case5" ~tell:true
-    | S_probing, Types.Probe _ ->
+        decide t Types.Commit ~reason:"fact1-case5" ~tell:true
+    | Probing, _, Types.Probe _ ->
         (* Idea 6(2): my probe bounced — same conclusion. *)
-        slave_decide t ~vote_yes Types.Commit ~reason:"fact1-case3" ~tell:true
-    | ( ( S_initial | S_wait | S_buffer | S_wait2 | S_prepared | S_probing
-        | S_committed | S_aborted ),
-        _ ) ->
-        Ctx.log_ud_ignored t.ctx envelope.payload (state_name t)
+        decide t Types.Commit ~reason:"fact1-case3" ~tell:true
+    | _ -> Ctx.log_ud_ignored t.ctx envelope.payload (state_name t)
 
-  let on_delivery t delivery =
-    match (t.machine, delivery) with
-    | Master state, Network.Msg envelope -> on_master_msg t state envelope
-    | Master state, Network.Undeliverable envelope ->
-        on_master_ud t state envelope
-    | Slave { vote_yes; state }, Network.Msg envelope ->
-        on_slave_msg t ~vote_yes state envelope
-    | Slave { vote_yes; state }, Network.Undeliverable envelope ->
-        on_slave_ud t ~vote_yes state envelope
+  let on_delivery t = function
+    | Network.Msg envelope -> on_msg t envelope
+    | Network.Undeliverable envelope -> on_ud t envelope
 end
 
 (* The paper's settings: modified 3PC (Fig. 8) with the derived 5T/6T
@@ -425,9 +404,7 @@ end
 module Paper = struct
   let variant = Static
 
-  let four_phase = false
-
-  let fig8_w_commit = true
+  let fsa = Commit_fsa.Catalog.modified_three_phase
 
   let collect_window_mult = Timing.collect_window_mult
 
@@ -445,13 +422,13 @@ end)
 module Static_without_fig8 = Make (struct
   include Paper
 
-  let fig8_w_commit = false
+  let fsa = Commit_fsa.Catalog.three_phase
 end)
 
 module Four_phase = Make (struct
   include Paper
 
-  let four_phase = true
+  let fsa = Commit_fsa.Catalog.four_phase
 end)
 
 module With_windows (W : sig

@@ -34,23 +34,19 @@
       which the master has committed — exceeds 5T.
 
     {b Theorem 10, constructively.}  The paper's last theorem: {e any}
-    master/slave commit protocol satisfying Lemma 1 and Lemma 2 can be
-    made resilient by rebuilding the Section 5.2 ideas around the
-    message m that moves slaves from their last noncommittable state to
-    a committable one.  {!CONFIG.four_phase} carries the construction
-    out for {b four-phase commit} ([Commit_fsa.Catalog.four_phase] —
-    vote, pre-prepare, prepare, commit), whose m is still the prepare.
-    It adds only the round before m:
-    - the master sends pre-prepare once every slave voted yes and waits
-      in x1; a 2T timeout or a UD(pre-prepare) aborts everyone (no
-      prepare exists, so no slave anywhere can commit);
-    - a slave pre-acks and waits in x; a 3T timeout enters the same 6T
-      window as w (accepting an early commit — the Fig. 8 acceptance
-      generalised to both noncommittable states), and a bounced pre-ack
-      aborts its side, as a bounced yes does;
-    - the master sends the prepare once every slave pre-acked.
-    From m on it is the three-phase protocol above, with the same
-    decision tags.
+    master/slave commit protocol satisfying Lemmas 1 and 2 can be made
+    resilient by rebuilding the Section 5.2 ideas around the message m
+    that moves slaves from their last noncommittable state to a
+    committable one.  {!Make} takes the protocol as a catalog FSA
+    ({!CONFIG.fsa}), rejects it unless both lemmas hold, and runs its
+    base transitions as {!Fsa_actor} compiles them.  m moves a slave
+    into the one slave waiting state concurrent with a commit: p,
+    entered on the prepare.  The rules attach by class: waiting states
+    before m (w1, w, and four-phase commit's x1 and x) get the abort
+    timeouts, the ["ud-<tag>"] aborts and the 6T wait; the states from
+    m on (p1, p) get the rest.  [Analysis.committable] alone would
+    misclass x1 and x: every slave has voted yes there, yet no prepare
+    exists, so the protocol must abort.
 
     Decisions are annotated (see {!Commit_protocols.Runner.site_result}
     reasons) with stable strings of the form ["fact1-case3"] /
@@ -80,19 +76,27 @@ val master_abort_reasons : string list
     ["w1-timeout"], ["ud-xact"], ["no-vote"], ["collect-abort"] and, in
     four-phase commit, ["x1-timeout"] and ["ud-pre-prepare"]. *)
 
+type classes = {
+  m : string;  (** the tag of m *)
+  before_m : Commit_fsa.Analysis.site_state list;
+  after_m : Commit_fsa.Analysis.site_state list;  (** p1 and p *)
+}
+
+val classify : Commit_fsa.Machine.t -> classes
+(** The waiting states on either side of m.
+    @raise Invalid_argument naming the lemma and its states (2PC:
+    ["Lemma 1 violated at slave:w"]) for an FSA that fails
+    {!Commit_fsa.Analysis.satisfies_lemmas} at n = 3. *)
+
 module type CONFIG = sig
   val variant : variant
 
-  val four_phase : bool
-  (** Four-phase commit instead of three-phase: the master runs the
-      pre-prepare round (master state x1, slave state x) before m, the
-      prepare. *)
-
-  val fig8_w_commit : bool
-  (** Whether slaves accept a commit command in state w (the Fig. 8
-      modification).  The real protocol requires [true]; [false] exists
-      only for the fig8 ablation bench, which shows the inconsistency
-      the paper's "fly in the ointment" paragraph predicts. *)
+  val fsa : Commit_fsa.Machine.t
+  (** The paper's is [Commit_fsa.Catalog.modified_three_phase], whose
+      slaves accept a commit in w (Fig. 8).  Over
+      [Commit_fsa.Catalog.three_phase] it is the Fig. 8 ablation, which
+      shows the inconsistency the paper's "fly in the ointment"
+      paragraph predicts. *)
 
   val collect_window_mult : int
   (** The master's UD/probe collection window, in multiples of T.  The
@@ -106,6 +110,7 @@ module type CONFIG = sig
 end
 
 module Make (_ : CONFIG) : Site.S
+(** @raise Invalid_argument as {!classify}. *)
 
 module Static : Site.S
 (** Section 5.3, ["termination"]. *)
@@ -122,9 +127,10 @@ end) : Site.S
     ablation showing the paper's 5T/6T are minimal. *)
 
 module Static_without_fig8 : Site.S
-(** The ablation: Section 5.3 over the {e unmodified} 3PC slave
-    (["termination-nofig8"]).  Not resilient — see Fig. 8. *)
+(** The ablation: Section 5.3 over unmodified 3PC,
+    [Commit_fsa.Catalog.three_phase] (["termination-nofig8"]).  Not
+    resilient — see Fig. 8. *)
 
 module Four_phase : Site.S
-(** Theorem 10 over four-phase commit, static partitions
-    (["4pc-termination"]). *)
+(** Theorem 10 over four-phase commit, [Commit_fsa.Catalog.four_phase],
+    static partitions (["4pc-termination"]). *)

@@ -18,12 +18,6 @@ let tmpl_ud_ignored =
 (* Template factories for the recurring one-argument shapes, so each
    protocol module can register its fixed wording at init time. *)
 
-let msg_template ~prefix ~suffix =
-  Trace.register_template (fun b _ code _ _ _ _ ->
-      Buffer.add_string b prefix;
-      Types.buf_msg_code b code;
-      Buffer.add_string b suffix)
-
 let msg_str_template ~prefix ~mid ~suffix =
   Trace.register_template (fun b lookup code s _ _ _ ->
       Buffer.add_string b prefix;
@@ -36,14 +30,6 @@ let str_template ~prefix ~suffix =
   Trace.register_template (fun b lookup a0 _ _ _ _ ->
       Buffer.add_string b prefix;
       Buffer.add_string b (lookup a0);
-      Buffer.add_string b suffix)
-
-let str2_template ~prefix ~mid ~suffix =
-  Trace.register_template (fun b lookup a0 a1 _ _ _ ->
-      Buffer.add_string b prefix;
-      Buffer.add_string b (lookup a0);
-      Buffer.add_string b mid;
-      Buffer.add_string b (lookup a1);
       Buffer.add_string b suffix)
 
 let int_template ~prefix ~suffix =
@@ -160,11 +146,6 @@ let log1 t tmpl a0 = if t.on then Trace.log1 t.log ~at:(now t) ~topic:t.topic tm
 let log2 t tmpl a0 a1 =
   if t.on then Trace.log2 t.log ~at:(now t) ~topic:t.topic tmpl a0 a1
 
-let log_text t text =
-  if t.on then Trace.log_text t.log ~at:(now t) ~topic:t.topic text
-
-let log_msg t tmpl msg = if t.on then log1 t tmpl (Types.msg_code msg)
-
 let log_str t tmpl s = if t.on then log1 t tmpl (intern t s)
 
 let log_msg_str t tmpl msg s =
@@ -221,8 +202,6 @@ let broadcast_all t msg =
     (Site_id.all ~n:t.n)
 
 let decided t = t.decision
-
-let reason t note = t.on_reason note
 
 let decide t ?reason:why decision =
   match t.decision with

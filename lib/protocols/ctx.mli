@@ -69,10 +69,6 @@ val decide : t -> ?reason:string -> Types.decision -> unit
 
 val decided : t -> Types.decision option
 
-val reason : t -> string -> unit
-(** Attach a free-form annotation ("FACT1 case 5", ...) retrievable from
-    the run result; used to audit the proof's case analysis. *)
-
 (** {1 Typed trace logging}
 
     Protocol actors log through registered binary templates instead of
@@ -94,13 +90,6 @@ val log1 : t -> Trace.template -> int -> unit
 
 val log2 : t -> Trace.template -> int -> int -> unit
 
-val log_text : t -> string -> unit
-(** A text-only entry (the string is interned, so repeated messages
-    cost one int). *)
-
-val log_msg : t -> Trace.template -> Types.msg -> unit
-(** [log1] with a {!Types.msg_code}-packed message argument. *)
-
 val log_str : t -> Trace.template -> string -> unit
 (** [log1] with an interned-string argument. *)
 
@@ -114,15 +103,10 @@ val log_ignoring : t -> Types.msg -> string -> unit
 val log_ud_ignored : t -> Types.msg -> string -> unit
 (** ["UD(<msg>) ignored in <state>"]. *)
 
-val msg_template : prefix:string -> suffix:string -> Trace.template
-(** [prefix ^ msg ^ suffix]; register at module init only. *)
-
 val msg_str_template :
   prefix:string -> mid:string -> suffix:string -> Trace.template
 
 val str_template : prefix:string -> suffix:string -> Trace.template
-
-val str2_template : prefix:string -> mid:string -> suffix:string -> Trace.template
 
 val int_template : prefix:string -> suffix:string -> Trace.template
 

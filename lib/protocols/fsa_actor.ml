@@ -125,7 +125,7 @@ let reason_of (guard : M.guard) =
 (* One role machine, for one vote: a state's edges on a tag are the
    transitions reading it, and where a vote choice offers two, the one
    whose [votes_yes] matches. *)
-let compile ~protocol assignment (machine : M.machine) ~vote_yes =
+let compile_machine ~protocol assignment (machine : M.machine) ~vote_yes =
   let states = Array.of_list machine.M.states in
   (* [M.validate_exn] has checked that every transition's states exist. *)
   let index id =
@@ -237,6 +237,19 @@ let compile ~protocol assignment (machine : M.machine) ~vote_yes =
     mult_t = (match machine.M.role with M.Master -> 2 | M.Slave -> 3);
   }
 
+let none = { timeouts = []; uds = [] }
+
+let compile fsa role ~vote_yes =
+  let fsa = M.validate_exn fsa in
+  compile_machine ~protocol:fsa.M.name none (M.machine_of_role fsa role)
+    ~vote_yes
+
+let edge state msg =
+  let code = Types.msg_code msg in
+  if code < start_slot then state.edges.(code) else None
+
+let start_edge state = state.edges.(start_slot)
+
 (* ------------------------------------------------------------------ *)
 (* The interpreter                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -244,7 +257,7 @@ let compile ~protocol assignment (machine : M.machine) ~vote_yes =
 let make ~name:protocol_name fsa assignment =
   let fsa = M.validate_exn fsa in
   validate_assignment fsa assignment;
-  let compile = compile ~protocol:protocol_name assignment in
+  let compile = compile_machine ~protocol:protocol_name assignment in
   let master = compile fsa.M.master ~vote_yes:true in
   let yes_slave = compile fsa.M.slave ~vote_yes:true in
   let no_slave = compile fsa.M.slave ~vote_yes:false in
@@ -309,13 +322,11 @@ let make ~name:protocol_name fsa assignment =
       decide t e.reason
 
     let begin_transaction t =
-      match t.state.edges.(start_slot) with Some e -> take t e | None -> ()
+      match start_edge t.state with Some e -> take t e | None -> ()
 
     let on_delivery t = function
       | Network.Msg envelope -> (
-          let code = Types.msg_code envelope.payload in
-          let edge = if code < start_slot then t.state.edges.(code) else None in
-          match edge with
+          match edge t.state envelope.payload with
           | Some e when e.collect ->
               t.votes <- Site_id.Set.add envelope.src t.votes;
               if Site_id.Set.cardinal t.votes = Ctx.n t.ctx - 1 then take t e
@@ -351,8 +362,6 @@ let rules ~name fsa ~n =
 (* ------------------------------------------------------------------ *)
 (* The five protocols                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let none = { timeouts = []; uds = [] }
 
 let two_phase = make ~name:"2pc" Commit_fsa.Catalog.two_phase none
 

@@ -63,6 +63,45 @@ val all_assignments : Commit_fsa.Machine.t -> assignment list
     {!waiting_states} — [4^k] of them for [k] waiting states.  3PC has
     [k = 4] (w1, p1, w, p), giving 256. *)
 
+(** {1 The compiled form}
+
+    What {!make} runs; [Commit_termination.Termination] attaches its own
+    rules around it. *)
+
+type send = To_slaves of Types.msg | To_master of Types.msg
+
+val send : Ctx.t -> send list -> unit
+
+type edge = private {
+  target : int;  (** index into the compiled states *)
+  sends : send list;
+  collect : bool;  (** taken once every slave has sent its message *)
+  reason : string;
+}
+
+type jump
+
+type state = private {
+  id : string;
+  final : Types.decision option;
+  edges : edge option array;
+  timeout : jump option;
+  ud : jump option;
+  label : Label.t;  (** ["<id>-timeout"] *)
+}
+
+type compiled = private { states : state array; initial : int; mult_t : int }
+
+val compile :
+  Commit_fsa.Machine.t -> Commit_fsa.Machine.role -> vote_yes:bool -> compiled
+(** One role with no timeout or UD transitions, its states in the FSA's
+    order.  @raise Invalid_argument as {!make} does. *)
+
+val edge : state -> Types.msg -> edge option
+(** An array lookup by {!Types.msg_code}. *)
+
+val start_edge : state -> edge option
+
 (** {1 The protocols} *)
 
 val two_phase : Site.packed

@@ -30,7 +30,7 @@ type site_result = {
   decision : Types.decision option;  (** [None] = blocked (or crashed) *)
   decided_at : Vtime.t option;
   final_state : string;
-  reasons : string list;  (** annotations recorded via {!Ctx.reason} *)
+  reasons : string list;  (** the reasons given to {!Ctx.decide} *)
   crashed : bool;
 }
 

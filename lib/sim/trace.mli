@@ -147,10 +147,6 @@ val log4 :
     compute arguments inside that guard so a disabled log costs
     nothing. *)
 
-val log_text : t -> at:Vtime.t -> topic:topic -> string -> unit
-(** Append a text-only record through the built-in text template (the
-    string is interned, so repeated messages are stored as one int). *)
-
 (** {1 Writing span records}
 
     Each writer appends one record whose span part sits on the
