@@ -492,7 +492,13 @@ let analyze_cmd =
       required
       & opt (some string) None
       & info [ "p"; "protocol" ] ~docv:"NAME"
-          ~doc:"FSA to analyse: 2pc, ext2pc, 3pc, 3pc-fig8, quorum3pc.")
+          ~doc:
+            ("FSA to analyse: "
+            ^ String.concat ", "
+                (List.map
+                   (fun (p : Commit_fsa.Machine.t) -> p.name)
+                   Commit_fsa.Catalog.all)
+            ^ "."))
   in
   let dot_arg =
     Arg.(

@@ -54,44 +54,45 @@ type classes = {
 }
 
 let classify (fsa : M.t) =
-  let fail fmt =
-    Printf.ksprintf
-      (fun why -> invalid_arg ("Termination: " ^ fsa.M.name ^ ": " ^ why))
-      fmt
-  in
   let analysis = A.analyze fsa ~n:3 in
-  let check lemma = function
-    | [] -> ()
-    | states ->
-        fail "Lemma %d violated at %s" lemma
-          (String.concat ", "
-             (List.map (Format.asprintf "%a" A.pp_site_state) states))
+  let violated lemma states =
+    Error
+      (Printf.sprintf "Lemma %d violated at %s" lemma
+         (String.concat ", "
+            (List.map (Format.asprintf "%a" A.pp_site_state) states)))
   in
-  check 1 (A.lemma1_violations analysis);
-  check 2 (A.lemma2_violations analysis);
   (* m moves a slave into the one waiting state concurrent with a
-     commit, p; the master enters p1 by sending m.  Both exist: p is
-     entered by some transition, and a slave occupies it only once the
-     master has sent m. *)
+     commit, p; the master enters p1 by sending m.  Both transitions
+     exist: p is entered by some transition (never [Start], which
+     validation keeps to the master), and a slave occupies p only once
+     the master has sent m. *)
   let waiting = Fsa_actor.waiting_states fsa in
   match
-    List.filter
-      (fun ((role, _) as s) ->
-        role = M.Slave && List.mem M.Commit (A.concurrent_kinds analysis s))
-      waiting
+    ( A.lemma1_violations analysis,
+      A.lemma2_violations analysis,
+      List.filter
+        (fun ((role, _) as s) ->
+          role = M.Slave && List.mem M.Commit (A.concurrent_kinds analysis s))
+        waiting )
   with
-  | [ (_, p) ] ->
-      let enters_p (tr : M.transition) = String.equal tr.M.target p in
+  | (_ :: _ as states), _, _ -> violated 1 states
+  | [], (_ :: _ as states), _ -> violated 2 states
+  | [], [], [ (_, p) ] ->
       let m =
-        match (List.find enters_p fsa.M.slave.M.transitions).M.guard with
-        | M.Recv m | M.Recv_all_votes m -> m
-        | M.Start -> fail "slave:%s entered on a request" p
+        List.find_map
+          (fun (tr : M.transition) ->
+            match tr.M.guard with
+            | (M.Recv m | M.Recv_all_votes m) when String.equal tr.M.target p ->
+                Some m
+            | M.Recv _ | M.Recv_all_votes _ | M.Start -> None)
+          fsa.M.slave.M.transitions
+        |> Option.get
       in
       let sends_m (tr : M.transition) = List.mem (M.Send_slaves m) tr.M.actions in
       let p1 = (List.find sends_m fsa.M.master.M.transitions).M.target in
       let after_m = [ (M.Master, p1); (M.Slave, p) ] in
-      { m; before_m = List.filter (fun s -> not (List.mem s after_m)) waiting; after_m }
-  | _ -> fail "no single slave waiting state is concurrent with a commit"
+      Ok { m; before_m = List.filter (fun s -> not (List.mem s after_m)) waiting; after_m }
+  | [], [], _ -> Error "no single slave waiting state is concurrent with a commit"
 
 (* ---- the derived actor ----------------------------------------------- *)
 
@@ -161,7 +162,10 @@ module type CONFIG = sig
 end
 
 module Make (C : CONFIG) = struct
-  let classes = classify C.fsa
+  let classes =
+    match classify C.fsa with
+    | Ok classes -> classes
+    | Error why -> invalid_arg ("Termination: " ^ C.fsa.M.name ^ ": " ^ why)
 
   let master = machine classes C.fsa M.Master ~vote_yes:true
 

@@ -82,10 +82,10 @@ type classes = {
   after_m : Commit_fsa.Analysis.site_state list;  (** p1 and p *)
 }
 
-val classify : Commit_fsa.Machine.t -> classes
-(** The waiting states on either side of m.
-    @raise Invalid_argument naming the lemma and its states (2PC:
-    ["Lemma 1 violated at slave:w"]) for an FSA that fails
+val classify : Commit_fsa.Machine.t -> (classes, string) result
+(** The waiting states on either side of m, or why the construction
+    does not apply: the lemma and its states (2PC: ["Lemma 1 violated at
+    slave:w"]) for an FSA that fails
     {!Commit_fsa.Analysis.satisfies_lemmas} at n = 3. *)
 
 module type CONFIG = sig
@@ -110,7 +110,8 @@ module type CONFIG = sig
 end
 
 module Make (_ : CONFIG) : Site.S
-(** @raise Invalid_argument as {!classify}. *)
+(** @raise Invalid_argument ["Termination: <fsa>: <why>"] when
+    {!classify} gives an error. *)
 
 module Static : Site.S
 (** Section 5.3, ["termination"]. *)

@@ -586,6 +586,123 @@ let theorem10_random_resilient =
       let result = Runner.run (module Termination.Four_phase) cfg in
       Verdict.resilient (Verdict.of_result result))
 
+(* The construction's input: Make derives its actor from a catalog FSA. *)
+
+module Catalog = Commit_fsa.Catalog
+
+let site_state : Commit_fsa.Analysis.site_state Alcotest.testable =
+  Alcotest.testable Commit_fsa.Analysis.pp_site_state ( = )
+
+(* 2PC and extended 2PC fail Lemma 1 at the slave's wait state, so both
+   classify and Make refuse them and say why. *)
+let test_theorem10_rejects_lemma_failures () =
+  List.iter
+    (fun (fsa : Commit_fsa.Machine.t) ->
+      let why = "Lemma 1 violated at slave:w" in
+      let derive () =
+        let module P = Termination.Make (struct
+          let variant = Termination.Static
+
+          let fsa = fsa
+
+          let collect_window_mult = Timing.collect_window_mult
+
+          let wait_window_mult = Timing.wait_window_mult
+        end) in
+        P.name
+      in
+      check Alcotest.string "classify" why
+        (match Termination.classify fsa with
+        | Ok _ -> "accepted"
+        | Error why -> why);
+      check Alcotest.string "Make"
+        (Printf.sprintf "Termination: %s: %s" fsa.name why)
+        (match derive () with
+        | name -> name
+        | exception Invalid_argument why -> why))
+    [ Catalog.two_phase; Catalog.extended_two_phase ]
+
+let test_theorem10_m_is_prepare () =
+  List.iter
+    (fun (fsa : Commit_fsa.Machine.t) ->
+      check Alcotest.string fsa.name "prepare"
+        (Result.get_ok (Termination.classify fsa)).m)
+    [ Catalog.three_phase; Catalog.modified_three_phase; Catalog.four_phase ]
+
+(* The names the FSA and the windows give each instance. *)
+let test_theorem10_names () =
+  let module W = Termination.With_windows (struct
+    let collect_window_mult = 3
+
+    let wait_window_mult = 6
+  end) in
+  check
+    (Alcotest.list Alcotest.string)
+    "names"
+    [
+      "termination";
+      "termination-transient";
+      "termination-nofig8";
+      "4pc-termination";
+      "termination-w3-6";
+    ]
+    (List.map Site.name
+       [
+         (module Termination.Static : Site.S);
+         (module Termination.Transient);
+         (module Termination.Static_without_fig8);
+         (module Termination.Four_phase);
+         (module W);
+       ])
+
+(* Every slave has voted yes in 4PC's x1 and x, so the analysis calls
+   them committable; no prepare exists yet, so they are before m and
+   take the abort rules. *)
+let test_theorem10_4pc_classes () =
+  let open Commit_fsa.Machine in
+  let classes = Result.get_ok (Termination.classify Catalog.four_phase) in
+  let analysis = Commit_fsa.Analysis.analyze Catalog.four_phase ~n:3 in
+  List.iter
+    (fun s ->
+      check Alcotest.bool "committable" true
+        (Commit_fsa.Analysis.committable analysis s))
+    [ (Master, "x1"); (Slave, "x") ];
+  check (Alcotest.list site_state) "before m"
+    [ (Master, "w1"); (Master, "x1"); (Slave, "w"); (Slave, "x") ]
+    classes.before_m;
+  check (Alcotest.list site_state) "from m on"
+    [ (Master, "p1"); (Slave, "p") ]
+    classes.after_m
+
+(* The x1 and x rules at work: a cut as the pre-acks travel times the
+   master out of x1, and a cut after the prepares bounce leaves site 3
+   waiting in x/waiting until its 6T window expires. *)
+let test_theorem10_4pc_rules_before_m () =
+  let run ~at =
+    let obs = Obs.create () in
+    let cfg =
+      config ~partition:(partition ~g2:[ 3 ] ~at ~n:3 ())
+        ~delay:(Delay.full ~t_max:t_unit) ()
+    in
+    (Runner.run ~obs (module Termination.Four_phase) cfg, obs)
+  in
+  let x1, _ = run ~at:3100 in
+  expect_site x1 1 ~decision:Types.Abort ~reason:"x1-timeout";
+  expect_site x1 3 ~decision:Types.Abort ~reason:"ud-pre-ack";
+  let x, obs = run ~at:4100 in
+  expect_site x 3 ~decision:Types.Abort ~reason:"w2-expired";
+  let json = Obs.to_trace_event_json obs in
+  let contains needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length json
+      && (String.sub json i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  check Alcotest.bool "site 3 waits in x/waiting" true
+    (contains "\"name\":\"x/waiting\"")
+
 (* ------------------------------------------------------------------ *)
 (* Lemma 8: the outcome is exactly "did a prepare cross B"             *)
 (* ------------------------------------------------------------------ *)
@@ -840,6 +957,15 @@ let () =
           Alcotest.test_case "4pc-termination resilient (n=4)" `Slow
             test_theorem10_4pc_resilient_n4;
           QCheck_alcotest.to_alcotest theorem10_random_resilient;
+          Alcotest.test_case "2pc and ext2pc rejected" `Quick
+            test_theorem10_rejects_lemma_failures;
+          Alcotest.test_case "m is the prepare" `Quick
+            test_theorem10_m_is_prepare;
+          Alcotest.test_case "instance names" `Quick test_theorem10_names;
+          Alcotest.test_case "4pc x1 and x before m" `Quick
+            test_theorem10_4pc_classes;
+          Alcotest.test_case "4pc rules before m" `Quick
+            test_theorem10_4pc_rules_before_m;
         ] );
       ( "lemma8",
         [
