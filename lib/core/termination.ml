@@ -82,17 +82,22 @@ let classify (fsa : M.t) =
         List.find_map
           (fun (tr : M.transition) ->
             match tr.M.guard with
-            | (M.Recv m | M.Recv_all_votes m) when String.equal tr.M.target p ->
+            | (M.Recv m | M.Recv_all_votes m)
+              when String.equal tr.M.target p ->
                 Some m
             | M.Recv _ | M.Recv_all_votes _ | M.Start -> None)
           fsa.M.slave.M.transitions
         |> Option.get
       in
-      let sends_m (tr : M.transition) = List.mem (M.Send_slaves m) tr.M.actions in
+      let sends_m (tr : M.transition) =
+        List.mem (M.Send_slaves m) tr.M.actions
+      in
       let p1 = (List.find sends_m fsa.M.master.M.transitions).M.target in
       let after_m = [ (M.Master, p1); (M.Slave, p) ] in
-      Ok { m; before_m = List.filter (fun s -> not (List.mem s after_m)) waiting; after_m }
-  | [], [], _ -> Error "no single slave waiting state is concurrent with a commit"
+      let before_m = List.filter (fun s -> not (List.mem s after_m)) waiting in
+      Ok { m; before_m; after_m }
+  | [], [], _ ->
+      Error "no single slave waiting state is concurrent with a commit"
 
 (* ---- the derived actor ----------------------------------------------- *)
 
@@ -109,7 +114,7 @@ type node = {
   sub : string;  (* the state's name during its termination phase *)
 }
 
-type machine = { nodes : node array; initial : node; commit : node; abort : node }
+type machine = { c : Fsa_actor.compiled; nodes : node array }
 
 let machine classes fsa role ~vote_yes =
   let c = Fsa_actor.compile fsa role ~vote_yes in
@@ -128,8 +133,8 @@ let machine classes fsa role ~vote_yes =
               Some tag
           | _ -> None)
         (M.machine_of_role fsa role).M.transitions
+      |> Option.value ~default:""
     in
-    let sent = Option.value sent ~default:"" in
     {
       s;
       rule;
@@ -146,10 +151,7 @@ let machine classes fsa role ~vote_yes =
         | M.Master, Before_m | _, Plain -> "");
     }
   in
-  let nodes = Array.map node c.states in
-  (* [Fsa_actor.compile] has checked that both final states exist. *)
-  let final d = Option.get (Array.find_opt (fun n -> n.s.final = Some d) nodes) in
-  { nodes; initial = nodes.(c.initial); commit = final Types.Commit; abort = final Types.Abort }
+  { c; nodes = Array.map node c.states }
 
 module type CONFIG = sig
   val variant : variant
@@ -173,19 +175,18 @@ module Make (C : CONFIG) = struct
 
   let no_slave = machine classes C.fsa M.Slave ~vote_yes:false
 
-  (* The paper's protocol has one round, the vote, before m; over any
-     other FSA the name carries the FSA's ("4pc-termination").  A slave
-     that cannot commit before m lacks the Fig. 8 transition. *)
+  (* The paper's protocol has one round, the vote, before m (w1 and w);
+     over any other FSA the name carries the FSA's ("4pc-termination").
+     A slave that cannot commit before m lacks the Fig. 8 transition. *)
   let name =
-    let before_m (m : machine) =
-      List.filter (fun n -> n.rule = Before_m) (Array.to_list m.nodes)
-    in
     let fig8 =
-      List.for_all
-        (fun n -> Option.is_some (Fsa_actor.edge n.s Types.Commit_cmd))
-        (before_m yes_slave)
+      Array.for_all
+        (fun n ->
+          n.rule <> Before_m
+          || Option.is_some (Fsa_actor.edge n.s Types.Commit_cmd))
+        yes_slave.nodes
     in
-    (if List.length (before_m master) = 1 then "" else C.fsa.M.name ^ "-")
+    (if List.length classes.before_m = 2 then "" else C.fsa.M.name ^ "-")
     ^ (match C.variant with
       | Static -> "termination"
       | Transient -> "termination-transient")
@@ -207,7 +208,6 @@ module Make (C : CONFIG) = struct
   type t = {
     ctx : Ctx.t;
     machine : machine;
-    is_master : bool;
     timer : Ctx.Timer_slot.slot;
     mutable node : node;
     mutable phase : phase;
@@ -222,14 +222,25 @@ module Make (C : CONFIG) = struct
       | Site.Master_role -> master
       | Site.Slave_role { vote_yes } -> if vote_yes then yes_slave else no_slave
     in
-    Ctx.obs_state ctx machine.initial.s.id;
-    let none = Site_id.Set.empty in
-    { ctx; machine; is_master = Ctx.is_master ctx; timer = Ctx.Timer_slot.create ();
-      node = machine.initial; phase = Base; votes = none; ud = none; pb = none }
+    let node = machine.nodes.(machine.c.initial) in
+    Ctx.obs_state ctx node.s.id;
+    {
+      ctx;
+      machine;
+      timer = Ctx.Timer_slot.create ();
+      node;
+      phase = Base;
+      votes = Site_id.Set.empty;
+      ud = Site_id.Set.empty;
+      pb = Site_id.Set.empty;
+    }
 
   let state_name t = match t.phase with Base -> t.node.s.id | _ -> t.node.sub
 
+  (* Every state change goes through [enter], which cancels the timer;
+     so a timer that fires is always the current state's or phase's. *)
   let enter t node =
+    Ctx.Timer_slot.cancel t.timer;
     t.node <- node;
     t.phase <- Base;
     t.votes <- Site_id.Set.empty;
@@ -244,14 +255,13 @@ module Make (C : CONFIG) = struct
      site: it does not know the boundary, and copies addressed across B
      bounce and are ignored. *)
   let decide t decision ~reason ~tell =
-    Ctx.Timer_slot.cancel t.timer;
     let final, command =
       match decision with
-      | Types.Commit -> (t.machine.commit, Types.Commit_cmd)
-      | Types.Abort -> (t.machine.abort, Types.Abort_cmd)
+      | Types.Commit -> (t.machine.c.commit, Types.Commit_cmd)
+      | Types.Abort -> (t.machine.c.abort, Types.Abort_cmd)
     in
-    enter t final;
-    if t.is_master then Ctx.broadcast_slaves t.ctx command
+    enter t t.machine.nodes.(final);
+    if Ctx.is_master t.ctx then Ctx.broadcast_slaves t.ctx command
     else if tell then Ctx.broadcast_all t.ctx command;
     Ctx.decide t.ctx decision ~reason
 
@@ -274,16 +284,6 @@ module Make (C : CONFIG) = struct
       decide t Types.Commit ~reason:"fact2-case3" ~tell:true
     end
 
-  (* A slave's timeout: before m, wait 6T for a command (Fig. 7); from m
-     on, probe the master. *)
-  let wait t =
-    enter_phase t Waiting;
-    Ctx.Timer_slot.set t.ctx t.timer ~mult_t:C.wait_window_mult
-      ~label:(Label.Static "w2-window") (fun () ->
-        (* 6T passed with no command: no commit exists anywhere
-           reachable; abort (Fig. 7's bound makes this safe). *)
-        decide t Types.Abort ~reason:"w2-expired" ~tell:false)
-
   let probe t =
     Ctx.send_master t.ctx
       (Types.Probe { trans_id = Ctx.trans_id t.ctx; slave = Ctx.self t.ctx });
@@ -300,7 +300,7 @@ module Make (C : CONFIG) = struct
             decide t Types.Commit ~reason:"transient-5t-commit" ~tell:false)
 
   let timeout t =
-    match (t.node.rule, t.is_master) with
+    match (t.node.rule, Ctx.is_master t.ctx) with
     | Before_m, true ->
         (* Idea 2: no prepare was ever generated, so no slave in G2 can
            commit; aborting G1 is safe. *)
@@ -309,7 +309,13 @@ module Make (C : CONFIG) = struct
         (* Idea 3: the timer outlived every possible UD(m) return, so
            every m was delivered and every slave will commit. *)
         decide t Types.Commit ~reason:"fact2-case2" ~tell:true
-    | Before_m, false -> wait t
+    | Before_m, false ->
+        (* Wait 6T for a command (Fig. 7); with none, no commit exists
+           anywhere reachable, and Fig. 7's bound makes aborting safe. *)
+        enter_phase t Waiting;
+        Ctx.Timer_slot.set t.ctx t.timer ~mult_t:C.wait_window_mult
+          ~label:(Label.Static "w2-window") (fun () ->
+            decide t Types.Abort ~reason:"w2-expired" ~tell:false)
     | After_m, false -> probe t
     | Plain, _ -> ()
 
@@ -319,10 +325,7 @@ module Make (C : CONFIG) = struct
     Fsa_actor.send t.ctx e.sends;
     enter t next;
     if next.rule <> Plain then
-      Ctx.Timer_slot.set t.ctx t.timer
-        ~mult_t:
-          (if t.is_master then Timing.master_timeout_mult
-           else Timing.slave_timeout_mult)
+      Ctx.Timer_slot.set t.ctx t.timer ~mult_t:t.machine.c.mult_t
         ~label:next.s.label (fun () -> timeout t)
 
   (* A decision of the FSA's own carries the FACT tag of its case.  A
@@ -334,14 +337,14 @@ module Make (C : CONFIG) = struct
     | Some decision ->
         let reason =
           match (decision, envelope.payload) with
-          | Types.Commit, _ when t.is_master -> "fact2-case1"
+          | Types.Commit, _ when Ctx.is_master t.ctx -> "fact2-case1"
           | Types.Commit, _ when Site_id.is_master envelope.src -> "fact1-case1"
           | Types.Commit, _ -> "fact1-case6"
-          | Types.Abort, _ when t.is_master -> "no-vote"
+          | Types.Abort, _ when Ctx.is_master t.ctx -> "no-vote"
           | Types.Abort, Types.Abort_cmd -> "abort-cmd"
           | Types.Abort, _ -> "voted-no"
         in
-        if not t.is_master then Fsa_actor.send t.ctx e.sends;
+        if not (Ctx.is_master t.ctx) then Fsa_actor.send t.ctx e.sends;
         decide t decision ~reason ~tell:false
 
   let begin_transaction t =
@@ -378,17 +381,18 @@ module Make (C : CONFIG) = struct
         (* Before m some site never answers, so no prepare exists (or
            will): abort.  A slave whose vote bounced aborts its side. *)
         decide t Types.Abort ~reason:t.node.ud_reason ~tell:true
-    | Base, After_m, _ when own && t.is_master ->
+    | (Base | Collect), After_m, _ when own && Ctx.is_master t.ctx ->
+        (* The first UD(m) opens the 5T collection window, a phase of p1
+           (the master enters p1 once, so UD and PB start empty). *)
         Ctx.obs_instant t.ctx ~cat:"probe" t.node.ud_reason;
-        t.ud <- Site_id.Set.singleton envelope.dst;
-        t.pb <- Site_id.Set.empty;
-        enter_phase t Collect;
-        Ctx.obs_phase t.ctx "collect-window";
-        Ctx.Timer_slot.set t.ctx t.timer ~mult_t:C.collect_window_mult
-          ~label:(Label.Static "collect-window") (fun () -> close_collect_window t)
-    | Collect, _, _ when own ->
-        Ctx.obs_instant t.ctx ~cat:"probe" t.node.ud_reason;
-        t.ud <- Site_id.Set.add envelope.dst t.ud
+        t.ud <- Site_id.Set.add envelope.dst t.ud;
+        if t.phase = Base then begin
+          enter_phase t Collect;
+          Ctx.obs_phase t.ctx "collect-window";
+          Ctx.Timer_slot.set t.ctx t.timer ~mult_t:C.collect_window_mult
+            ~label:(Label.Static "collect-window") (fun () ->
+              close_collect_window t)
+        end
     | (Base | Probing), After_m, _ when own ->
         (* Idea 6(1): I hold a prepare and my ack bounced — I am in G2
            and responsible for committing it. *)

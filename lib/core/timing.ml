@@ -1,7 +1,3 @@
-let master_timeout_mult = 2
-
-let slave_timeout_mult = 3
-
 let collect_window_mult = 5
 
 let wait_window_mult = 6

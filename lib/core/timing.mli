@@ -1,17 +1,12 @@
 (** The paper's timing constants, all in multiples of T (the longest
     end-to-end propagation delay).
 
-    Fig. 5 fixes the commit-protocol timeout intervals; Figs. 6, 7, 9
-    derive the termination-protocol windows; Section 6 tabulates the
-    worst-case wait after a p-state timeout for each transient-partition
-    case.  These constants are shared by the protocol implementation
-    (lib/core), the checker's bound assertions, and the benches. *)
-
-val master_timeout_mult : int
-(** 2 — the master waits 2T for the slaves' responses (Fig. 5). *)
-
-val slave_timeout_mult : int
-(** 3 — a slave waits 3T for the master's next command (Fig. 5). *)
+    Figs. 6, 7, 9 derive the termination-protocol windows; Section 6
+    tabulates the worst-case wait after a p-state timeout for each
+    transient-partition case.  These constants are shared by the
+    protocol implementation (lib/core), the checker's bound assertions,
+    and the benches.  Fig. 5's commit-protocol timeouts (master 2T,
+    slave 3T) belong to the compiled FSA ({!Fsa_actor.compiled}). *)
 
 val collect_window_mult : int
 (** 5 — after the first UD(prepare), the master collects further UDs and

@@ -177,8 +177,8 @@ let quorum_three_phase =
 (* Four-phase commit: an extra buffering round (pre-prepare/pre-ack)
    between the vote and the prepare.  Structurally it satisfies Lemma 1
    and Lemma 2 with "prepare" still the noncommittable-to-committable
-   message m, so Theorem 10 applies — lib/core/termination.ml's
-   four-phase setting carries the substituted termination protocol. *)
+   message m, so Theorem 10 applies: Termination.Four_phase is the
+   termination protocol derived from this FSA. *)
 let four_phase =
   validate_exn
     {

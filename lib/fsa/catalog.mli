@@ -33,8 +33,8 @@ val quorum_three_phase : Machine.t
 val four_phase : Machine.t
 (** Four-phase commit: vote, pre-prepare, prepare, commit.  Satisfies
     Lemma 1/2 with the prepare still being the message m of Theorem 10;
-    the constructive generalisation, [Commit_termination.Termination]
-    configured for four-phase commit, terminates it. *)
+    [Commit_termination.Termination.Four_phase] is the termination
+    protocol derived from it. *)
 
 val all : Machine.t list
 (** Every catalogued protocol, validated. *)

@@ -116,8 +116,6 @@ let make ~engine ~n ~t_unit ~self ~trans_id ~send ~on_decide ~on_reason
     decision = None;
   }
 
-let engine t = t.engine
-
 let self t = t.self
 
 let n t = t.n

@@ -35,8 +35,6 @@ val make :
     [obs_site] overrides the track's site number (default
     [Site_id.to_int self]) for harnesses that relabel site ids. *)
 
-val engine : t -> Engine.t
-
 val self : t -> Site_id.t
 
 val n : t -> int

@@ -109,7 +109,13 @@ type state = {
   label : Label.t;
 }
 
-type compiled = { states : state array; initial : int; mult_t : int }
+type compiled = {
+  states : state array;
+  initial : int;
+  commit : int;
+  abort : int;
+  mult_t : int;
+}
 
 (* The reason a decision taken on this guard gives.  A slave reaches a
    final state on [xact] only by voting no. *)
@@ -234,6 +240,8 @@ let compile_machine ~protocol assignment (machine : M.machine) ~vote_yes =
   {
     states = Array.map state_of states;
     initial = index machine.M.initial;
+    commit = commit_state;
+    abort = abort_state;
     mult_t = (match machine.M.role with M.Master -> 2 | M.Slave -> 3);
   }
 

@@ -90,7 +90,13 @@ type state = private {
   label : Label.t;  (** ["<id>-timeout"] *)
 }
 
-type compiled = private { states : state array; initial : int; mult_t : int }
+type compiled = private {
+  states : state array;
+  initial : int;
+  commit : int;
+  abort : int;
+  mult_t : int;  (** Fig. 5's timeout: 2 (master) or 3 (slave) *)
+}
 
 val compile :
   Commit_fsa.Machine.t -> Commit_fsa.Machine.role -> vote_yes:bool -> compiled

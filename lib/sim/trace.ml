@@ -273,7 +273,8 @@ let log2 t ~at ~topic tmpl a0 a1 = line t ~at ~topic tmpl a0 a1 0 0
 let log1 t ~at ~topic tmpl a0 = line t ~at ~topic tmpl a0 0 0 0
 
 let add t ~at ~topic text =
-  if t.text then line t ~at ~topic:(intern t topic) text_template (intern t text) 0 0 0
+  if t.text then
+    line t ~at ~topic:(intern t topic) text_template (intern t text) 0 0 0
 
 (* The disabled branch must consume the format arguments without
    touching any real formatter: ikfprintf never writes, but it still
