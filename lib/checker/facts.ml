@@ -18,16 +18,14 @@ let admissible_commit_reasons_slave ~variant =
 
 let admissible_commit_reasons_master = Termination.fact2_reasons
 
-(* Four-phase commit is judged as the static variant: from m on it is
-   the same protocol. *)
 let variant_of_result (result : Runner.result) =
-  match result.protocol_name with
-  | "termination" | "4pc-termination" -> Termination.Static
-  | "termination-transient" -> Termination.Transient
-  | other ->
+  match Termination.variant_of_name result.protocol_name with
+  | Some variant -> variant
+  | None ->
       invalid_arg
         (Printf.sprintf
-           "Facts.audit: %s is not a termination-protocol result" other)
+           "Facts.audit: %s is not a termination-protocol result"
+           result.protocol_name)
 
 let audit (result : Runner.result) =
   let variant = variant_of_result result in

@@ -18,8 +18,10 @@ type problem = {
 val pp_problem : Format.formatter -> problem -> unit
 
 val audit : Runner.result -> (unit, problem list) result
-(** Checks every decided, non-crashed site of a termination-protocol
-    run; a ["4pc-termination"] run is judged as the static variant.
+(** Checks every decided, non-crashed site of a run of any protocol
+    {!Termination.Make} builds, judged by its variant
+    ({!Termination.variant_of_name}): ["4pc-termination"] as the static
+    variant, ["4pc-termination-transient"] as the transient one.
     @raise Invalid_argument when applied to a result produced by a
     different protocol (the tags would be meaningless). *)
 

@@ -29,30 +29,20 @@ let empty ~protocol =
 
 (* The summary of one run: the unit the parallel merge folds over. *)
 let of_verdict ~protocol (config, (v : Verdict.t)) =
-  let base = empty ~protocol in
-  let base =
-    match Verdict.outcome v with
-    | `Mixed ->
-        {
-          base with
-          violations = 1;
-          violation_examples = [ (config, v) ];
-        }
-    | `Committed -> { base with committed = 1 }
-    | `Aborted -> { base with aborted = 1 }
-    | `Undecided -> { base with undecided = 1 }
-  in
-  let base =
-    if v.blocked <> [] then
-      { base with blocked_runs = 1; blocked_examples = [ (config, v) ] }
-    else base
-  in
+  let outcome = Verdict.outcome v and blocked = v.blocked <> [] in
   {
-    base with
+    protocol;
     runs = 1;
+    violations = Bool.to_int (outcome = `Mixed);
+    blocked_runs = Bool.to_int blocked;
+    committed = Bool.to_int (outcome = `Committed);
+    aborted = Bool.to_int (outcome = `Aborted);
+    undecided = Bool.to_int (outcome = `Undecided);
     max_decision_time = v.max_decision_time;
     total_decision_time =
       (match v.max_decision_time with Some at -> Vtime.to_int at | None -> 0);
+    violation_examples = (if outcome = `Mixed then [ (config, v) ] else []);
+    blocked_examples = (if blocked then [ (config, v) ] else []);
   }
 
 let rec prefix budget l =
@@ -88,15 +78,23 @@ let merge ~keep a b =
     blocked_examples = cap_append ~keep a.blocked_examples b.blocked_examples;
   }
 
-(* Runs that end before their partition starts, keyed by their config
-   with the partition taken out.  The network reads a run's partition
-   only when a message arrives ([Network.arrival]), so a run whose last
-   event comes before [Partition.starts_at] never meets its partition:
-   it is the partition-free run of its key, and so is every config of
-   that key whose partition starts later still.  A [Per_link] closure
-   may carry state from one run to the next, so its runs are never
-   stored. *)
-module Quiet = Hashtbl.Make (struct
+(* The runs an executor has simulated, as one trie per key: a config
+   with its partition taken out.  The network reads a run's partition
+   only when a message arrives, through [Partition.separated], so a run
+   is a deterministic function of its key and of the answer to each
+   query (arrival instant, sender, receiver) it makes.  A node is a
+   run's next query, an edge the answer, a leaf the verdict.  A config
+   walks its key's trie asking its own partition each node's query; a
+   leaf is the verdict of a run that got the same answers to the same
+   queries, that is of the config's own run.  A config that falls off
+   is simulated, and its queries are inserted below the point where it
+   left.  A [Per_link] closure may carry state from one run to the
+   next, so its runs are never stored.
+
+   Nodes are three ints each in one array: the packed query (a leaf
+   holds [lnot] its verdict's index instead), then the child under "no"
+   and under "yes" ([-1]: no run has taken that edge yet). *)
+module Keys = Hashtbl.Make (struct
   type t = Runner.config
 
   let equal = ( = )
@@ -106,31 +104,116 @@ end)
 
 type scratch = {
   runner : Runner.scratch;
-  quiet : (Vtime.t * Verdict.t) Quiet.t;  (* finish time, verdict *)
+  roots : int Keys.t;
+  mutable nodes : int array;
+  mutable size : int;  (* nodes in use *)
+  mutable verdicts : Verdict.t array;
+  mutable leaves : int;  (* verdicts in use *)
 }
 
 let make_scratch () =
-  { runner = Runner.make_scratch (); quiet = Quiet.create 64 }
+  {
+    runner = Runner.make_scratch ();
+    roots = Keys.create 64;
+    nodes = Array.make (3 * 256) (-1);
+    size = 0;
+    verdicts = [||];
+    leaves = 0;
+  }
 
-let eval ~protocol ~protocol_name scratch config =
-  let config = { config with Runner.trace_enabled = false } in
-  let starts_at = Partition.starts_at config.partition in
-  let key =
-    match config.delay with
-    | Delay.Per_link _ -> None
-    | Fixed _ | Uniform _ -> Some { config with partition = Partition.none }
+(* The verdict index of the leaf [partition] leads to from [node], or
+   [-1] if it falls off the trie.  No partition separates anyone before
+   it starts, so a query below [from] takes the "no" edge unasked. *)
+let walk nodes partition node =
+  let from = Network.Query_log.from (Partition.starts_at partition) in
+  let rec go node =
+    let q = nodes.(3 * node) in
+    if q < 0 then lnot q
+    else
+      let yes = q >= from && Network.Query_log.separated partition q in
+      let child = nodes.((3 * node) + 1 + Bool.to_int yes) in
+      if child < 0 then -1 else go child
+  in
+  go node
+
+(* New nodes for queries [i..] of [log] and a leaf for verdict [v],
+   chained along the log's answers; returns the first. *)
+let chain s log i v =
+  let length = Network.Query_log.length log in
+  let first = s.size in
+  let size = first + length - i + 1 in
+  if 3 * size > Array.length s.nodes then begin
+    let grown = Array.make (Int.max (6 * size) (2 * Array.length s.nodes)) (-1) in
+    Array.blit s.nodes 0 grown 0 (3 * s.size);
+    s.nodes <- grown
+  end;
+  for k = i to length - 1 do
+    let node = first + k - i in
+    s.nodes.(3 * node) <- Network.Query_log.query log k;
+    s.nodes.((3 * node) + 1 + Bool.to_int (Network.Query_log.answer log k)) <-
+      node + 1
+  done;
+  s.nodes.(3 * (size - 1)) <- lnot v;
+  s.size <- size;
+  first
+
+(* Inserts the run just simulated below [root], checking on the way
+   down that each stored query is the one the run made, which
+   determinism guarantees. *)
+let insert s key root log verdict =
+  if s.leaves = Array.length s.verdicts then
+    s.verdicts <-
+      Array.append s.verdicts (Array.make (Int.max 64 s.leaves) verdict);
+  let v = s.leaves in
+  s.verdicts.(v) <- verdict;
+  s.leaves <- v + 1;
+  let length = Network.Query_log.length log in
+  let rec descend node i =
+    if i = length || s.nodes.(3 * node) <> Network.Query_log.query log i then
+      failwith
+        (Printf.sprintf
+           "Sweep: a run of %s made partition query %d unlike an earlier \
+            run with the same answers"
+           (Scenario.config_id key) i);
+    let edge = (3 * node) + 1 + Bool.to_int (Network.Query_log.answer log i) in
+    match s.nodes.(edge) with
+    | -1 ->
+        (* [chain] may grow [s.nodes]: store into the grown array. *)
+        let child = chain s log (i + 1) v in
+        s.nodes.(edge) <- child
+    | child -> descend child (i + 1)
+  in
+  match root with
+  | None -> Keys.add s.roots key (chain s log 0 v)
+  | Some root -> descend root 0
+
+let eval ~protocol ~protocol_name s config =
+  let config =
+    if config.Runner.trace_enabled then { config with trace_enabled = false }
+    else config
+  in
+  let simulate () =
+    Verdict.of_result (Runner.run ~scratch:s.runner protocol config)
   in
   let verdict =
-    match Option.bind key (Quiet.find_opt scratch.quiet) with
-    | Some (finished_at, v) when Vtime.( < ) finished_at starts_at -> v
-    | _ ->
-        let result = Runner.run ~scratch:scratch.runner protocol config in
-        let v = Verdict.of_result result in
-        (match key with
-        | Some key when Vtime.( < ) result.finished_at starts_at ->
-            Quiet.replace scratch.quiet key (result.finished_at, v)
-        | _ -> ());
-        v
+    match config.delay with
+    | Delay.Per_link _ -> simulate ()
+    | Fixed _ | Uniform _
+      when not (Network.Query_log.exact ~n:config.n ~horizon:config.horizon) ->
+        simulate ()
+    | Fixed _ | Uniform _ ->
+        let key = { config with partition = Partition.none } in
+        let root = Keys.find_opt s.roots key in
+        let leaf =
+          match root with
+          | None -> -1
+          | Some root -> walk s.nodes config.partition root
+        in
+        if leaf >= 0 then s.verdicts.(leaf)
+        else
+          let v = simulate () in
+          insert s key root (Runner.queries s.runner) v;
+          v
   in
   of_verdict ~protocol:protocol_name (config, verdict)
 

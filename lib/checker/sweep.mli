@@ -34,12 +34,22 @@ val run :
   ?keep:int -> ?jobs:int -> Site.packed -> Runner.config list -> summary
 (** Summarises every config as if each were run with tracing off
     (grids are large), and keeps up to [keep] (default 3) example
-    configs per failure class.  Not every config is simulated: a run
-    that ends before its partition starts is the partition-free run of
-    its config, so each executor keeps its verdict and gives it to
-    every later config that differs only in a partition starting later
-    still.  Configs with a [Delay.Per_link] delay are always simulated.
-    The summary equals the plain per-config fold ({!Runner.run},
+    configs per failure class.  Not every config is simulated.  The
+    network reads a run's partition only at message arrivals, through
+    {!Partition.separated}, so a run is a deterministic function of its
+    config without the partition (its {e key}) and of the answers its
+    partition gives to the queries (arrival instant, sender, receiver)
+    it makes.  Each executor keeps, per key, the runs it has simulated
+    as a trie: a node is a run's next query, an edge the answer, a leaf
+    the verdict.  A config walks its key's trie asking its own
+    partition each node's query; if it reaches a leaf it takes that
+    verdict unrun, else it is simulated and its queries
+    ({!Runner.queries}) are inserted below the point where it left.
+    So cuts that start, or heal, between the same two arrivals share
+    one simulation, and so do all cuts that start after the run ends.
+    Configs with a [Delay.Per_link] delay, whose closure may carry
+    state from one run to the next, are always simulated.  The summary
+    equals the plain per-config fold ({!Runner.run},
     {!Verdict.of_result}, {!of_verdict}, {!merge}).  [jobs] (default 1
     = sequential, no domains spawned) folds the grid with
     {!Commit_par.Pool.fold}, which clamps it to [Pool.default_jobs ()]
@@ -47,7 +57,10 @@ val run :
     purely a performance knob.  Every executor reuses one
     {!Runner.scratch} across all its runs.  An empty grid yields the
     empty summary.
-    @raise Invalid_argument if [jobs < 1] on a non-empty grid. *)
+    @raise Invalid_argument if [jobs < 1] on a non-empty grid.
+    @raise Failure if a simulated run made another query than a stored
+    run with the same key and the same earlier answers, which a
+    deterministic run never does. *)
 
 val of_verdict : protocol:string -> Runner.config * Verdict.t -> summary
 (** The summary of one run: the unit the parallel merge folds over.

@@ -153,6 +153,28 @@ let machine classes fsa role ~vote_yes =
   in
   { c; nodes = Array.map node c.states }
 
+(* The inverse of [Make]'s [name]:
+   [<fsa>-]termination[-transient][-nofig8][-w<collect>-<wait>]. *)
+let variant_of_name name =
+  let digits s =
+    s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s
+  in
+  let windows = function
+    | wait :: collect :: rest
+      when digits wait
+           && String.length collect > 1
+           && collect.[0] = 'w'
+           && digits (String.sub collect 1 (String.length collect - 1)) ->
+        rest
+    | tokens -> tokens
+  in
+  let fig8 = function "nofig8" :: rest -> rest | tokens -> tokens in
+  let fsa prefix = not (List.mem "" prefix) in
+  match List.rev (String.split_on_char '-' name) |> windows |> fig8 with
+  | "transient" :: "termination" :: prefix when fsa prefix -> Some Transient
+  | "termination" :: prefix when fsa prefix -> Some Static
+  | _ -> None
+
 module type CONFIG = sig
   val variant : variant
 

@@ -56,6 +56,12 @@
 
 type variant = Static | Transient
 
+val variant_of_name : string -> variant option
+(** The variant of a protocol {!Make} builds, read off its name: an
+    optional ["<fsa>-"] prefix, ["termination"] or
+    ["termination-transient"], then optional ["-nofig8"] and
+    ["-w<collect>-<wait>"] suffixes.  [None] for any other name. *)
+
 val fact1_reasons : string list
 (** The exact reason strings a slave may carry on a commit decision —
     FACT 1's six cases.  (The failure-free flow is case 1: a commit

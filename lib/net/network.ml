@@ -17,6 +17,44 @@ type 'a event =
 
 type stats = { sent : int; delivered : int; bounced : int; lost : int }
 
+(* One int per query: the arrival instant above 10 bits of sender and
+   10 bits of receiver, then the answer in bit 0. *)
+module Query_log = struct
+  type t = { mutable entries : int array; mutable length : int }
+
+  let create () = { entries = Array.make 64 0; length = 0 }
+
+  let clear log = log.length <- 0
+
+  let add log ~at src dst answer =
+    if log.length = Array.length log.entries then begin
+      let grown = Array.make (2 * log.length) 0 in
+      Array.blit log.entries 0 grown 0 log.length;
+      log.entries <- grown
+    end;
+    log.entries.(log.length) <-
+      (Vtime.to_int at lsl 21)
+      lor (Site_id.to_int src lsl 11)
+      lor (Site_id.to_int dst lsl 1)
+      lor Bool.to_int answer;
+    log.length <- log.length + 1
+
+  let length log = log.length
+
+  let query log i = log.entries.(i) lsr 1
+
+  let answer log i = log.entries.(i) land 1 = 1
+
+  let from at = if at < 1 lsl 41 then at lsl 20 else max_int
+
+  let separated partition q =
+    Partition.separated partition ~at:(q lsr 20)
+      (Site_id.of_int ((q lsr 10) land 0x3ff))
+      (Site_id.of_int (q land 0x3ff))
+
+  let exact ~n ~horizon = n < 0x400 && Vtime.to_int horizon < 1 lsl 41
+end
+
 (* ------------------------------------------------------------------ *)
 (* Binary trace templates                                              *)
 (*                                                                     *)
@@ -119,6 +157,7 @@ type 'a t = {
   obs_tid : 'a -> int;  (* payload -> transaction-id track for flow edges *)
   dead : bool array;  (* indexed by site id - 1 *)
   prof : Prof.t option;  (* wall-time attribution bracket, or None *)
+  queries : Query_log.t option;  (* where [arrival] records its queries *)
   mutable handler : (Site_id.t -> 'a delivery -> unit) option;
   mutable tap : ('a event -> unit) option;
   mutable sent : int;
@@ -128,7 +167,7 @@ type 'a t = {
 }
 
 let create ~engine ~n ~t_max ?(mode = Optimistic) ?(partition = Partition.none)
-    ?delay ?(seed = 1L) ?pp_payload ?payload_codec ?obs_tid ?prof () =
+    ?delay ?(seed = 1L) ?pp_payload ?payload_codec ?obs_tid ?prof ?queries () =
   if n < 2 then invalid_arg "Network.create: need at least two sites";
   if Vtime.( < ) t_max (Vtime.of_int 1) then
     invalid_arg "Network.create: t_max must be at least one tick";
@@ -139,6 +178,7 @@ let create ~engine ~n ~t_max ?(mode = Optimistic) ?(partition = Partition.none)
     | Some pp -> pp
     | None -> fun fmt _ -> Format.pp_print_string fmt "<msg>"
   in
+  Option.iter Query_log.clear queries;
   {
     engine;
     log;
@@ -161,6 +201,7 @@ let create ~engine ~n ~t_max ?(mode = Optimistic) ?(partition = Partition.none)
     obs_tid = (match obs_tid with Some f -> f | None -> fun _ -> 0);
     dead = Array.make n false;
     prof;
+    queries;
     handler = None;
     tap = None;
     sent = 0;
@@ -172,14 +213,6 @@ let create ~engine ~n ~t_max ?(mode = Optimistic) ?(partition = Partition.none)
 let set_handler t handler = t.handler <- Some handler
 
 let set_tap t tap = t.tap <- Some tap
-
-let n t = t.n
-
-let t_max t = t.t_max
-
-let partition t = t.partition
-
-let engine t = t.engine
 
 let stats t =
   { sent = t.sent; delivered = t.delivered; bounced = t.bounced; lost = t.lost }
@@ -285,11 +318,18 @@ let bounce t envelope flow =
 (* A message reaches the boundary-or-destination after one hop (<= T).  If
    the partition separates the endpoints at that instant the message
    cannot cross: optimistic mode schedules the return hop (<= T, hence
-   the paper's 2T round-trip envelope), pessimistic mode drops it. *)
+   the paper's 2T round-trip envelope), pessimistic mode drops it.  This
+   is the one place the network reads its partition. *)
 let arrival t envelope flow =
   prof_enter t;
   let now = Engine.now t.engine in
-  (if Partition.separated t.partition ~at:now envelope.src envelope.dst then
+  let separated =
+    Partition.separated t.partition ~at:now envelope.src envelope.dst
+  in
+  (match t.queries with
+  | None -> ()
+  | Some log -> Query_log.add log ~at:now envelope.src envelope.dst separated);
+  (if separated then
     match t.mode with
     | Pessimistic -> (
         t.lost <- t.lost + 1;

@@ -13,7 +13,9 @@
     Partition membership is evaluated at the would-be arrival instant, so
     a message sent before a transient partition heals but arriving after
     is delivered — exactly the message-race structure of Section 6's case
-    analysis.
+    analysis.  That arrival is the only place the network reads its
+    partition, and nothing outside reads it back: the partition has no
+    accessor ({!Query_log} rests on this).
 
     Site failures (used only by the Section 7 counterexample experiments;
     the termination protocol assumes they never coincide with a
@@ -52,6 +54,47 @@ type stats = {
   lost : int;  (** dropped (pessimistic mode or dead destination) *)
 }
 
+(** A reusable record of the partition queries one network made: for
+    each message that reached boundary B, its arrival instant, sender
+    and receiver, with {!Partition.separated}'s answer.  Since arrivals
+    are the partition's only reader, a run is a deterministic function
+    of its configuration without the partition and of these answers;
+    the checker's sweep relies on this to give configurations whose
+    partitions answer every query alike one simulation (see [Sweep]).
+    Each query and its answer take one int; the buffer is kept across
+    runs and grows only when a run makes more queries than any before
+    it. *)
+module Query_log : sig
+  type t
+
+  val create : unit -> t
+
+  val length : t -> int
+
+  val query : t -> int -> int
+  (** [query log i] is the [i]th query, in arrival order, packed into
+      one int: equal ints are equal (instant, sender, receiver)
+      triples, provided {!exact} holds for the run. *)
+
+  val answer : t -> int -> bool
+  (** The answer the [i]th query got: were sender and receiver
+      separated? *)
+
+  val from : Vtime.t -> int
+  (** [from at] is the least packed query at [at] or later: packed
+      queries order by instant first, so [query log i >= from at]
+      exactly when the [i]th query came at [at] or later. *)
+
+  val separated : Partition.t -> int -> bool
+  (** [separated p q] is {!Partition.separated} [p] asked the packed
+      query [q]. *)
+
+  val exact : n:int -> horizon:Vtime.t -> bool
+  (** Whether every query of a run over [n] sites that stops by
+      [horizon] packs without loss (fewer than 1,024 sites, instants
+      below 2{^41}). *)
+end
+
 type 'a t
 
 val register_payload_renderer : (Buffer.t -> int -> unit) -> Trace.template
@@ -73,6 +116,7 @@ val create :
   ?payload_codec:Trace.template * ('a -> int) ->
   ?obs_tid:('a -> int) ->
   ?prof:Prof.t ->
+  ?queries:Query_log.t ->
   unit ->
   'a t
 (** Defaults: [mode = Optimistic], [partition = Partition.none],
@@ -98,7 +142,11 @@ val create :
     become instants.  Each of these moments is one record that also
     carries its trace line.  [obs_tid] maps a payload to the
     transaction-id track the edge endpoints land on (default: track
-    0). *)
+    0).
+
+    [queries], when given, is cleared and then receives every partition
+    query this network makes, with its answer.  Without it, an arrival
+    pays one field test. *)
 
 val set_handler : 'a t -> (Site_id.t -> 'a delivery -> unit) -> unit
 (** Installs the delivery callback.  Must be called before any message
@@ -129,12 +177,4 @@ val recover : 'a t -> Site_id.t -> unit
 
 val alive : 'a t -> Site_id.t -> bool
 
-val n : 'a t -> int
-
-val t_max : 'a t -> Vtime.t
-
-val partition : 'a t -> Partition.t
-
 val stats : 'a t -> stats
-
-val engine : 'a t -> Engine.t

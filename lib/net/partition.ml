@@ -121,10 +121,15 @@ let cell_index cells site =
 let side t site =
   if cell_index (first_cells t) site <= 0 then `G1 else `G2
 
-let separated t ~at a b =
-  match active_phase t at with
-  | None -> false
-  | Some phase -> cell_index phase.cells a <> cell_index phase.cells b
+(* Asked at every message arrival: a plain walk of the phases, with no
+   closure and no option. *)
+let rec separated t ~at a b =
+  match t with
+  | [] -> false
+  | phase :: rest ->
+      if phase_active phase at then
+        cell_index phase.cells a <> cell_index phase.cells b
+      else separated rest ~at a b
 
 let pp_phase fmt phase =
   match phase.cells with

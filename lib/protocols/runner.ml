@@ -50,14 +50,20 @@ let vote_of config site =
   match List.assoc_opt site config.votes with Some v -> v | None -> true
 
 (* Per-domain reusable state for sweeps: one engine whose heap array
-   survives (reset, not reallocated) across runs.  The log is NOT part
-   of the scratch — each run gets a fresh [Trace.t] (free when
+   survives (reset, not reallocated) across runs, and the buffer the
+   last run's network recorded its partition queries in.  The log is
+   NOT part of the scratch — each run gets a fresh [Trace.t] (free when
    disabled) or the caller's recorder, so [result.trace] never aliases
    a later run's data. *)
-type scratch = { scratch_engine : Engine.t }
+type scratch = { scratch_engine : Engine.t; queries : Network.Query_log.t }
 
 let make_scratch () =
-  { scratch_engine = Engine.create ~trace:(Trace.create ~enabled:false ()) () }
+  {
+    scratch_engine = Engine.create ~trace:(Trace.create ~enabled:false ()) ();
+    queries = Network.Query_log.create ();
+  }
+
+let queries scratch = scratch.queries
 
 let run ?tap ?(obs = Obs.disabled) ?scratch (module P : Site.S) config =
   if config.n < 2 then invalid_arg "Runner.run: need at least two sites";
@@ -81,7 +87,7 @@ let run ?tap ?(obs = Obs.disabled) ?scratch (module P : Site.S) config =
     Network.create ~engine ~n:config.n ~t_max:config.t_unit ~mode:config.mode
       ~partition:config.partition ~delay:config.delay ~seed:config.seed
       ~pp_payload:Types.pp_msg ~payload_codec:Types.msg_codec ~obs_tid:(fun _ -> 1)  (* the single transaction *)
-      ()
+      ?queries:(Option.map queries scratch) ()
   in
   (match tap with Some tap -> Network.set_tap net tap | None -> ());
   let decisions = Array.make config.n None in

@@ -46,12 +46,17 @@ type result = {
 }
 
 type scratch
-(** Reusable per-domain state (today: one engine whose grown heap array
-    survives across runs).  A scratch must never be used by two runs
-    concurrently; the result of a run with a scratch is byte-identical
-    to one without. *)
+(** Reusable per-domain state: one engine whose grown heap array
+    survives across runs, and the partition queries of the last run.
+    A scratch must never be used by two runs concurrently; the result
+    of a run with a scratch is byte-identical to one without. *)
 
 val make_scratch : unit -> scratch
+
+val queries : scratch -> Network.Query_log.t
+(** The partition queries the last run with this scratch made, in
+    arrival order, with their answers ({!Network.Query_log}).  The next
+    run with the scratch overwrites them. *)
 
 val run :
   ?tap:(Types.msg Network.event -> unit) ->
@@ -72,7 +77,8 @@ val run :
 
     [scratch] reuses a {!scratch}'s engine via {!Engine.reset} instead
     of allocating a fresh one — the sweep hot path threads one scratch
-    per domain through every run that domain executes.  The returned
+    per domain through every run that domain executes — and records the
+    run's partition queries into it ({!queries}).  The returned
     [result.trace] is never shared with the scratch.
 
     @raise Invalid_argument if [n < 2] or a crash names a site outside

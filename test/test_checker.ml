@@ -179,6 +179,52 @@ let test_sweep_reuses_quiet_runs () =
   check Alcotest.int "every late cut committed" 9 summary.committed;
   check Alcotest.int "actors for one run of three sites" 3 !creates
 
+(* One key: n=3, full delays, seed 1, G2={site3}.  Every hop takes T,
+   so the partition-free run's messages arrive at 1000, 2000, ...,
+   5000.  A cut active at exactly the same arrivals gets the same
+   answer to every partition query, so the sweep simulates one run for
+   all such cuts.  [starts_at] is inclusive: a cut at 3000 already
+   meets the arrivals at 3000, and one at 2000 meets those at 2000. *)
+let test_sweep_shares_runs_across_a_gap () =
+  let creates = ref 0 in
+  let module Counting = struct
+    include Termination.Transient
+
+    let create ctx role =
+      incr creates;
+      Termination.Transient.create ctx role
+  end in
+  let cut ?heal at =
+    config
+      ~partition:
+        (Partition.make
+           ?heals_at:(Option.map Vtime.of_int heal)
+           ~group2:(Site_id.set_of_ints [ 3 ])
+           ~starts_at:(Vtime.of_int at) ~n:3 ())
+      ~delay:(Delay.full ~t_max:t_unit) ()
+  in
+  let runs configs =
+    creates := 0;
+    let summary = Sweep.run (module Counting) configs in
+    check Alcotest.int "every config counted" (List.length configs)
+      summary.runs;
+    !creates / 3
+  in
+  check Alcotest.int "static cuts starting in (2000, 3000]" 1
+    (runs (List.map cut [ 2001; 2500; 2999; 3000 ]));
+  (* With the prepare to site3 bounced at 3000, nothing arrives until
+     4000, so heals in (3000, 4000] leave every answer alike too;
+     [heals_at] is exclusive, so a heal at 4000 misses its arrivals. *)
+  check Alcotest.int "heals in (3000, 4000]" 1
+    (runs
+       (List.concat_map
+          (fun at -> List.map (fun heal -> cut ~heal at) [ 3001; 3500; 4000 ])
+          [ 2001; 2500; 3000 ]));
+  check Alcotest.int "a cut at the earlier arrival is a second run" 2
+    (runs (List.map cut [ 2001; 2500; 2000; 3000 ]));
+  check Alcotest.int "a heal at an arrival misses it" 2
+    (runs [ cut ~heal:3001 2500; cut ~heal:3000 2500 ])
+
 (* The plain per-config fold that [Sweep.run] must reproduce whatever
    runs it skips: a fresh [Runner.run] per config, merged in order. *)
 let plain_fold protocol configs =
@@ -222,20 +268,44 @@ let random_sweep =
     let+ mode = oneofl [ Network.Optimistic; Network.Pessimistic ] in
     { (config ~n ~delay ~seed ()) with Runner.votes; crashes; mode }
   in
-  (* Cut instants are early, late, or on the grids' quarter-T points,
-     where a cut can start exactly as a run ends. *)
-  let partition (c : Runner.config) =
+  (* The instants at which messages of the key's partition-free run
+     arrive, and one tick either side: a cut that starts or heals there
+     meets an arrival exactly, where [starts_at] (inclusive) and
+     [heals_at] (exclusive) decide the sweep's answers. *)
+  let boundaries protocol (c : Runner.config) =
+    let instants = ref [] in
+    let tap = function
+      | Network.Delivered { at; _ } | Network.Lost { at; _ } ->
+          instants := Vtime.to_int at :: !instants
+      | Network.Sent _ | Network.Bounced _ -> ()
+    in
+    ignore (Runner.run ~tap protocol { c with partition = Partition.none });
+    List.concat_map (fun at -> [ at - 1; at; at + 1 ]) !instants
+    |> List.filter (fun at -> at >= 1)
+    |> List.sort_uniq Int.compare
+  in
+  (* Cut instants are early, late, on the grids' quarter-T points, where
+     a cut can start exactly as a run ends, or on the boundaries. *)
+  let partition protocol (c : Runner.config) =
     let n = c.n in
+    let boundaries = boundaries protocol c in
     let* at =
       oneof
         [
           int_range 1 3_000;
           int_range 3_000 12_000;
           map (fun k -> 250 * k) (int_range 1 48);
+          oneofl boundaries;
         ]
     in
-    let* heal = opt (int_range 1 6_000) in
-    let heals_at = Option.map (fun d -> Vtime.of_int (at + d)) heal in
+    let* heals_at =
+      match List.filter (fun b -> b > at) boundaries with
+      | [] -> opt (map (fun d -> at + d) (int_range 1 6_000))
+      | later ->
+          opt
+            (oneof [ map (fun d -> at + d) (int_range 1 6_000); oneofl later ])
+    in
+    let heals_at = Option.map Vtime.of_int heals_at in
     let starts_at = Vtime.of_int at in
     frequency
       [
@@ -253,7 +323,7 @@ let random_sweep =
   let+ configs =
     list_size (int_range 1 40)
       (let* c = oneofl keys in
-       let+ partition = partition c in
+       let+ partition = partition protocol.protocol c in
        { c with Runner.partition })
   in
   (protocol, configs)
@@ -272,6 +342,33 @@ let qcheck_sweep_equals_plain_fold =
         (fun jobs ->
           String.equal expected (export (Sweep.run ~jobs e.protocol configs)))
         [ 1; 2 ])
+
+(* Two configs with one partition whose keys differ only in [mode], and
+   two without a partition whose keys differ only in [crashes]: each
+   pair makes the same partition queries up to a point and gets the
+   same answers, yet their runs differ, so they must not share a
+   trie. *)
+let test_sweep_keeps_keys_apart () =
+  let cut = partition ~g2:[ 3 ] ~at:2500 ~n:3 () in
+  let full = Delay.full ~t_max:t_unit in
+  let configs =
+    [
+      config ~partition:cut ~delay:full ();
+      { (config ~partition:cut ~delay:full ()) with mode = Network.Pessimistic };
+      config ~delay:full ();
+      {
+        (config ~delay:full ()) with
+        crashes = [ (Site_id.of_int 2, Vtime.of_int 1500) ];
+      };
+    ]
+  in
+  let export s = Export.to_string (Export.of_summary s) in
+  List.iter
+    (fun (e : Registry.entry) ->
+      check Alcotest.string e.name
+        (export (plain_fold e.protocol configs))
+        (export (Sweep.run e.protocol configs)))
+    Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Case classifier                                                     *)
@@ -624,6 +721,49 @@ let test_audit_clean_run () =
   let result = Runner.run (module Termination.Static) (config ()) in
   check Alcotest.bool "clean" true (Facts.audit result = Ok ())
 
+(* Every protocol [Termination.Make] derives is audited by its variant;
+   any other protocol's result is refused. *)
+let test_audit_every_derived_protocol () =
+  let module Four_phase_transient = Termination.Make (struct
+    let variant = Termination.Transient
+
+    let fsa = Commit_fsa.Catalog.four_phase
+
+    let collect_window_mult = Timing.collect_window_mult
+
+    let wait_window_mult = Timing.wait_window_mult
+  end) in
+  let module Short_windows = Termination.With_windows (struct
+    let collect_window_mult = 4
+
+    let wait_window_mult = 5
+  end) in
+  List.iter
+    (fun (protocol, name, variant) ->
+      check Alcotest.string "name" name (Site.name protocol);
+      check Alcotest.bool (name ^ " variant") true
+        (Termination.variant_of_name name = Some variant);
+      let result = Runner.run protocol (config ()) in
+      check Alcotest.bool (name ^ " audits clean") true
+        (Facts.audit result = Ok ()))
+    [
+      ( (module Four_phase_transient : Site.S),
+        "4pc-termination-transient",
+        Termination.Transient );
+      ( (module Termination.Static_without_fig8),
+        "termination-nofig8",
+        Termination.Static );
+      ((module Short_windows), "termination-w4-5", Termination.Static);
+      ((module Termination.Four_phase), "4pc-termination", Termination.Static);
+    ];
+  let refused =
+    try
+      ignore (Facts.audit (Runner.run Fsa_actor.two_phase (config ())));
+      false
+    with Invalid_argument _ -> true
+  in
+  check Alcotest.bool "2pc refused" true refused
+
 let () =
   Alcotest.run "commit_checker"
     [
@@ -649,6 +789,10 @@ let () =
           Alcotest.test_case "reuses runs that end before their cut" `Quick
             test_sweep_reuses_quiet_runs;
           QCheck_alcotest.to_alcotest qcheck_sweep_equals_plain_fold;
+          Alcotest.test_case "shares runs whose partitions answer alike"
+            `Quick test_sweep_shares_runs_across_a_gap;
+          Alcotest.test_case "keeps keys that differ in mode or crashes apart"
+            `Quick test_sweep_keeps_keys_apart;
         ] );
       ( "cases",
         [
@@ -695,5 +839,7 @@ let () =
           Alcotest.test_case "admissible reasons" `Quick
             test_admissible_reason_lists;
           Alcotest.test_case "audit clean run" `Quick test_audit_clean_run;
+          Alcotest.test_case "audit every derived protocol" `Quick
+            test_audit_every_derived_protocol;
         ] );
     ]
