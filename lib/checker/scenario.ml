@@ -88,6 +88,15 @@ let configs ~base grid =
         (fun start ->
           List.iter
             (fun heal ->
+              (* One partition value for every config that shares this
+                 cut, start and heal. *)
+              let partition =
+                if Site_id.Set.is_empty cut then Partition.none
+                else
+                  Partition.make
+                    ?heals_at:(Option.map (fun d -> Vtime.add start d) heal)
+                    ~group2:cut ~starts_at:start ~n:base.Runner.n ()
+              in
               List.iter
                 (fun delay ->
                   List.iter
@@ -96,17 +105,6 @@ let configs ~base grid =
                         (fun votes ->
                           List.iter
                             (fun crashes ->
-                              let partition =
-                                if Site_id.Set.is_empty cut then Partition.none
-                                else
-                                  Partition.make
-                                    ?heals_at:
-                                      (Option.map
-                                         (fun d -> Vtime.add start d)
-                                         heal)
-                                    ~group2:cut ~starts_at:start
-                                    ~n:base.Runner.n ()
-                              in
                               acc :=
                                 {
                                   base with
@@ -160,14 +158,13 @@ let multi_configs ~base ~starts ~delays ~seeds =
     (fun groups ->
       List.iter
         (fun start ->
+          let partition =
+            Partition.make_multiple ~groups ~starts_at:start ~n:base.Runner.n ()
+          in
           List.iter
             (fun delay ->
               List.iter
                 (fun seed ->
-                  let partition =
-                    Partition.make_multiple ~groups ~starts_at:start
-                      ~n:base.Runner.n ()
-                  in
                   acc := { base with Runner.partition; delay; seed } :: !acc)
                 seeds)
             delays)

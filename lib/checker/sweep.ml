@@ -93,18 +93,40 @@ let merge ~keep a b =
 
    Nodes are three ints each in one array: the packed query (a leaf
    holds [lnot] its verdict's index instead), then the child under "no"
-   and under "yes" ([-1]: no run has taken that edge yet). *)
+   and under "yes" ([-1]: no run has taken that edge yet; always, in a
+   leaf). *)
 module Keys = Hashtbl.Make (struct
   type t = Runner.config
 
-  let equal = ( = )
+  (* Every field but [partition], and [trace_enabled], which [eval]
+     turns off; the pattern names every field, so a new one does not
+     compile until the key compares it.  Grids share delay, votes and
+     crashes values, so [==] settles most comparisons, and an empty
+     list hashes without a C call. *)
+  let equal (a : t)
+      { Runner.n; t_unit; mode; partition = _; delay; seed; votes; crashes;
+        start_at; horizon; trace_enabled = _ } =
+    a.n = n && a.t_unit = t_unit && a.mode = mode && Int64.equal a.seed seed
+    && a.start_at = start_at && a.horizon = horizon
+    && (a.delay == delay || a.delay = delay)
+    && (a.votes == votes || a.votes = votes)
+    && (a.crashes == crashes || a.crashes = crashes)
 
-  let hash (c : t) = Hashtbl.hash (c.seed, c.delay, c.votes, c.crashes, c.n)
+  let hash_list = function [] -> 0 | l -> Hashtbl.hash l
+
+  let hash (c : t) =
+    Hashtbl.hash c.delay + (31 * hash_list c.votes)
+    + (961 * hash_list c.crashes) + (29_791 * c.n) + Int64.to_int c.seed
 end)
+
+(* A key's root path: its trie's nodes reached from the root by "no"
+   edges alone, root first, that is the key's partition-free run as far
+   as the stored runs know it.  Empty until the key's first run. *)
+type path = { mutable ids : int array; mutable length : int }
 
 type scratch = {
   runner : Runner.scratch;
-  roots : int Keys.t;
+  paths : path Keys.t;
   mutable nodes : int array;
   mutable size : int;  (* nodes in use *)
   mutable verdicts : Verdict.t array;
@@ -114,27 +136,41 @@ type scratch = {
 let make_scratch () =
   {
     runner = Runner.make_scratch ();
-    roots = Keys.create 64;
+    paths = Keys.create 64;
     nodes = Array.make (3 * 256) (-1);
     size = 0;
     verdicts = [||];
     leaves = 0;
   }
 
-(* The verdict index of the leaf [partition] leads to from [node], or
-   [-1] if it falls off the trie.  No partition separates anyone before
-   it starts, so a query below [from] takes the "no" edge unasked. *)
-let walk nodes partition node =
+(* The first of [path]'s nodes [lo..hi) that is a leaf or whose query
+   comes at [from] or later; [hi] if there is none. *)
+let rec enter nodes path from lo hi =
+  if lo = hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    let q = nodes.(3 * path.ids.(mid)) in
+    if q < 0 || q >= from then enter nodes path from lo mid
+    else enter nodes path from (mid + 1) hi
+
+let rec follow nodes partition node =
+  let q = nodes.(3 * node) in
+  if q < 0 then lnot q
+  else
+    let yes = Network.Query_log.separated partition q in
+    let child = nodes.((3 * node) + 1 + Bool.to_int yes) in
+    if child < 0 then -1 else follow nodes partition child
+
+(* The verdict index of the leaf [partition] leads to in [path]'s trie,
+   or [-1] if it falls off.  No partition separates anyone before it
+   starts, and instants never decrease along a run, so every query
+   before the start takes the "no" edge unasked: the walk enters at the
+   first root-path node at or after the start.  A path that ends before
+   the start ends at a node whose "no" edge no run has taken. *)
+let walk nodes path partition =
   let from = Network.Query_log.from (Partition.starts_at partition) in
-  let rec go node =
-    let q = nodes.(3 * node) in
-    if q < 0 then lnot q
-    else
-      let yes = q >= from && Network.Query_log.separated partition q in
-      let child = nodes.((3 * node) + 1 + Bool.to_int yes) in
-      if child < 0 then -1 else go child
-  in
-  go node
+  let entry = enter nodes path from 0 path.length in
+  if entry = path.length then -1 else follow nodes partition path.ids.(entry)
 
 (* New nodes for queries [i..] of [log] and a leaf for verdict [v],
    chained along the log's answers; returns the first. *)
@@ -157,10 +193,11 @@ let chain s log i v =
   s.size <- size;
   first
 
-(* Inserts the run just simulated below [root], checking on the way
-   down that each stored query is the one the run made, which
-   determinism guarantees. *)
-let insert s key root log verdict =
+(* Inserts [config]'s run, just simulated, into [path]'s trie, checking
+   on the way down that each stored query is the one the run made,
+   which determinism guarantees; then extends the root path along the
+   "no" edges the trie now has. *)
+let insert s config path log verdict =
   if s.leaves = Array.length s.verdicts then
     s.verdicts <-
       Array.append s.verdicts (Array.make (Int.max 64 s.leaves) verdict);
@@ -174,7 +211,7 @@ let insert s key root log verdict =
         (Printf.sprintf
            "Sweep: a run of %s made partition query %d unlike an earlier \
             run with the same answers"
-           (Scenario.config_id key) i);
+           (Scenario.config_id config) i);
     let edge = (3 * node) + 1 + Bool.to_int (Network.Query_log.answer log i) in
     match s.nodes.(edge) with
     | -1 ->
@@ -183,36 +220,51 @@ let insert s key root log verdict =
         s.nodes.(edge) <- child
     | child -> descend child (i + 1)
   in
-  match root with
-  | None -> Keys.add s.roots key (chain s log 0 v)
-  | Some root -> descend root 0
+  let rec extend last =
+    let next = s.nodes.((3 * last) + 1) in
+    if next >= 0 then begin
+      if path.length = Array.length path.ids then
+        path.ids <- Array.append path.ids path.ids;
+      path.ids.(path.length) <- next;
+      path.length <- path.length + 1;
+      extend next
+    end
+  in
+  if path.length = 0 then begin
+    path.ids.(0) <- chain s log 0 v;
+    path.length <- 1
+  end
+  else descend path.ids.(0) 0;
+  extend path.ids.(path.length - 1)
+
+let simulate ~protocol s config =
+  Verdict.of_result (Runner.run ~scratch:s.runner protocol config)
 
 let eval ~protocol ~protocol_name s config =
   let config =
     if config.Runner.trace_enabled then { config with trace_enabled = false }
     else config
   in
-  let simulate () =
-    Verdict.of_result (Runner.run ~scratch:s.runner protocol config)
-  in
   let verdict =
     match config.delay with
-    | Delay.Per_link _ -> simulate ()
+    | Delay.Per_link _ -> simulate ~protocol s config
     | Fixed _ | Uniform _
       when not (Network.Query_log.exact ~n:config.n ~horizon:config.horizon) ->
-        simulate ()
+        simulate ~protocol s config
     | Fixed _ | Uniform _ ->
-        let key = { config with partition = Partition.none } in
-        let root = Keys.find_opt s.roots key in
-        let leaf =
-          match root with
-          | None -> -1
-          | Some root -> walk s.nodes config.partition root
+        let path =
+          match Keys.find s.paths config with
+          | path -> path
+          | exception Not_found ->
+              let path = { ids = Array.make 32 (-1); length = 0 } in
+              Keys.add s.paths config path;
+              path
         in
+        let leaf = walk s.nodes path config.partition in
         if leaf >= 0 then s.verdicts.(leaf)
         else
-          let v = simulate () in
-          insert s key root (Runner.queries s.runner) v;
+          let v = simulate ~protocol s config in
+          insert s config path (Runner.queries s.runner) v;
           v
   in
   of_verdict ~protocol:protocol_name (config, verdict)

@@ -41,12 +41,15 @@ val run :
     partition gives to the queries (arrival instant, sender, receiver)
     it makes.  Each executor keeps, per key, the runs it has simulated
     as a trie: a node is a run's next query, an edge the answer, a leaf
-    the verdict.  A config walks its key's trie asking its own
-    partition each node's query; if it reaches a leaf it takes that
-    verdict unrun, else it is simulated and its queries
-    ({!Runner.queries}) are inserted below the point where it left.
-    So cuts that start, or heal, between the same two arrivals share
-    one simulation, and so do all cuts that start after the run ends.
+    the verdict.  A config's walk enters its key's trie by binary
+    search, at the first node of the all-"no" path from the root whose
+    query comes at or after the partition's start (no partition
+    separates anyone earlier), then asks its own partition each node's
+    query; if it reaches a leaf it takes that verdict unrun, else it is
+    simulated and its queries ({!Runner.queries}) are inserted below the
+    point where it left.  So cuts that start, or heal, between the same
+    two arrivals share one simulation, and so do all cuts that start
+    after the run ends.
     Configs with a [Delay.Per_link] delay, whose closure may carry
     state from one run to the next, are always simulated.  The summary
     equals the plain per-config fold ({!Runner.run},

@@ -1,5 +1,6 @@
 type phase = {
   cells : Site_id.Set.t list;  (* master's cell first *)
+  cell_of : int array;  (* site -> its index in [cells]; -1 for none *)
   starts_at : Vtime.t;
   heals_at : Vtime.t option;
 }
@@ -12,6 +13,15 @@ let validate_heal ~starts_at heals_at =
   | Some h when Vtime.( <= ) h starts_at ->
       invalid_arg "Partition: heals_at must be after starts_at"
   | Some _ | None -> ()
+
+(* [cells] lie within 1..n, so the map has a slot for each of their sites. *)
+let phase ~cells ~starts_at ~heals_at ~n =
+  let cell_of = Array.make (n + 1) (-1) in
+  List.iteri
+    (fun i cell ->
+      Site_id.Set.iter (fun s -> cell_of.(Site_id.to_int s) <- i) cell)
+    cells;
+  { cells; cell_of; starts_at; heals_at }
 
 let make_multiple ?heals_at ~groups ~starts_at ~n () =
   if List.length groups < 2 then
@@ -28,7 +38,7 @@ let make_multiple ?heals_at ~groups ~starts_at ~n () =
   let master_cell, others =
     List.partition (fun g -> Site_id.Set.mem Site_id.master g) groups
   in
-  [ { cells = master_cell @ others; starts_at; heals_at } ]
+  [ phase ~cells:(master_cell @ others) ~starts_at ~heals_at ~n ]
 
 let make ?heals_at ~group2 ~starts_at ~n () =
   if Site_id.Set.is_empty group2 then
@@ -43,7 +53,7 @@ let make ?heals_at ~group2 ~starts_at ~n () =
     invalid_arg "Partition.make: G2 covers every site";
   validate_heal ~starts_at heals_at;
   let group1 = Site_id.Set.diff universe group2 in
-  [ { cells = [ group1; group2 ]; starts_at; heals_at } ]
+  [ phase ~cells:[ group1; group2 ] ~starts_at ~heals_at ~n ]
 
 let none = []
 
@@ -96,9 +106,9 @@ let heals_at t =
 
 let is_transient t = t <> [] && List.for_all (fun p -> p.heals_at <> None) t
 
-let phase_active phase at =
-  Vtime.( <= ) phase.starts_at at
-  && match phase.heals_at with None -> true | Some h -> Vtime.( < ) at h
+let phase_active phase (at : Vtime.t) =
+  phase.starts_at <= at
+  && match phase.heals_at with None -> true | Some h -> at < h
 
 let active_phase t at = List.find_opt (fun phase -> phase_active phase at) t
 
@@ -111,24 +121,21 @@ let components_at t ~at =
   | None -> 1
   | Some phase -> List.length phase.cells
 
-let cell_index cells site =
-  let rec go i = function
-    | [] -> -1
-    | cell :: rest -> if Site_id.Set.mem site cell then i else go (i + 1) rest
-  in
-  go 0 cells
+let cell phase (site : Site_id.t) =
+  let i = (site :> int) in
+  if i < Array.length phase.cell_of then phase.cell_of.(i) else -1
 
 let side t site =
-  if cell_index (first_cells t) site <= 0 then `G1 else `G2
+  match t with phase :: _ when cell phase site > 0 -> `G2 | _ -> `G1
 
 (* Asked at every message arrival: a plain walk of the phases, with no
-   closure and no option. *)
+   closure, no option and no call out of this module (a dev build
+   inlines none), and two array reads in the active phase. *)
 let rec separated t ~at a b =
   match t with
   | [] -> false
   | phase :: rest ->
-      if phase_active phase at then
-        cell_index phase.cells a <> cell_index phase.cells b
+      if phase_active phase at then cell phase a <> cell phase b
       else separated rest ~at a b
 
 let pp_phase fmt phase =

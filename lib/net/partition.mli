@@ -94,7 +94,10 @@ val components_at : t -> at:Vtime.t -> int
 
 val separated : t -> at:Vtime.t -> Site_id.t -> Site_id.t -> bool
 (** [separated p ~at a b]: are [a] and [b] in different cells of an
-    active partition at time [at]? *)
+    active partition at time [at]?  Every message arrival asks this, so
+    it costs a walk of the phases to the active one and two array reads
+    there, in the site-to-cell map that {!make} or {!make_multiple}
+    built for that phase. *)
 
 val side : t -> Site_id.t -> [ `G1 | `G2 ]
 (** Which side of the master a site is on while the partition is active

@@ -36,11 +36,13 @@
     - otherwise stay blocked and re-poll every 5T.
 
     Every site has a vote weight [V_i], and [V_C + V_A > sum V_i], so
-    the two sides of a simple partition can never decide differently.
+    the two sides of a static simple partition never decide differently.
     A side without a quorum {e blocks}, precisely the availability loss
     the paper's termination protocol avoids (at the price of its
-    stronger model assumptions).  The periodic re-poll handles transient
-    partitions.
+    stronger model assumptions).  After a heal two terminators may decide
+    from two polls, for nothing binds a respondent to either: [tp_sim run
+    -p quorum --g2 2,3 --at 969 --heal 3050 --delay uniform --seed 1]
+    commits at site3 and aborts at site2.
 
     In either protocol a site in w acks a prepare to whoever sent it,
     the master or a re-preparing terminator, and the decision goes to

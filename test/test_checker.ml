@@ -235,6 +235,62 @@ let plain_fold protocol configs =
       Sweep.merge ~keep:3 acc (Sweep.of_verdict ~protocol:name (config, v)))
     (Sweep.run protocol []) configs
 
+(* A config's walk enters its key's trie at the first root-path node at
+   or after the cut's start.  Each case below is one sweep over one key
+   (n=3, seed 1), whose run count is pinned and whose summary must equal
+   the plain fold's. *)
+let test_sweep_enters_at_the_start () =
+  let creates = ref 0 in
+  let module Counting = struct
+    include Termination.Transient
+
+    let create ctx role =
+      incr creates;
+      Termination.Transient.create ctx role
+  end in
+  let runs configs =
+    creates := 0;
+    let export s = Export.to_string (Export.of_summary s) in
+    check Alcotest.string "the plain fold's summary"
+      (export (plain_fold (module Termination.Transient) configs))
+      (export (Sweep.run (module Counting) configs));
+    !creates / 3
+  in
+  (* With one-tick hops, the partition-free run's messages arrive two
+     at each tick: 1>2 then 1>3 at 1, 3 and 5; 2>1 then 3>1 at 2 and 4.
+     With that run stored, a cut at 4 and then one at 3 each meet a
+     crossing arrival at their first instant, so neither reaches the
+     other's leaf.  An entry after the start's arrivals would walk the
+     cut at 3 into the run of the cut at 4.  G2={site2} crosses the
+     first arrival of each tick and G2={site3} the second. *)
+  let free = config ~delay:Delay.minimal () in
+  let minimal ~g2 at =
+    config ~partition:(partition ~g2 ~at ~n:3 ()) ~delay:Delay.minimal ()
+  in
+  check Alcotest.int "one-tick hops: cuts at 4 then 3, G2={site3}" 3
+    (runs [ free; minimal ~g2:[ 3 ] 4; minimal ~g2:[ 3 ] 3 ]);
+  check Alcotest.int "one-tick hops: cuts at 4 then 3, both G2s" 5
+    (runs
+       [
+         free;
+         minimal ~g2:[ 3 ] 4;
+         minimal ~g2:[ 3 ] 3;
+         minimal ~g2:[ 2 ] 4;
+         minimal ~g2:[ 2 ] 3;
+       ]);
+  (* With T-long hops, a cut at 1500 meets site3's ack at 2000, so the
+     key's first run leaves the root path there.  A cut at 3500 finds
+     no root-path node at or after its start and is simulated; its run
+     extends the root path to 4000, where a cut at 3800 enters and
+     follows the 3500 run to its leaf. *)
+  let full at =
+    config
+      ~partition:(partition ~g2:[ 3 ] ~at ~n:3 ())
+      ~delay:(Delay.full ~t_max:t_unit) ()
+  in
+  check Alcotest.int "T-long hops: a cut at 1500, then 3500 and 3800" 2
+    (runs [ full 1500; full 3500; full 3800 ])
+
 (* A random grid over one to three keys (n, delay, seed, votes,
    crashes, mode), so keys repeat, each crossed with no partition,
    early and late simple cuts with and without heals, and multiple
@@ -793,6 +849,8 @@ let () =
             `Quick test_sweep_shares_runs_across_a_gap;
           Alcotest.test_case "keeps keys that differ in mode or crashes apart"
             `Quick test_sweep_keeps_keys_apart;
+          Alcotest.test_case "enters each key's trie at the cut's start"
+            `Quick test_sweep_enters_at_the_start;
         ] );
       ( "cases",
         [

@@ -231,6 +231,120 @@ let separated_symmetric_within_group =
            && Vtime.to_int at < heals
            && in_g2 a <> in_g2 b))
 
+(* One drawn phase: its cells as site lists, master's cell first, its
+   window [starts, heals), and whether [make] (two cells) or
+   [make_multiple] builds it. *)
+type drawn_phase = {
+  simple : bool;
+  cells : int list list;
+  starts : int;
+  heals : int option;
+}
+
+(* A simple partition, a multiple partitioning, or a two-phase
+   [Partition.sequence] of either, at n = 3 to 6.  The second phase may
+   start at the very tick the first heals. *)
+let drawn_partition =
+  let open QCheck.Gen in
+  let* n = int_range 3 6 in
+  let sites = List.init n succ in
+  let cells simple =
+    if simple then
+      let+ mask = int_range 1 ((1 lsl (n - 1)) - 1) in
+      List.partition (fun s -> s = 1 || mask land (1 lsl (s - 2)) = 0) sites
+      |> fun (g1, g2) -> [ g1; g2 ]
+    else
+      (* Sites with one label share a cell; site n gets a cell of its
+         own when every label is the same. *)
+      let+ labels = list_repeat n (int_range 0 (n - 1)) in
+      let label s =
+        if s = n && List.for_all (( = ) (List.hd labels)) labels then n
+        else List.nth labels (s - 1)
+      in
+      let cell l = List.filter (fun s -> label s = l) sites in
+      cell (label 1)
+      :: List.filter_map
+           (fun l -> if l = label 1 || cell l = [] then None else Some (cell l))
+           (List.init (n + 1) Fun.id)
+  in
+  let phase ~after ~healed =
+    let* simple = bool in
+    let* cells = cells simple in
+    let* starts = map (( + ) after) (int_range 0 3_000) in
+    let width = map (( + ) starts) (int_range 1 3_000) in
+    let+ heals = if healed then map Option.some width else opt width in
+    { simple; cells; starts; heals }
+  in
+  let* two = bool in
+  let* first = phase ~after:0 ~healed:two in
+  let+ rest =
+    if two then
+      map (fun p -> [ p ]) (phase ~after:(Option.get first.heals) ~healed:false)
+    else return []
+  in
+  (n, first :: rest)
+
+(* The partition [make], [make_multiple] and [sequence] build from the
+   drawn phases. *)
+let build_drawn n phases =
+  let build p =
+    let starts_at = Vtime.of_int p.starts
+    and heals_at = Option.map Vtime.of_int p.heals
+    and sets = List.map Site_id.set_of_ints p.cells in
+    if p.simple then
+      Partition.make ?heals_at ~group2:(List.nth sets 1) ~starts_at ~n ()
+    else Partition.make_multiple ?heals_at ~groups:sets ~starts_at ~n ()
+  in
+  Partition.sequence (List.map build phases)
+
+let separated_matches_reference =
+  let print (n, phases) =
+    Format.asprintf "n=%d %a" n Partition.pp (build_drawn n phases)
+  in
+  QCheck.Test.make ~count:500
+    ~name:"separated equals a set-based reference at every window edge"
+    (QCheck.make ~print drawn_partition)
+    (fun (n, phases) ->
+      let partition = build_drawn n phases in
+      let reference at a b =
+        match
+          List.find_opt
+            (fun p ->
+              p.starts <= at
+              && match p.heals with None -> true | Some h -> at < h)
+            phases
+        with
+        | None -> false
+        | Some p ->
+            let cell s =
+              List.find (Site_id.Set.mem (site s))
+                (List.map Site_id.set_of_ints p.cells)
+            in
+            not (Site_id.Set.equal (cell a) (cell b))
+      in
+      let instants =
+        List.concat_map
+          (fun p ->
+            List.concat_map
+              (fun at -> [ at - 1; at; at + 1 ])
+              (p.starts :: Option.to_list p.heals))
+          phases
+        |> List.filter (fun at -> at >= 0)
+      in
+      let sites = List.init n succ in
+      List.for_all
+        (fun at ->
+          List.for_all
+            (fun a ->
+              List.for_all
+                (fun b ->
+                  Partition.separated partition ~at:(Vtime.of_int at) (site a)
+                    (site b)
+                  = reference at a b)
+                sites)
+            sites)
+        instants)
+
 (* ------------------------------------------------------------------ *)
 (* Delay                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -484,6 +598,7 @@ let () =
           qtest sequence_active_exactly_in_phases;
           qtest sequence_rejects_overlap;
           qtest separated_symmetric_within_group;
+          qtest separated_matches_reference;
         ] );
       ("delay", [ qtest delay_always_in_bounds ]);
       ( "network",
