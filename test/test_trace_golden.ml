@@ -215,7 +215,7 @@ let tm_hot_spot_spans ~cross () =
   ignore (tm_hot_spot ~obs ~text:(not cross) ());
   Obs.to_trace_event_json obs
 
-let cluster_trace ?crashes ~cross () =
+let cluster_trace ?(crashes = []) ?(recoveries = []) ~cross () =
   let module Cluster = Commit_cluster in
   let cut =
     Partition.make
@@ -232,7 +232,8 @@ let cluster_trace ?crashes ~cross () =
       load = 40;
       bucket = Vtime.of_int (t 20);
       timeline = cut;
-      crashes = (match crashes with Some c -> c | None -> []);
+      crashes;
+      recoveries;
       trace_enabled = true;
     }
   in
@@ -473,6 +474,14 @@ let db_scenarios =
       fun ~cross () ->
         cluster_trace ~crashes:[ (Site_id.of_int 2, Vtime.of_int (t 30)) ] ~cross
           () );
+    (* A short outage mid-run: transactions site 2 had begun are fenced
+       at its restart, so no pre-crash instance decides or sends. *)
+    ( "cluster-crash-recover",
+      fun ~cross () ->
+        cluster_trace
+          ~crashes:[ (Site_id.of_int 2, Vtime.of_int 30_700) ]
+          ~recoveries:[ (Site_id.of_int 2, Vtime.of_int 31_600) ]
+          ~cross () );
   ]
 
 (* ------------------------------------------------------------------ *)
