@@ -41,13 +41,13 @@ let begin_txn t ~tid ~contributions =
 let contribution txn site =
   match List.assoc_opt site txn.contributions with Some c -> c | None -> 0
 
+let all txn d =
+  List.for_all (fun (_, d') -> Types.equal_decision d d') txn.decisions
+
 let settle t tid txn =
   txn.settled <- true;
   t.open_count <- t.open_count - 1;
   t.settled_count <- t.settled_count + 1;
-  let all d =
-    List.for_all (fun (_, d') -> Types.equal_decision d d') txn.decisions
-  in
   let applied_here =
     List.fold_left
       (fun acc (site, d) ->
@@ -59,8 +59,8 @@ let settle t tid txn =
   let full =
     List.fold_left (fun acc (_, c) -> acc + c) 0 txn.contributions
   in
-  if all Types.Commit then t.atomic_expected <- t.atomic_expected + full
-  else if all Types.Abort then ()
+  if all txn Types.Commit then t.atomic_expected <- t.atomic_expected + full
+  else if all txn Types.Abort then ()
   else begin
     (* torn: agreement violated; the partial deposit is the money bug *)
     t.torn <- tid :: t.torn;
@@ -90,7 +90,11 @@ let record t ~tid ~site decision =
           (match decision with
           | Types.Commit -> t.applied <- t.applied + contribution txn site
           | Types.Abort -> ());
-          if live_complete t txn && not txn.settled then settle t tid txn)
+          if live_complete t txn && not txn.settled then settle t tid txn;
+          (* Every site has now decided alike, so no further decision can
+             come for the entry to check.  A torn or flipped entry stays. *)
+          if List.compare_length_with txn.decisions t.n = 0 && all txn decision
+          then Hashtbl.remove t.txns tid)
 
 let mark_dead t ~site =
   if not (Site_id.Set.mem site t.dead) then begin

@@ -18,7 +18,13 @@
     The auditor also maintains the running ledger ({!applied_total}) of
     every commit it has witnessed, which the runtime cross-checks
     against the durable stores at shutdown: the two agreeing means no
-    money appeared or vanished outside the audited decision path. *)
+    money appeared or vanished outside the audited decision path.
+
+    An entry is dropped once all [n] sites have recorded the same
+    decision (a site that was down records its decision after it
+    recovers): the counters and the ledger already hold what the entry
+    contributed.  A torn entry is kept, as is one a recovered site's
+    late decision disagrees with. *)
 
 type t
 
@@ -28,12 +34,12 @@ val begin_txn : t -> tid:int -> contributions:(Site_id.t * int) list -> unit
 (** Register a transaction before its first decision.  [contributions]
     lists the money each site deposits if it commits; sites absent from
     the list contribute 0 (they still must decide).
-    @raise Invalid_argument on a duplicate tid. *)
+    @raise Invalid_argument on a tid the auditor still holds. *)
 
 val record : t -> tid:int -> site:Site_id.t -> Types.decision -> unit
 (** One site's decision.  Repeated identical decisions are ignored; an
-    unknown tid raises.  The transaction settles once every live site
-    has decided. *)
+    unknown or dropped tid raises.  The transaction settles once every
+    live site has decided. *)
 
 val mark_dead : t -> site:Site_id.t -> unit
 (** Declare [site] crash-stopped: it is exempt from settling from now

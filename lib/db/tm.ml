@@ -220,9 +220,8 @@ module Run (P : Site.S) = struct
       end
     end
 
-  let report_of state (spec : txn_spec) =
-    let core = state.core in
-    let txn = Option.get (Core.find core spec.tid) in
+  let report_of state (txn : locking Core.txn) =
+    let core = state.core and spec = txn.spec in
     let status =
       if not (Core.started txn) then Txn_waiting_locks
       else
@@ -301,20 +300,25 @@ module Run (P : Site.S) = struct
             on_grants state grants);
       };
     Core.schedule_faults core ~crashes:config.crashes ~recoveries:[];
-    List.iter
-      (fun spec ->
-        let txn =
-          Core.add core spec
-            { pending_locks = 0; decided_at = Array.make config.n None }
-        in
-        ignore
-          (Engine.schedule_at engine ~at:spec.start_at
-             ~label:(Label.Static "txn-start") (fun () -> start_txn state txn)))
-      specs;
+    (* The report reads every transaction, and the core's table forgets
+       the ones every site decided: keep the records. *)
+    let txns =
+      List.map
+        (fun spec ->
+          let txn =
+            Core.add core spec
+              { pending_locks = 0; decided_at = Array.make config.n None }
+          in
+          ignore
+            (Engine.schedule_at engine ~at:spec.start_at
+               ~label:(Label.Static "txn-start") (fun () -> start_txn state txn));
+          txn)
+        specs
+    in
     Engine.run ~until:config.horizon engine;
     Obs.close_open_spans log ~at:(Engine.now engine);
     {
-      txns = List.map (report_of state) specs;
+      txns = List.map (report_of state) txns;
       stores = Core.stores core;
       trace = log;
       net_stats = Network.stats (Core.net core);

@@ -9,23 +9,14 @@ type txn_spec = {
 let writes_at spec site =
   match List.assoc_opt site spec.writes with Some updates -> updates | None -> []
 
-(* Wire payload: protocol messages multiplexed by transaction. *)
-type wire = { wtid : int; body : Types.msg }
-
-let pp_wire fmt w = Format.fprintf fmt "t%d:%a" w.wtid Types.pp_msg w.body
-
 (* Binary wire codec: the transaction id rides in bits 40+ above the
    packed message (see Types.msg_code's layout). *)
-let wire_code w = Types.msg_code w.body lor (w.wtid lsl 40)
-
 let wire_renderer =
   Network.register_payload_renderer (fun b code ->
       Buffer.add_char b 't';
       Buffer.add_string b (string_of_int (code lsr 40));
       Buffer.add_char b ':';
       Types.buf_msg_code b (code land ((1 lsl 40) - 1)))
-
-let wire_codec = (wire_renderer, wire_code)
 
 type outcome = Committed | Aborted | Open | Torn
 
@@ -137,11 +128,11 @@ let physical_of ~n ~master logical =
   Site_id.of_int
     (((Site_id.to_int logical - 1 + (Site_id.to_int master - 1)) mod n) + 1)
 
-let relabel ~n ~master (e : wire Network.envelope) =
+let relabel ~n ~master (e : _ Network.envelope) body =
   {
     Network.src = logical_of ~n ~master e.src;
     dst = logical_of ~n ~master e.dst;
-    payload = e.payload.body;
+    payload = body;
     sent_at = e.sent_at;
   }
 
@@ -153,10 +144,19 @@ module Make (P : Site.S) = struct
     mutable started_at : Vtime.t;
     mutable instances : P.t array;
     decisions : Types.decision option array;
-    fenced : bool array;
+    born : int array;
     awaiting : bool array;
     mutable settled : bool;
   }
+
+  (* Wire payload: protocol messages multiplexed by transaction.  The
+     message carries its transaction, so a delivery needs no table. *)
+  type 'c wire = { txn : 'c txn; body : Types.msg }
+
+  let pp_wire fmt w = Format.fprintf fmt "t%d:%a" w.txn.spec.tid Types.pp_msg w.body
+
+  let wire_codec =
+    (wire_renderer, fun w -> Types.msg_code w.body lor (w.txn.spec.tid lsl 40))
 
   type 'c hooks = {
     decided : 'c txn -> Site_id.t -> Types.decision -> unit;
@@ -175,10 +175,11 @@ module Make (P : Site.S) = struct
     on : bool;  (* cached Trace.on *)
     topic : Trace.topic;
     prof : Prof.t option;
-    net : wire Network.t;
+    net : 'c wire Network.t;
     stores : Durable_site.t array;
-    txns : (int, 'c txn) Hashtbl.t;
+    txns : (int, 'c txn) Hashtbl.t;  (* some site has not decided *)
     dead : bool array;  (* crash-stopped sites, index = physical - 1 *)
+    incarnation : int array;  (* restarts so far, index = physical - 1 *)
     mutable hooks : 'c hooks;
   }
 
@@ -231,6 +232,10 @@ module Make (P : Site.S) = struct
 
   let started txn = Array.length txn.instances > 0
 
+  (* An instance born in an earlier incarnation of its site (or while
+     the site was down, born -1) is a fenced ghost. *)
+  let fenced t txn i = txn.born.(i) <> t.incarnation.(i)
+
   let by_tid a b = Int.compare a.spec.tid b.spec.tid
 
   (* The transaction's lifecycle spans on track 0 (the client's own
@@ -270,6 +275,19 @@ module Make (P : Site.S) = struct
     if t.on then seal t txn.spec.tid;
     t.hooks.settled txn
 
+  (* Once every site, down ones included, has decided, neither the
+     recovery rule nor a late decision can need the transaction: it
+     leaves the table, and every live site forgets it.  A down site's
+     store is not touched while it is down, so it keeps the records;
+     and a site that never recovers pins every transaction it has not
+     decided. *)
+  let retire t txn =
+    let tid = txn.spec.tid in
+    Hashtbl.remove t.txns tid;
+    for j = 0 to t.n - 1 do
+      if not t.dead.(j) then Durable_site.forget t.stores.(j) ~tid
+    done
+
   (* The one decision path.  Recovered sites waiting for the group
      adopt the first decision made after their restart; all-or-nothing
      agreement makes "first" equal "the" group decision.  The client
@@ -279,6 +297,7 @@ module Make (P : Site.S) = struct
   let rec apply t txn i decision ~durable =
     txn.decisions.(i) <- Some decision;
     if durable then write_decision t.stores.(i) ~tid:txn.spec.tid decision;
+    if Array.for_all Option.is_some txn.decisions then retire t txn;
     for j = 0 to t.n - 1 do
       if txn.awaiting.(j) && Option.is_none txn.decisions.(j) && not t.dead.(j)
       then begin
@@ -306,7 +325,7 @@ module Make (P : Site.S) = struct
      ghost whose volatile state was lost: nothing either decides may
      reach the durable store or the client. *)
   let record t txn i decision =
-    if (not t.dead.(i)) && (not txn.fenced.(i)) && Option.is_none txn.decisions.(i)
+    if (not t.dead.(i)) && (not (fenced t txn i)) && Option.is_none txn.decisions.(i)
     then apply t txn i decision ~durable:true
 
   let add t spec client =
@@ -319,7 +338,7 @@ module Make (P : Site.S) = struct
         started_at = Vtime.zero;
         instances = [||];
         decisions = Array.make n None;
-        fenced = Array.make n false;
+        born = Array.make n (-1);
         awaiting = Array.make n false;
         settled = false;
       }
@@ -334,11 +353,11 @@ module Make (P : Site.S) = struct
     txn.started_at <- now t;
     (* A site that is down now never sees the transaction: no durable
        begin, and its instance is born fenced. *)
-    Array.blit t.dead 0 txn.fenced 0 n;
     let instances =
       Array.init n (fun i ->
           let phys = Site_id.of_int (i + 1) in
           if not t.dead.(i) then begin
+            txn.born.(i) <- t.incarnation.(i);
             let d = t.stores.(i) in
             Durable_site.begin_transaction d ~tid;
             Durable_site.stage d ~tid (writes_at spec phys)
@@ -347,10 +366,10 @@ module Make (P : Site.S) = struct
           let ctx =
             Ctx.make ~engine:t.engine ~n ~t_unit:t.t_unit ~self ~trans_id:tid
               ~send:(fun dst body ->
-                if not txn.fenced.(i) then
+                if not (fenced t txn i) then
                   Network.send t.net ~src:phys
                     ~dst:(physical_of ~n ~master dst)
-                    { wtid = tid; body })
+                    { txn; body })
               ~on_decide:(fun decision -> record t txn i decision)
               ~on_reason:(fun r -> t.hooks.reason txn r)
               ~obs_site:(i + 1) ()
@@ -387,36 +406,35 @@ module Make (P : Site.S) = struct
       instances;
     P.begin_transaction instances.(Site_id.to_int master - 1)
 
+  (* A message reaches its transaction even after every site has
+     decided it (a decided site still answers, or logs that it ignores
+     the message). *)
   let deliver t phys delivery =
-    let wtid =
-      match delivery with Network.Msg e | Network.Undeliverable e -> e.payload.wtid
+    let ({ txn; body } : _ wire) =
+      match delivery with Network.Msg e | Network.Undeliverable e -> e.payload
     in
-    match Hashtbl.find_opt t.txns wtid with
-    | None -> ()
-    | Some txn ->
-        let i = Site_id.to_int phys - 1 in
-        (* A fenced instance lost its volatile state in a crash;
-           deliveries that outlived the outage must not wake it. *)
-        if started txn && not txn.fenced.(i) then begin
-          let n = t.n and master = txn.master in
-          let unwrapped =
-            match delivery with
-            | Network.Msg e -> Network.Msg (relabel ~n ~master e)
-            | Network.Undeliverable e -> Network.Undeliverable (relabel ~n ~master e)
-          in
-          let instance = txn.instances.(i) in
-          prof_enter t Prof.Protocol;
-          P.on_delivery instance unwrapped;
-          (* Reaching the prepared state must survive a restart (the
-             paper's p / p1 states); persist it on the transition. *)
-          (match P.state_name instance with
-          | "p" | "p1" ->
-              let d = t.stores.(i) in
-              if Durable_site.status d ~tid:wtid = `Active then
-                Durable_site.prepare d ~tid:wtid
-          | _ -> ());
-          prof_leave t
-        end
+    let i = Site_id.to_int phys - 1 in
+    (* A fenced instance lost its volatile state in a crash; deliveries
+       that outlived the outage must not wake it. *)
+    if not (fenced t txn i) then begin
+      let n = t.n and master = txn.master in
+      let unwrapped =
+        match delivery with
+        | Network.Msg e -> Network.Msg (relabel ~n ~master e body)
+        | Network.Undeliverable e -> Network.Undeliverable (relabel ~n ~master e body)
+      in
+      let instance = txn.instances.(i) in
+      prof_enter t Prof.Protocol;
+      P.on_delivery instance unwrapped;
+      (* Reaching the prepared state must survive a restart (the paper's
+         p / p1 states); persist it on the transition. *)
+      (match P.state_name instance with
+      | "p" | "p1" ->
+          let d = t.stores.(i) and tid = txn.spec.tid in
+          if Durable_site.status d ~tid = `Active then Durable_site.prepare d ~tid
+      | _ -> ());
+      prof_leave t
+    end
 
   let create ~engine ?prof ~topic ~n ~t_unit ~mode ~partition ~delay ~seed
       ~initial () =
@@ -424,7 +442,7 @@ module Make (P : Site.S) = struct
     let net =
       Network.create ~engine ~n ~t_max:t_unit ~mode ~partition ~delay ~seed
         ~pp_payload:pp_wire ~payload_codec:wire_codec
-        ~obs_tid:(fun w -> w.wtid)
+        ~obs_tid:(fun w -> w.txn.spec.tid)
         ?prof ()
     in
     let t =
@@ -444,6 +462,7 @@ module Make (P : Site.S) = struct
               | None -> Durable_site.create ());
         txns = Hashtbl.create 256;
         dead = Array.make n false;
+        incarnation = Array.make n 0;
         hooks = no_hooks;
       }
     in
@@ -472,18 +491,19 @@ module Make (P : Site.S) = struct
       |> List.iter (fun (txn : _ txn) -> if not txn.settled then settle t txn)
     end
 
-  (* Crash-recover: at the UP instant every instance the site had is a
-     ghost and stays fenced.  The group outranks the local WAL: the
-     termination protocol can commit a transaction whose crashed
-     participant had voted yes but not yet forced its prepare record, so
-     every active transaction the group has not decided stays open
-     across the replay.  Each transaction the replay leaves open then
-     follows the recovery rule: adopt the first decision in a peer's
-     stable log, or wait for the group's first decision. *)
+  (* Crash-recover: at the UP instant the site's incarnation moves on,
+     so every instance it had is a ghost and stays fenced.  The group
+     outranks the local WAL: the termination protocol can commit a
+     transaction whose crashed participant had voted yes but not yet
+     forced its prepare record, so every active transaction the group
+     has not decided stays open across the replay.  Each transaction
+     the replay leaves open then follows the recovery rule: adopt the
+     first decision in a peer's stable log, or wait for the group's
+     first decision. *)
   let recover t site =
     let i = Site_id.to_int site - 1 in
     if t.dead.(i) then begin
-      Hashtbl.iter (fun _ txn -> txn.fenced.(i) <- true) t.txns;
+      t.incarnation.(i) <- t.incarnation.(i) + 1;
       t.dead.(i) <- false;
       Network.recover t.net site;
       t.hooks.restarted site;

@@ -5,10 +5,11 @@
     the same machinery between "this transaction may start" and "every
     live site has decided".  This module owns it once:
 
-    - the wire: protocol messages multiplexed by transaction id, with
-      one binary codec;
-    - the per-transaction table, whose records carry the client's own
-      per-transaction state, so a delivery or a decision is one lookup;
+    - the wire: protocol messages multiplexed by transaction, each
+      carrying its transaction's record, with one binary codec;
+    - the per-transaction records, which carry the client's own
+      per-transaction state, and the table of those some site has not
+      decided;
     - instance construction: begin and stage at every live site, one
       protocol instance per site, roles from [vote_no], and master
       relabelling (the protocols hard-wire "site 1 masters", so a
@@ -20,7 +21,7 @@
       [p1], and fencing;
     - one decision path: a dead/fenced guard, then the durable commit
       or abort, then the client's hooks;
-    - crashes, and recovery by one rule.
+    - crashes, recovery by one rule, and retirement.
 
     {b The recovery rule.}  A restarting site replays its WAL
     ({!Commit_storage.Durable_site.recover}).  Every transaction the
@@ -29,7 +30,15 @@
     site waits for the group's first decision (during a run) or stays in
     doubt (after a run).  This is Gray & Lamport's fail-and-recover
     model with stable storage: a prepared participant never decides on
-    its own. *)
+    its own.
+
+    {b Retirement.}  Once every site, down sites included, has decided
+    a transaction, it leaves the table and every live site forgets it
+    ({!Commit_storage.Durable_site.forget}); messages and timers still
+    in flight hold the record until they are done.  A run's live set is
+    its in-flight window, except that a site which is down pins every
+    transaction it has not decided until it recovers, and forever if it
+    never does: that is the price of the recovery rule. *)
 
 type txn_spec = {
   tid : int;  (** unique, >= 1 *)
@@ -38,9 +47,6 @@ type txn_spec = {
   reads : (Site_id.t * string list) list;
   vote_no : Site_id.t list;  (** slaves that will vote no *)
 }
-
-type wire = { wtid : int; body : Types.msg }
-(** A protocol message tagged with its transaction. *)
 
 type outcome =
   | Committed  (** every live site committed *)
@@ -81,14 +87,19 @@ module Make (P : Site.S) : sig
     mutable started_at : Vtime.t;
     mutable instances : P.t array;  (** one per site; empty until {!start} *)
     decisions : Types.decision option array;  (** index i = site i+1 *)
-    fenced : bool array;
-        (** a fenced instance is a ghost: its volatile state predates a
-            crash (or its site was down at {!start}), so it may neither
-            send, receive nor decide; the recovery rule speaks for it *)
+    born : int array;
+        (** the incarnation of each site its instance was born in, -1
+            for a site that was down at {!start}.  An instance from an
+            earlier incarnation is a fenced ghost: its volatile state
+            predates a crash, so it may neither send, receive nor decide;
+            the recovery rule speaks for it *)
     awaiting : bool array;
         (** recovered sites waiting for the group's first decision *)
     mutable settled : bool;  (** every live site has decided *)
   }
+
+  type 'c wire = { txn : 'c txn; body : Types.msg }
+  (** A protocol message with its transaction. *)
 
   type 'c hooks = {
     decided : 'c txn -> Site_id.t -> Types.decision -> unit;
@@ -139,13 +150,16 @@ module Make (P : Site.S) : sig
     unit
   (** At each crash instant the site falls silent and loses its
       volatile state; transactions then complete over the survivors
-      settle.  At each recovery instant the site fences every
-      instance it had, replays its WAL and applies the recovery rule.
+      settle.  At each recovery instant the site's incarnation moves on,
+      which fences every instance it had in O(1); then it replays its
+      WAL and applies the recovery rule.
       @raise Invalid_argument for a site outside [1..n] or a recovery
       without an earlier crash of the same site. *)
 
   val add : 'c t -> txn_spec -> 'c -> 'c txn
-  (** Register a transaction; it stays inert until {!start}. *)
+  (** Register a transaction; it stays inert until {!start}.  A client
+      that reads transactions after every site decided them keeps the
+      record this returns. *)
 
   val start : 'c t -> 'c txn -> master:Site_id.t -> unit
   (** Begin and stage at every live site, build the instances (fenced
@@ -153,9 +167,11 @@ module Make (P : Site.S) : sig
       the master. *)
 
   val find : 'c t -> int -> 'c txn option
+  (** [None] once every site has decided the transaction. *)
 
   val fold : 'c t -> ('c txn -> 'a -> 'a) -> 'a -> 'a
-  (** Over every registered transaction, in no particular order. *)
+  (** Over every registered transaction some site has not decided, in no
+      particular order. *)
 
   val started : 'c txn -> bool
 
@@ -170,7 +186,9 @@ module Make (P : Site.S) : sig
 
   val prof_leave : 'c t -> unit
 
-  val net : 'c t -> wire Network.t
+  val net : 'c t -> 'c wire Network.t
+  (** A payload carries its transaction's record, so a delivery reaches
+      a transaction the table no longer holds. *)
 
   val stores : 'c t -> Durable_site.t array
   (** Index i = site i+1. *)

@@ -8,6 +8,8 @@ type t = {
     (int, [ `Active | `Prepared | `Committed | `Aborted | `Ended ]) Hashtbl.t;
       (* last status-bearing record per tid, kept in lockstep with
          [wal]; makes [status] O(1) on long-lived sites *)
+  forgotten : (int, unit) Hashtbl.t;
+      (* forgotten tids whose records [wal] still holds *)
 }
 
 type recovery_report = {
@@ -22,6 +24,7 @@ let create () =
     db = Kv.create ();
     volatile_staged = Int_map.empty;
     index = Hashtbl.create 64;
+    forgotten = Hashtbl.create 16;
   }
 
 let append t record =
@@ -34,7 +37,16 @@ let append t record =
   | Wal.Abort_log { tid } -> Hashtbl.replace t.index tid `Aborted
   | Wal.End { tid } -> Hashtbl.replace t.index tid `Ended
 
-let wal_records t = List.rev t.wal
+let compact t =
+  if Hashtbl.length t.forgotten > 0 then begin
+    t.wal <-
+      List.filter (fun r -> not (Hashtbl.mem t.forgotten (Wal.tid_of r))) t.wal;
+    Hashtbl.clear t.forgotten
+  end
+
+let wal_records t =
+  compact t;
+  List.rev t.wal
 
 let of_stable ~wal ~db =
   let t = { (create ()) with db } in
@@ -105,6 +117,17 @@ let abort t ~tid =
   require t ~tid [ `Active; `Prepared ];
   append t (Wal.Abort_log { tid });
   t.volatile_staged <- Int_map.remove tid t.volatile_staged
+
+(* The log drops a forgotten tid's records once forgotten tids outnumber
+   the known ones, so each filtering pass is paid for by the forgets
+   before it. *)
+let forget t ~tid =
+  match status t ~tid with
+  | `Ended | `Aborted ->
+      Hashtbl.remove t.index tid;
+      Hashtbl.replace t.forgotten tid ();
+      if Hashtbl.length t.forgotten > Hashtbl.length t.index then compact t
+  | `Unknown | `Active | `Prepared | `Committed -> ()
 
 (* What one pass over the WAL keeps per transaction: the updates of its
    last commit record and of its last stage record. *)

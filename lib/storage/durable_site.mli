@@ -81,8 +81,15 @@ val read : t -> string -> string option
 
 val database : t -> Kv.t
 
+val forget : t -> tid:int -> unit
+(** Drop an ended transaction (its log holds [End] or an abort record):
+    its {!status} becomes [`Unknown] and its records leave the log, a
+    batch at a time.  The caller forgets a tid only once no site can
+    still need its record; a forgotten tid is never begun again.  Any
+    other tid is left as it is. *)
+
 val wal_records : t -> Wal.record list
-(** In append order. *)
+(** In append order, without the records of forgotten tids. *)
 
 val status :
   t -> tid:int -> [ `Unknown | `Active | `Prepared | `Committed | `Aborted | `Ended ]

@@ -130,6 +130,149 @@ let test_auditor_torn () =
   in
   check Alcotest.bool "decision flip raises" true raised
 
+(* An auditor that keeps every entry: [Auditor]'s settle rules restated
+   over plain lists, for the retiring one to be compared with. *)
+module Keeping = struct
+  type entry = {
+    contributions : (Site_id.t * int) list;
+    mutable decisions : (Site_id.t * Types.decision) list;
+    mutable settled : bool;
+  }
+
+  type t = {
+    n : int;
+    mutable entries : (int * entry) list;  (* newest first *)
+    mutable dead : Site_id.t list;
+    mutable torn : int list;
+    mutable breaches : int;
+    mutable applied : int;
+    mutable expected : int;
+  }
+
+  let create n =
+    { n; entries = []; dead = []; torn = []; breaches = 0; applied = 0; expected = 0 }
+
+  let begin_txn t ~tid ~contributions =
+    t.entries <- (tid, { contributions; decisions = []; settled = false }) :: t.entries
+
+  let contribution e site = Option.value (List.assoc_opt site e.contributions) ~default:0
+
+  let settle t tid e =
+    e.settled <- true;
+    let full = List.fold_left (fun acc (_, c) -> acc + c) 0 e.contributions in
+    match List.sort_uniq compare (List.map snd e.decisions) with
+    | [ Types.Commit ] -> t.expected <- t.expected + full
+    | [ Types.Abort ] -> ()
+    | _ ->
+        t.torn <- tid :: t.torn;
+        let here =
+          List.fold_left
+            (fun acc (s, d) -> if d = Types.Commit then acc + contribution e s else acc)
+            0 e.decisions
+        in
+        if here <> 0 && here <> full then t.breaches <- t.breaches + 1
+
+  let complete t e =
+    List.for_all
+      (fun s -> List.mem s t.dead || List.mem_assoc s e.decisions)
+      (Site_id.all ~n:t.n)
+
+  let decided t ~tid site = List.mem_assoc site (List.assoc tid t.entries).decisions
+
+  let record t ~tid ~site d =
+    let e = List.assoc tid t.entries in
+    e.decisions <- (site, d) :: e.decisions;
+    if d = Types.Commit then t.applied <- t.applied + contribution e site;
+    if (not e.settled) && complete t e then settle t tid e
+
+  let mark_dead t site =
+    if not (List.mem site t.dead) then begin
+      t.dead <- site :: t.dead;
+      List.iter
+        (fun (tid, e) ->
+          if (not e.settled) && e.decisions <> [] && complete t e then settle t tid e)
+        t.entries
+    end
+
+  let mark_recovered t site = t.dead <- List.filter (fun s -> s <> site) t.dead
+
+  let settled t = List.length (List.filter (fun (_, e) -> e.settled) t.entries)
+
+  let to_json t =
+    let torn = List.sort Int.compare t.torn in
+    Export.Obj
+      [
+        ("settled", Export.Int (settled t));
+        ("open", Export.Int (List.length t.entries - settled t));
+        ("agreement_violations", Export.Int (List.length torn));
+        ("conservation_breaches", Export.Int t.breaches);
+        ("torn_tids", Export.List (List.map (fun i -> Export.Int i) torn));
+        ("applied_total", Export.Int t.applied);
+        ("atomic_expected_total", Export.Int t.expected);
+      ]
+
+  let check t =
+    match (t.torn, t.breaches) with
+    | [], 0 -> Ok ()
+    | [], b -> Error (Printf.sprintf "%d conservation breach(es)" b)
+    | torn, b ->
+        Error
+          (Printf.sprintf "%d torn transaction(s) (first: t%d), %d conservation breach(es)"
+             (List.length torn) (List.fold_left min max_int torn) b)
+end
+
+(* Steps the runtime can produce: transfers begin, each site decides a
+   transaction at most once and only while it is up, and sites crash
+   and recover.  A retiring auditor drops entries every site has
+   decided alike; nothing it reports may differ from a keeping one's. *)
+let auditor_retirement_property =
+  QCheck.Test.make ~count:500
+    ~name:"a retiring auditor reports what a keeping one does"
+    (QCheck.make
+       ~print:(fun l -> string_of_int (List.length l))
+       QCheck.Gen.(list_size (int_bound 80) (quad (int_bound 9) nat nat nat)))
+    (fun steps ->
+      let n = 3 in
+      let a = Auditor.create ~n () and k = Keeping.create n in
+      let begun = ref 0 and down = Array.make n false in
+      let step (kind, x, y, z) =
+        let s = site (1 + (y mod n)) in
+        match kind with
+        | 0 | 1 ->
+            incr begun;
+            let contributions =
+              [ (site (1 + (x mod n)), 975); (site (1 + ((x + 1) mod n)), 1025) ]
+            in
+            Auditor.begin_txn a ~tid:!begun ~contributions;
+            Keeping.begin_txn k ~tid:!begun ~contributions
+        | 8 ->
+            if not down.(y mod n) then begin
+              down.(y mod n) <- true;
+              Auditor.mark_dead a ~site:s;
+              Keeping.mark_dead k s
+            end
+        | 9 ->
+            if down.(y mod n) then begin
+              down.(y mod n) <- false;
+              Auditor.mark_recovered a ~site:s;
+              Keeping.mark_recovered k s
+            end
+        | _ ->
+            let tid = 1 + (x mod max 1 !begun) in
+            if !begun > 0 && (not down.(y mod n)) && not (Keeping.decided k ~tid s)
+            then begin
+              let d = if z mod 5 = 0 then Types.Abort else Types.Commit in
+              Auditor.record a ~tid ~site:s d;
+              Keeping.record k ~tid ~site:s d
+            end
+      in
+      List.for_all
+        (fun st ->
+          step st;
+          Export.to_string (Auditor.to_json a) = Export.to_string (Keeping.to_json k)
+          && Auditor.check a = Keeping.check k)
+        steps)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -452,6 +595,7 @@ let () =
           Alcotest.test_case "commit and abort settle" `Quick
             test_auditor_commit_abort;
           Alcotest.test_case "torn transaction" `Quick test_auditor_torn;
+          QCheck_alcotest.to_alcotest auditor_retirement_property;
         ] );
       ( "metrics",
         [ Alcotest.test_case "counters, series, histograms" `Quick

@@ -325,6 +325,35 @@ let test_tm_crashed_site_writes_nothing () =
     (wal_of_site3 (Vtime.of_int 7000))
     (wal_of_site3 config.Tm.horizon)
 
+(* The same run with site 3 dying at every 500th tick: transactions
+   that every site decided while it was down leave the live sites'
+   logs, but its own log stays as the crash left it. *)
+let test_tm_down_site_keeps_its_log () =
+  let w =
+    Workload.bank_transfers ~n:3 ~pairs:6 ~balance:1000 ~amount:70
+      ~spacing:(Vtime.of_int 6000) ~seed:1L
+  in
+  let record = Alcotest.testable Wal.pp ( = ) in
+  List.iter
+    (fun at ->
+      let config =
+        {
+          (Tm.default_config ~protocol:(module Termination.Static) ()) with
+          Tm.initial = w.Workload.initial;
+          crashes = [ (site 3, Vtime.of_int at) ];
+        }
+      in
+      let wal_of_site3 horizon =
+        let report = Tm.run { config with Tm.horizon } w.Workload.txns in
+        Durable_site.wal_records report.Tm.stores.(2)
+      in
+      check
+        Alcotest.(list record)
+        (Printf.sprintf "site 3 down at %d" at)
+        (wal_of_site3 (Vtime.of_int (at + 1)))
+        (wal_of_site3 config.Tm.horizon))
+    (List.init 80 (fun k -> 500 * (k + 1)))
+
 let test_tm_crash_schedule_checked () =
   (* Site 5 of 3, crashing after the horizon: rejected before the run,
      not when (or if) the crash fires. *)
@@ -939,6 +968,8 @@ let () =
             test_tm_stores_durable;
           Alcotest.test_case "crashed site writes nothing" `Quick
             test_tm_crashed_site_writes_nothing;
+          Alcotest.test_case "down site keeps its log" `Quick
+            test_tm_down_site_keeps_its_log;
           Alcotest.test_case "crash schedule checked up front" `Quick
             test_tm_crash_schedule_checked;
           Alcotest.test_case "crash frees lock waiters" `Quick

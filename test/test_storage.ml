@@ -557,6 +557,100 @@ let recover_matches_reference =
       in
       actual = reference_recover ~undecided wal db_bindings)
 
+(* ------------------------------------------------------------------ *)
+(* Forgetting ended transactions                                       *)
+(* ------------------------------------------------------------------ *)
+
+type forget_op =
+  | F_begin
+  | F_stage
+  | F_prepare
+  | F_commit
+  | F_commit_crash of int  (* crash after this many updates *)
+  | F_abort
+  | F_crash
+  | F_recover
+  | F_forget
+
+let forget_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return F_begin);
+        (3, return F_stage);
+        (2, return F_prepare);
+        (3, return F_commit);
+        (1, map (fun k -> F_commit_crash k) (int_bound 2));
+        (2, return F_abort);
+        (1, return F_crash);
+        (1, return F_recover);
+        (4, return F_forget);
+      ])
+
+(* Two stores run one history over six tids, and one of them forgets
+   the ended tids that [F_forget] names (a tid is left alone from then
+   on, as a retired transaction is).  Forgetting must change no
+   recovery and no status but the forgotten tids', and [wal_records]
+   must be the other store's log without the forgotten tids' records;
+   forgetting a tid that has not ended must change nothing. *)
+let forget_keeps_recovery =
+  QCheck.Test.make ~count:500
+    ~name:"forgetting ended tids changes no recovery, status or other record"
+    (QCheck.make
+       ~print:(fun l -> string_of_int (List.length l))
+       QCheck.Gen.(list_size (int_bound 60) (pair forget_op_gen (int_bound 5))))
+    (fun history ->
+      let kept = Durable_site.create () and forgetful = Durable_site.create () in
+      let forgotten = Array.make 6 false in
+      let statuses d = List.init 6 (fun i -> Durable_site.status d ~tid:(i + 1)) in
+      let staging d = List.init 6 (fun i -> Durable_site.staged d ~tid:(i + 1)) in
+      let agree () =
+        List.for_all2
+          (fun gone (a, b) -> gone || a = b)
+          (Array.to_list forgotten)
+          (List.combine (statuses kept) (statuses forgetful))
+        && Durable_site.wal_records forgetful
+           = List.filter
+               (fun r -> not forgotten.(Wal.tid_of r - 1))
+               (Durable_site.wal_records kept)
+        && Kv.snapshot (Durable_site.database kept)
+           = Kv.snapshot (Durable_site.database forgetful)
+        && staging kept = staging forgetful
+      in
+      let both f =
+        let run d = try Ok (f d) with Invalid_argument _ -> Error () in
+        let a = run kept in
+        a = run forgetful
+      in
+      let step (op, i) =
+        let tid = i + 1 in
+        let updates = [ { Wal.key = Printf.sprintf "k%d" (i mod 3); value = string_of_int tid } ] in
+        match op with
+        | _ when forgotten.(i) && op <> F_crash && op <> F_recover -> true
+        | F_begin -> both (fun d -> Durable_site.begin_transaction d ~tid)
+        | F_stage -> both (fun d -> Durable_site.stage d ~tid updates)
+        | F_prepare -> both (fun d -> Durable_site.prepare d ~tid)
+        | F_commit -> both (fun d -> Durable_site.commit d ~tid ())
+        | F_commit_crash k ->
+            both (fun d -> Durable_site.commit d ~crash_after:k ~tid ())
+        | F_abort -> both (fun d -> Durable_site.abort d ~tid)
+        | F_crash -> both Durable_site.crash
+        | F_recover -> both (fun d -> Durable_site.recover d)
+        | F_forget -> (
+            match Durable_site.status forgetful ~tid with
+            | `Ended | `Aborted ->
+                Durable_site.forget forgetful ~tid;
+                forgotten.(i) <- true;
+                Durable_site.status forgetful ~tid = `Unknown
+            | `Unknown | `Active | `Prepared | `Committed ->
+                let before = (statuses forgetful, Durable_site.wal_records forgetful) in
+                Durable_site.forget forgetful ~tid;
+                before = (statuses forgetful, Durable_site.wal_records forgetful))
+      in
+      List.for_all (fun op -> step op && agree ()) history
+      && both (fun d -> Durable_site.recover d)
+      && agree ())
+
 let () =
   Alcotest.run "commit_storage"
     [
@@ -596,5 +690,6 @@ let () =
           qtest recover_idempotent;
           qtest durable_model_property;
           qtest recover_matches_reference;
+          qtest forget_keeps_recovery;
         ] );
     ]
