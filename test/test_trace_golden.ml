@@ -377,16 +377,37 @@ let reasoned_row protocol config =
   ^ String.concat "" (Array.to_list (Array.map reasons r.Runner.sites))
   ^ "\n"
 
-(* One MD5 over the reasoned rows of every grid a pin covers. *)
-let reasons_md5 protocol =
+(* One MD5 over the reasoned rows of every grid a pin covers.  [name]
+   (default the protocol's) labels the line. *)
+let reasons_md5 ?name protocol =
   let configs =
     grid_configs ~n:3 () @ List.concat_map snd (pin_grids ())
   in
-  Printf.sprintf "md5 reasons %s (%d runs): %s\n" (Site.name protocol)
+  Printf.sprintf "md5 reasons %s (%d runs): %s\n"
+    (Option.value name ~default:(Site.name protocol))
     (List.length configs)
     (Digest.to_hex
        (Digest.string
           (String.concat "" (List.map (reasoned_row protocol) configs))))
+
+(* Both views of a run's log, as the cross-view goldens record them:
+   its [Trace.pp] text, then its span export. *)
+let traced_views protocol config =
+  let obs = Obs.create () in
+  let r =
+    Runner.run ~obs protocol { config with Runner.trace_enabled = true }
+  in
+  Format.asprintf "%a" Trace.pp r.Runner.trace ^ Obs.to_trace_event_json obs
+
+(* One MD5 over both views of every n=3 static and n=3 votes-no run. *)
+let traces_md5 ~name protocol =
+  let configs =
+    grid_configs ~n:3 () @ List.assoc "votes-no n=3" (pin_grids ())
+  in
+  Printf.sprintf "md5 traces %s (%d runs): %s\n" name (List.length configs)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "" (List.map (traced_views protocol) configs))))
 
 (* The termination family: both registered variants, the Fig. 8
    ablation (not registered, so taken by module), and the decision
@@ -412,9 +433,24 @@ let fsa_protocols_grid ~cross:_ () =
        [ "2pc"; "ext2pc"; "3pc"; "3pc+rules"; "3pc+rules-strict" ])
 
 (* The two protocols that terminate by polling every site for its
-   phase: Skeen's cooperative termination and quorum commit. *)
+   phase: Skeen's cooperative termination and quorum commit.  Their
+   decision reasons and both trace views are pinned too, for quorum
+   also with a master of weight 2 (not registered, so taken by
+   module). *)
 let inquiry_grid ~cross:_ () =
+  let heavy_master =
+    Inquiry.weighted_quorum (fun site -> if Site_id.is_master site then 2 else 1)
+  in
   String.concat "" (List.map pin_grid [ "3pc-skeen"; "quorum" ])
+  ^ String.concat ""
+      (List.map
+         (fun (name, protocol) ->
+           reasons_md5 ~name protocol ^ traces_md5 ~name protocol)
+         [
+           ("3pc-skeen", registered "3pc-skeen");
+           ("quorum", registered "quorum");
+           ("quorum master-weight-2", heavy_master);
+         ])
 
 (* Every registered protocol through [Sweep.run] itself, as the MD5 of
    its exported summary: the large grids, master crashes, no votes with
