@@ -1,5 +1,4 @@
 module M = Commit_fsa.Machine
-module A = Commit_fsa.Analysis
 
 type variant = Static | Transient
 
@@ -45,69 +44,13 @@ let tmpl_collect_crossed =
       Site_id.buf_set_mask b pb;
       Buffer.add_string b " -> a prepare crossed B")
 
-(* ---- Theorem 10: where the rules attach ------------------------------ *)
-
-type classes = {
-  m : string;
-  before_m : A.site_state list;
-  after_m : A.site_state list;
-}
-
-let classify (fsa : M.t) =
-  let analysis = A.analyze fsa ~n:3 in
-  let violated lemma states =
-    Error
-      (Printf.sprintf "Lemma %d violated at %s" lemma
-         (String.concat ", "
-            (List.map (Format.asprintf "%a" A.pp_site_state) states)))
-  in
-  (* m moves a slave into the one waiting state concurrent with a
-     commit, p; the master enters p1 by sending m.  Both transitions
-     exist: p is entered by some transition (never [Start], which
-     validation keeps to the master), and a slave occupies p only once
-     the master has sent m. *)
-  let waiting = Fsa_actor.waiting_states fsa in
-  match
-    ( A.lemma1_violations analysis,
-      A.lemma2_violations analysis,
-      List.filter
-        (fun ((role, _) as s) ->
-          role = M.Slave && List.mem M.Commit (A.concurrent_kinds analysis s))
-        waiting )
-  with
-  | (_ :: _ as states), _, _ -> violated 1 states
-  | [], (_ :: _ as states), _ -> violated 2 states
-  | [], [], [ (_, p) ] ->
-      let m =
-        List.find_map
-          (fun (tr : M.transition) ->
-            match tr.M.guard with
-            | (M.Recv m | M.Recv_all_votes m)
-              when String.equal tr.M.target p ->
-                Some m
-            | M.Recv _ | M.Recv_all_votes _ | M.Start -> None)
-          fsa.M.slave.M.transitions
-        |> Option.get
-      in
-      let sends_m (tr : M.transition) =
-        List.mem (M.Send_slaves m) tr.M.actions
-      in
-      let p1 = (List.find sends_m fsa.M.master.M.transitions).M.target in
-      let after_m = [ (M.Master, p1); (M.Slave, p) ] in
-      let before_m = List.filter (fun s -> not (List.mem s after_m)) waiting in
-      Ok { m; before_m; after_m }
-  | [], [], _ ->
-      Error "no single slave waiting state is concurrent with a commit"
-
 (* ---- the derived actor ----------------------------------------------- *)
 
-(* What a state adds to its FSA edges: nothing (initial and final
-   states), the rules before m or the rules from m on. *)
-type rule = Plain | Before_m | After_m
-
+(* A state's side of m says what it adds to its FSA edges: nothing, the
+   rules before m or the rules from m on. *)
 type node = {
   s : Fsa_actor.state;
-  rule : rule;
+  side : Fsa_actor.side;
   sent : string;  (* the tag of the message sent on entering this state *)
   timeout_reason : string;  (* "<state>-timeout" *)
   ud_reason : string;  (* "ud-<sent>" *)
@@ -119,11 +62,7 @@ type machine = { c : Fsa_actor.compiled; nodes : node array }
 let machine classes fsa role ~vote_yes =
   let c = Fsa_actor.compile fsa role ~vote_yes in
   let node (s : Fsa_actor.state) =
-    let rule =
-      if List.mem (role, s.id) classes.after_m then After_m
-      else if List.mem (role, s.id) classes.before_m then Before_m
-      else Plain
-    in
+    let side = Fsa_actor.side classes role s in
     let sent =
       List.find_map
         (fun (tr : M.transition) ->
@@ -137,14 +76,14 @@ let machine classes fsa role ~vote_yes =
     in
     {
       s;
-      rule;
+      side;
       sent;
       timeout_reason = s.id ^ "-timeout";
       ud_reason = "ud-" ^ sent;
       sub =
         (s.id
         ^
-        match (role, rule) with
+        match (role, side) with
         | M.Master, After_m -> "/collect"
         | M.Slave, Before_m -> "/waiting"
         | M.Slave, After_m -> "/probing"
@@ -187,7 +126,7 @@ end
 
 module Make (C : CONFIG) = struct
   let classes =
-    match classify C.fsa with
+    match Fsa_actor.classify C.fsa with
     | Ok classes -> classes
     | Error why -> invalid_arg ("Termination: " ^ C.fsa.M.name ^ ": " ^ why)
 
@@ -204,7 +143,7 @@ module Make (C : CONFIG) = struct
     let fig8 =
       Array.for_all
         (fun n ->
-          n.rule <> Before_m
+          n.side <> Before_m
           || Option.is_some (Fsa_actor.edge n.s Types.Commit_cmd))
         yes_slave.nodes
     in
@@ -322,7 +261,7 @@ module Make (C : CONFIG) = struct
             decide t Types.Commit ~reason:"transient-5t-commit" ~tell:false)
 
   let timeout t =
-    match (t.node.rule, Ctx.is_master t.ctx) with
+    match (t.node.side, Ctx.is_master t.ctx) with
     | Before_m, true ->
         (* Idea 2: no prepare was ever generated, so no slave in G2 can
            commit; aborting G1 is safe. *)
@@ -346,7 +285,7 @@ module Make (C : CONFIG) = struct
     let next = t.machine.nodes.(e.target) in
     Fsa_actor.send t.ctx e.sends;
     enter t next;
-    if next.rule <> Plain then
+    if next.side <> Plain then
       Ctx.Timer_slot.set t.ctx t.timer ~mult_t:t.machine.c.mult_t
         ~label:next.s.label (fun () -> timeout t)
 
@@ -398,7 +337,7 @@ module Make (C : CONFIG) = struct
      sending, and a probing slave's bounced probe. *)
   let on_ud t (envelope : Types.msg Network.envelope) =
     let own = String.equal (Types.msg_tag envelope.payload) t.node.sent in
-    match (t.phase, t.node.rule, envelope.payload) with
+    match (t.phase, t.node.side, envelope.payload) with
     | Base, Before_m, _ when own ->
         (* Before m some site never answers, so no prepare exists (or
            will): abort.  A slave whose vote bounced aborts its side. *)

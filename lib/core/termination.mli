@@ -39,14 +39,10 @@
     that moves slaves from their last noncommittable state to a
     committable one.  {!Make} takes the protocol as a catalog FSA
     ({!CONFIG.fsa}), rejects it unless both lemmas hold, and runs its
-    base transitions as {!Fsa_actor} compiles them.  m moves a slave
-    into the one slave waiting state concurrent with a commit: p,
-    entered on the prepare.  The rules attach by class: waiting states
-    before m (w1, w, and four-phase commit's x1 and x) get the abort
-    timeouts, the ["ud-<tag>"] aborts and the 6T wait; the states from
-    m on (p1, p) get the rest.  [Analysis.committable] alone would
-    misclass x1 and x: every slave has voted yes there, yet no prepare
-    exists, so the protocol must abort.
+    base transitions as {!Fsa_actor} compiles them.  The rules attach
+    by {!Fsa_actor.side}: waiting states before m (w1, w; 4PC's x1, x)
+    get the abort timeouts, the ["ud-<tag>"] aborts and the 6T wait; the
+    states from m on (p1, p) get the rest.
 
     Decisions are annotated (see {!Commit_protocols.Runner.site_result}
     reasons) with stable strings of the form ["fact1-case3"] /
@@ -82,18 +78,6 @@ val master_abort_reasons : string list
     ["w1-timeout"], ["ud-xact"], ["no-vote"], ["collect-abort"] and, in
     four-phase commit, ["x1-timeout"] and ["ud-pre-prepare"]. *)
 
-type classes = {
-  m : string;  (** the tag of m *)
-  before_m : Commit_fsa.Analysis.site_state list;
-  after_m : Commit_fsa.Analysis.site_state list;  (** p1 and p *)
-}
-
-val classify : Commit_fsa.Machine.t -> (classes, string) result
-(** The waiting states on either side of m, or why the construction
-    does not apply: the lemma and its states (2PC: ["Lemma 1 violated at
-    slave:w"]) for an FSA that fails
-    {!Commit_fsa.Analysis.satisfies_lemmas} at n = 3. *)
-
 module type CONFIG = sig
   val variant : variant
 
@@ -117,7 +101,7 @@ end
 
 module Make (_ : CONFIG) : Site.S
 (** @raise Invalid_argument ["Termination: <fsa>: <why>"] when
-    {!classify} gives an error. *)
+    {!Commit_protocols.Fsa_actor.classify} gives an error. *)
 
 module Static : Site.S
 (** Section 5.3, ["termination"]. *)

@@ -157,23 +157,6 @@ let modified_three_phase =
         };
     }
 
-(* Skeen's quorum-based commit has the same phase structure as 3PC at
-   this level of abstraction (its novelty is the quorum termination
-   rule, which is dynamic, not part of the failure-free FSA). *)
-let quorum_three_phase =
-  validate_exn
-    {
-      name = "quorum3pc";
-      master = { three_phase_master with initial = "q1" };
-      slave =
-        {
-          role = Slave;
-          initial = "q";
-          states = three_phase_slave_states;
-          transitions = three_phase_slave_transitions;
-        };
-    }
-
 (* Four-phase commit: an extra buffering round (pre-prepare/pre-ack)
    between the vote and the prepare.  Structurally it satisfies Lemma 1
    and Lemma 2 with "prepare" still the noncommittable-to-committable
@@ -243,7 +226,6 @@ let all =
     extended_two_phase;
     three_phase;
     modified_three_phase;
-    quorum_three_phase;
     four_phase;
   ]
 

@@ -17,18 +17,13 @@ val extended_two_phase : Machine.t
 
 val three_phase : Machine.t
 (** Fig. 3.  Master: q1 -> w1 -> p1 -> c1 / a1.  Slave: q -> w -> p -> c,
-    with aborts reachable from q (no vote), w. *)
+    with aborts reachable from q (no vote), w.  Quorum commit and
+    Skeen's cooperative termination run it with a poll added. *)
 
 val modified_three_phase : Machine.t
 (** Fig. 8: three-phase commit plus the slave transition w -> c on
     receipt of a commit message, required by the termination protocol
     (Section 5.3, "a fly in the ointment"). *)
-
-val quorum_three_phase : Machine.t
-(** The quorum-commit skeleton (Skeen 1982, the paper's reference [5]):
-    structurally a three-phase protocol — it satisfies Lemmas 1 and 2 —
-    whose termination rule (not visible at this level) is quorum-based.
-    Used for the Theorem 10 generalisation check. *)
 
 val four_phase : Machine.t
 (** Four-phase commit: vote, pre-prepare, prepare, commit.  Satisfies

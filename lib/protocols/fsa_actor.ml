@@ -47,6 +47,55 @@ let waiting_states (fsa : M.t) =
   in
   of_machine fsa.M.master @ of_machine fsa.M.slave
 
+(* ---- Theorem 10: the waiting states on either side of m ------------- *)
+
+module A = Commit_fsa.Analysis
+
+type classes = {
+  m : string;
+  before_m : A.site_state list;
+  after_m : A.site_state list;
+}
+
+let classify (fsa : M.t) =
+  let analysis = A.analyze fsa ~n:3 in
+  let violated lemma states =
+    Error
+      (Printf.sprintf "Lemma %d violated at %s" lemma
+         (String.concat ", "
+            (List.map (Format.asprintf "%a" A.pp_site_state) states)))
+  in
+  (* m moves a slave into the one waiting state concurrent with a
+     commit, p; the master enters p1 by sending m.  Both exist: p is
+     entered by a transition ([Start] is the master's), and a slave is
+     in p only once the master has sent m. *)
+  let waiting = waiting_states fsa in
+  match
+    ( A.lemma1_violations analysis,
+      A.lemma2_violations analysis,
+      List.filter
+        (fun ((role, _) as s) ->
+          role = M.Slave && List.mem M.Commit (A.concurrent_kinds analysis s))
+        waiting )
+  with
+  | (_ :: _ as states), _, _ -> violated 1 states
+  | [], (_ :: _ as states), _ -> violated 2 states
+  | [], [], [ (_, p) ] ->
+      let entered_on (tr : M.transition) =
+        match tr.M.guard with
+        | (M.Recv m | M.Recv_all_votes m) when String.equal tr.M.target p ->
+            Some m
+        | M.Recv _ | M.Recv_all_votes _ | M.Start -> None
+      in
+      let m = Option.get (List.find_map entered_on fsa.M.slave.M.transitions) in
+      let sends_m (tr : M.transition) = List.mem (M.Send_slaves m) tr.M.actions in
+      let p1 = (List.find sends_m fsa.M.master.M.transitions).M.target in
+      let after_m = [ (M.Master, p1); (M.Slave, p) ] in
+      let before_m = List.filter (fun s -> not (List.mem s after_m)) waiting in
+      Ok { m; before_m; after_m }
+  | [], [], _ ->
+      Error "no single slave waiting state is concurrent with a commit"
+
 let all_assignments fsa =
   let domain = waiting_states fsa in
   let rec enumerate = function
@@ -257,6 +306,13 @@ let edge state msg =
   if code < start_slot then state.edges.(code) else None
 
 let start_edge state = state.edges.(start_slot)
+
+type side = Plain | Before_m | After_m
+
+let side classes role state =
+  if List.mem (role, state.id) classes.after_m then After_m
+  else if List.mem (role, state.id) classes.before_m then Before_m
+  else Plain
 
 (* ------------------------------------------------------------------ *)
 (* The interpreter                                                     *)

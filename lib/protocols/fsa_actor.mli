@@ -63,10 +63,26 @@ val all_assignments : Commit_fsa.Machine.t -> assignment list
     {!waiting_states} — [4^k] of them for [k] waiting states.  3PC has
     [k = 4] (w1, p1, w, p), giving 256. *)
 
+(** {1 Theorem 10's classes} *)
+
+type classes = {
+  m : string;  (** the tag of m *)
+  before_m : Commit_fsa.Analysis.site_state list;
+  after_m : Commit_fsa.Analysis.site_state list;  (** p1 and p *)
+}
+
+val classify : Commit_fsa.Machine.t -> (classes, string) result
+(** The {!waiting_states} on either side of m, the message that moves a
+    slave into the one slave waiting state concurrent with a commit (p,
+    entered on the prepare).  Four-phase commit's x1 and x are before m,
+    though every slave has voted yes there.  An FSA that fails
+    {!Commit_fsa.Analysis.satisfies_lemmas} at n = 3 gives the lemma and
+    its states instead (2PC: ["Lemma 1 violated at slave:w"]). *)
+
 (** {1 The compiled form}
 
-    What {!make} runs; [Commit_termination.Termination] attaches its own
-    rules around it. *)
+    What {!make} runs.  [Commit_termination.Termination] attaches
+    Theorem 10's rules to it by {!side}; {!Inquiry} attaches its poll. *)
 
 type send = To_slaves of Types.msg | To_master of Types.msg
 
@@ -107,6 +123,12 @@ val edge : state -> Types.msg -> edge option
 (** An array lookup by {!Types.msg_code}. *)
 
 val start_edge : state -> edge option
+
+type side = Plain | Before_m | After_m
+
+val side : classes -> Commit_fsa.Machine.role -> state -> side
+(** A compiled state's Theorem 10 class; [Plain] for initial and final
+    states. *)
 
 (** {1 The protocols} *)
 

@@ -32,6 +32,30 @@ type poll =
   | Collecting of { mutable answers : Types.phase Site_id.Map.t; round : int }
   | Repreparing of { mutable pending : Site_id.Set.t }
 
+(* 3PC's compiled states for one role, and the phase each answers a
+   poll with: its final kind, its initial state, or its side of m (w1
+   and w wait, p1 and p are prepared). *)
+type machine = { c : Fsa_actor.compiled; phases : Types.phase array }
+
+let machine =
+  let fsa = Commit_fsa.Catalog.three_phase in
+  let classes = Result.get_ok (Fsa_actor.classify fsa) in
+  fun role ~vote_yes ->
+    let c = Fsa_actor.compile fsa role ~vote_yes in
+    let phase (s : Fsa_actor.state) =
+      match (s.final, Fsa_actor.side classes role s) with
+      | Some Types.Commit, _ -> Types.Ph_committed
+      | Some Types.Abort, _ -> Types.Ph_aborted
+      | None, Plain -> Types.Ph_initial
+      | None, Before_m -> Types.Ph_wait
+      | None, After_m -> Types.Ph_prepared
+    in
+    { c; phases = Array.map phase c.states }
+
+let master = machine Commit_fsa.Machine.Master ~vote_yes:true
+and yes_slave = machine Commit_fsa.Machine.Slave ~vote_yes:true
+and no_slave = machine Commit_fsa.Machine.Slave ~vote_yes:false
+
 let make rule =
   let name, tmpl_start, window =
     match rule with
@@ -47,30 +71,25 @@ let make rule =
 
     type t = {
       ctx : Ctx.t;
-      role : Site.role;
+      machine : machine;
       timer : Ctx.Timer_slot.slot;
-      mutable phase : Types.phase;
-      mutable replies : Site_id.Set.t;  (* the master's yes votes or acks *)
+      mutable state : int;  (* index into [machine.c.states] *)
+      mutable votes : Site_id.Set.t;  (* senders toward a [collect] edge *)
       mutable poll : poll;
     }
 
-    (* Literals, so a state change with spans off builds no string. *)
-    let base_name t =
-      let master = Ctx.is_master t.ctx in
-      match t.phase with
-      | Types.Ph_initial -> if master then "q1" else "q"
-      | Types.Ph_wait -> if master then "w1" else "w"
-      | Types.Ph_prepared -> if master then "p1" else "p"
-      | Types.Ph_committed -> if master then "c1" else "c"
-      | Types.Ph_aborted -> if master then "a1" else "a"
+    let state t = t.machine.c.states.(t.state)
+
+    let phase t = t.machine.phases.(t.state)
 
     let state_name t =
+      let id = (state t).id in
       match (t.poll, rule) with
-      | Idle, _ -> base_name t
-      | Collecting _, Cooperative -> base_name t ^ "/term-collect"
+      | Idle, _ -> id
+      | Collecting _, Cooperative -> id ^ "/term-collect"
       | Collecting { round; _ }, Quorum _ ->
-          Printf.sprintf "%s/quorum-round%d" (base_name t) round
-      | Repreparing _, _ -> base_name t ^ "/term-reprepare"
+          Printf.sprintf "%s/quorum-round%d" id round
+      | Repreparing _, _ -> id ^ "/term-reprepare"
 
     (* A running poll is a phase span inside the state span. *)
     let obs_poll t =
@@ -79,25 +98,30 @@ let make rule =
       | Collecting _ -> Ctx.obs_phase t.ctx window
       | Repreparing _ -> Ctx.obs_phase t.ctx "term-reprepare"
 
-    let enter t phase =
-      t.phase <- phase;
-      t.replies <- Site_id.Set.empty;
-      Ctx.obs_state t.ctx (base_name t);
+    (* [enter] keeps the timer: a state entered mid-poll keeps the poll's. *)
+    let enter t index =
+      t.state <- index;
+      t.votes <- Site_id.Set.empty;
+      Ctx.obs_state t.ctx (state t).id;
       obs_poll t
 
     let create ctx role =
-      let t =
-        { ctx; role; timer = Ctx.Timer_slot.create (); phase = Types.Ph_initial;
-          replies = Site_id.Set.empty; poll = Idle }
+      let machine =
+        match role with
+        | Site.Master_role -> master
+        | Site.Slave_role { vote_yes } ->
+            if vote_yes then yes_slave else no_slave
       in
-      Ctx.obs_state ctx (base_name t);
-      t
+      Ctx.obs_state ctx machine.c.states.(machine.c.initial).id;
+      { ctx; machine; timer = Ctx.Timer_slot.create ();
+        state = machine.c.initial; votes = Site_id.Set.empty; poll = Idle }
 
     let finish t decision ~reason =
       Ctx.Timer_slot.cancel t.timer;
       t.poll <- Idle;
       enter t
-        (if decision = Types.Commit then Types.Ph_committed else Types.Ph_aborted);
+        (if decision = Types.Commit then t.machine.c.commit
+         else t.machine.c.abort);
       Ctx.decide t.ctx decision ~reason
 
     let decide_and_tell t decision ~reason =
@@ -108,7 +132,7 @@ let make rule =
     (* ---- the state-inquiry poll ----------------------------------------- *)
 
     let rec start_poll t ~why =
-      match t.phase with
+      match phase t with
       | Types.Ph_committed | Types.Ph_aborted -> ()
       | Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared ->
           Ctx.log_str t.ctx tmpl_start why;
@@ -129,7 +153,7 @@ let make rule =
       match t.poll with
       | Idle | Repreparing _ -> ()
       | Collecting { answers; _ } -> (
-          let answers = Site_id.Map.add (Ctx.self t.ctx) t.phase answers in
+          let answers = Site_id.Map.add (Ctx.self t.ctx) (phase t) answers in
           let has phase = Site_id.Map.exists (fun _ p -> p = phase) answers in
           let tell decision reason = decide_and_tell t decision ~reason in
           match rule with
@@ -198,84 +222,71 @@ let make rule =
           decide_and_tell t Types.Commit ~reason:"term: re-prepared and committed"
       | Idle | Collecting _ -> ()
 
-    (* ---- the three-phase base flow -------------------------------------- *)
+    (* ---- 3PC's own transitions ----------------------------------------- *)
 
-    let arm t ~mult_t ~label =
-      Ctx.Timer_slot.set t.ctx t.timer ~mult_t ~label (fun () ->
-          match t.poll with
-          | Idle ->
-              (* forced only when the timeout actually fires *)
-              start_poll t ~why:(Label.force label ^ " timeout")
-          | Collecting _ | Repreparing _ -> ())
-
-    let begin_transaction t =
-      match (t.role, t.phase) with
-      | Site.Master_role, Types.Ph_initial ->
-          Ctx.broadcast_slaves t.ctx Types.Xact;
-          enter t Types.Ph_wait;
-          arm t ~mult_t:2 ~label:(Label.Static "w1")
+    (* Entering a waiting state arms its Fig. 5 timer unless a poll runs.
+       Every poll sets the slot, so this timer fires with none running. *)
+    let arm t =
+      match (phase t, t.poll) with
+      | (Types.Ph_wait | Types.Ph_prepared), Idle ->
+          let s = state t in
+          Ctx.Timer_slot.set t.ctx t.timer ~mult_t:t.machine.c.mult_t
+            ~label:s.label (fun () -> start_poll t ~why:(s.id ^ " timeout"))
       | _ -> ()
 
-    (* The master collects n - 1 replies: yes votes in w1, then acks in
-       p1 until it decides or re-prepares. *)
-    let collect t (envelope : Types.msg Network.envelope) =
-      t.replies <- Site_id.Set.add envelope.src t.replies;
-      Site_id.Set.cardinal t.replies = Ctx.n t.ctx - 1
+    (* A slave answers the site that sent it the message it acts on: the
+       master, or, for a prepare in w, a terminator re-preparing. *)
+    let reply t ~src =
+      List.iter (function
+        | Fsa_actor.To_slaves msg -> Ctx.broadcast_slaves t.ctx msg
+        | Fsa_actor.To_master msg -> Ctx.send t.ctx src msg)
+
+    (* On a final edge the master decides before it tells the slaves; a
+       slave that votes no sends it first. *)
+    let take t (e : Fsa_actor.edge) ~src =
+      match t.machine.c.states.(e.target).final with
+      | None ->
+          reply t ~src e.sends;
+          enter t e.target;
+          arm t
+      | Some decision when Ctx.is_master t.ctx ->
+          finish t decision ~reason:e.reason;
+          reply t ~src e.sends
+      | Some decision ->
+          reply t ~src e.sends;
+          finish t decision ~reason:e.reason
+
+    let begin_transaction t =
+      Option.iter (take t ~src:Site_id.master) (Fsa_actor.start_edge (state t))
 
     let on_msg t (envelope : Types.msg Network.envelope) =
-      match (t.role, t.phase, envelope.payload) with
-      (* master, failure-free flow *)
-      | Site.Master_role, Types.Ph_wait, Types.Yes ->
-          if collect t envelope then begin
-            Ctx.broadcast_slaves t.ctx Types.Prepare;
-            enter t Types.Ph_prepared;
-            arm t ~mult_t:2 ~label:(Label.Static "p1")
-          end
-      | Site.Master_role, Types.Ph_wait, Types.No ->
-          decide_and_tell t Types.Abort ~reason:"received a no vote"
-      (* slave, failure-free flow *)
-      | Site.Slave_role { vote_yes }, Types.Ph_initial, Types.Xact ->
-          if vote_yes then begin
-            Ctx.send_master t.ctx Types.Yes;
-            enter t Types.Ph_wait;
-            arm t ~mult_t:3 ~label:(Label.Static "w")
-          end
-          else begin
-            Ctx.send_master t.ctx Types.No;
-            finish t Types.Abort ~reason:"voted no"
-          end
-      | _, Types.Ph_wait, Types.Prepare -> (
-          (* Acknowledge to whoever sent the prepare: the master in the
-             failure-free flow, a terminator re-preparing. *)
-          Ctx.send t.ctx envelope.src Types.Ack;
-          enter t Types.Ph_prepared;
-          match t.poll with
-          | Idle -> arm t ~mult_t:3 ~label:(Label.Static "p")
-          | Collecting _ | Repreparing _ -> ())
-      (* decisions, from the master or any terminator *)
-      | _, (Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared), Types.Commit_cmd ->
-          finish t Types.Commit ~reason:"commit command"
-      | _, (Types.Ph_initial | Types.Ph_wait | Types.Ph_prepared), Types.Abort_cmd ->
-          finish t Types.Abort ~reason:"abort command"
+      match (envelope.payload, t.poll) with
       (* termination traffic *)
-      | _, _, Types.State_inquiry { coordinator } ->
-          Ctx.send t.ctx coordinator (Types.State_answer { phase = t.phase })
-      | _, _, Types.State_answer { phase } -> (
-          match (t.poll, rule) with
-          | Collecting c, _ ->
-              c.answers <- Site_id.Map.add envelope.src phase c.answers
-          | Idle, Quorum _ -> Ctx.log_site t.ctx tmpl_late_answer envelope.src
-          | Idle, Cooperative | Repreparing _, _ -> ())
-      | _, _, Types.Ack -> (
-          match (t.role, t.phase, t.poll) with
-          | _, _, Repreparing r ->
-              r.pending <- Site_id.Set.remove envelope.src r.pending;
-              if Site_id.Set.is_empty r.pending then reprepared t
-          | Site.Master_role, Types.Ph_prepared, (Idle | Collecting _) ->
-              if collect t envelope then
-                decide_and_tell t Types.Commit ~reason:"all acks received"
-          | _ -> Ctx.log_ignoring t.ctx envelope.payload (state_name t))
-      | _ -> Ctx.log_ignoring t.ctx envelope.payload (state_name t)
+      | Types.State_inquiry { coordinator }, _ ->
+          Ctx.send t.ctx coordinator (Types.State_answer { phase = phase t })
+      | Types.State_answer { phase }, Collecting c ->
+          c.answers <- Site_id.Map.add envelope.src phase c.answers
+      | Types.State_answer _, Idle -> (
+          match rule with
+          | Quorum _ -> Ctx.log_site t.ctx tmpl_late_answer envelope.src
+          | Cooperative -> ())
+      | Types.State_answer _, Repreparing _ -> ()
+      | Types.Ack, Repreparing r ->
+          r.pending <- Site_id.Set.remove envelope.src r.pending;
+          if Site_id.Set.is_empty r.pending then reprepared t
+      (* decisions, from the master or any terminator *)
+      | Types.Commit_cmd, _ when Option.is_none (state t).final ->
+          finish t Types.Commit ~reason:"commit command"
+      | Types.Abort_cmd, _ when Option.is_none (state t).final ->
+          finish t Types.Abort ~reason:"abort command"
+      | payload, _ -> (
+          match Fsa_actor.edge (state t) payload with
+          | Some e when e.collect ->
+              t.votes <- Site_id.Set.add envelope.src t.votes;
+              if Site_id.Set.cardinal t.votes = Ctx.n t.ctx - 1 then
+                take t e ~src:envelope.src
+          | Some e -> take t e ~src:envelope.src
+          | None -> Ctx.log_ignoring t.ctx payload (state_name t))
 
     let on_delivery t = function
       | Network.Msg envelope -> on_msg t envelope

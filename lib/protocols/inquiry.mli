@@ -2,12 +2,13 @@
     cooperative termination protocol for {e site failures} (the paper's
     reference [4]) and quorum-based commit (reference [5]).
 
-    Both run ordinary 3PC when nothing fails.  When a site times out or
-    gets a message back (it lost its master or, indistinguishably, got
-    cut off) it polls every site for its phase, waits one round trip,
-    and decides over the answers it got.  The two protocols differ only
-    in the rule applied when the window closes and in whether a
-    returned message restarts a running poll.
+    Both run {!Commit_fsa.Catalog.three_phase} as {!Fsa_actor.compile}
+    builds it when nothing fails.  When a site times out or gets a
+    message back (it lost its master or, indistinguishably, got cut off)
+    it polls every site for its phase, waits one round trip, decides
+    over the answers it got and tells every other site.  The two
+    protocols differ only in the rule applied when the window closes
+    and in whether a returned message restarts a running poll.
 
     {b Cooperative termination} ([skeen], ["3pc-skeen"]) polls once:
     + any committed respondent: commit;  any aborted: abort;
@@ -44,9 +45,19 @@
     -p quorum --g2 2,3 --at 969 --heal 3050 --delay uniform --seed 1]
     commits at site3 and aborts at site2.
 
-    In either protocol a site in w acks a prepare to whoever sent it,
-    the master or a re-preparing terminator, and the decision goes to
-    every other site. *)
+    {b The poll on 3PC's states.}  A site answers with the phase of its
+    compiled state: initial, final, or its {!Fsa_actor.side} (w1 and w
+    wait; p1 and p are prepared).  Five rules are the poll's own:
+    + a commit or abort command from any site decides any non-final
+      state, the master's included;
+    + a slave answers whoever sent it the message it acts on: a site in
+      w acks a prepare to a re-preparing terminator, not the master;
+    + entering a waiting state arms its Fig. 5 timer only when no poll
+      runs; its timeout starts one (["<state> timeout"]);
+    + on a final edge the master decides, then tells the slaves; a slave
+      that votes no sends it first;
+    + inquiries, answers and re-prepare acks come before the edges; a
+      message with no edge logs ["ignoring <msg> in <state>"]. *)
 
 type weight = Site_id.t -> int
 (** A site's vote weight [V_i]; must be positive. *)

@@ -93,7 +93,7 @@ let test_catalog_all_valid () =
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
     Catalog.all;
-  check Alcotest.int "six protocols" 6 (List.length Catalog.all);
+  check Alcotest.int "five protocols" 5 (List.length Catalog.all);
   check Alcotest.bool "find 3pc" true (Catalog.find "3pc" <> None);
   check Alcotest.bool "find junk" true (Catalog.find "junk" = None)
 
@@ -185,8 +185,8 @@ let test_ext2pc_two_site_vs_multisite () =
     (List.mem (M.Slave, "w") (Analysis.lemma1_violations a3))
 
 let test_thm10_candidates () =
-  (* Theorem 10 preconditions: 3PC (plain and Fig. 8) and quorum 3PC
-     qualify; 2PC and extended 2PC (multisite) do not. *)
+  (* Theorem 10 preconditions: 3PC (plain and Fig. 8) qualifies; 2PC
+     and extended 2PC (multisite) do not. *)
   let sat name n =
     match Catalog.find name with
     | None -> Alcotest.fail ("missing " ^ name)
@@ -194,7 +194,6 @@ let test_thm10_candidates () =
   in
   check Alcotest.bool "3pc ok" true (sat "3pc" 3);
   check Alcotest.bool "3pc-fig8 ok" true (sat "3pc-fig8" 3);
-  check Alcotest.bool "quorum3pc ok" true (sat "quorum3pc" 3);
   check Alcotest.bool "2pc fails" false (sat "2pc" 3);
   check Alcotest.bool "ext2pc fails at n=3" false (sat "ext2pc" 3)
 

@@ -612,7 +612,7 @@ let test_theorem10_rejects_lemma_failures () =
         P.name
       in
       check Alcotest.string "classify" why
-        (match Termination.classify fsa with
+        (match Fsa_actor.classify fsa with
         | Ok _ -> "accepted"
         | Error why -> why);
       check Alcotest.string "Make"
@@ -626,7 +626,7 @@ let test_theorem10_m_is_prepare () =
   List.iter
     (fun (fsa : Commit_fsa.Machine.t) ->
       check Alcotest.string fsa.name "prepare"
-        (Result.get_ok (Termination.classify fsa)).m)
+        (Result.get_ok (Fsa_actor.classify fsa)).m)
     [ Catalog.three_phase; Catalog.modified_three_phase; Catalog.four_phase ]
 
 (* The names the FSA and the windows give each instance. *)
@@ -660,7 +660,7 @@ let test_theorem10_names () =
    take the abort rules. *)
 let test_theorem10_4pc_classes () =
   let open Commit_fsa.Machine in
-  let classes = Result.get_ok (Termination.classify Catalog.four_phase) in
+  let classes = Result.get_ok (Fsa_actor.classify Catalog.four_phase) in
   let analysis = Commit_fsa.Analysis.analyze Catalog.four_phase ~n:3 in
   List.iter
     (fun s ->
