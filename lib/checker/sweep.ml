@@ -105,9 +105,9 @@ module Keys = Hashtbl.Make (struct
      list hashes without a C call. *)
   let equal (a : t)
       { Runner.n; t_unit; mode; partition = _; delay; seed; votes; crashes;
-        start_at; horizon; trace_enabled = _ } =
+        horizon; trace_enabled = _ } =
     a.n = n && a.t_unit = t_unit && a.mode = mode && Int64.equal a.seed seed
-    && a.start_at = start_at && a.horizon = horizon
+    && a.horizon = horizon
     && (a.delay == delay || a.delay = delay)
     && (a.votes == votes || a.votes = votes)
     && (a.crashes == crashes || a.crashes = crashes)

@@ -7,7 +7,6 @@ type config = {
   seed : int64;
   votes : (Site_id.t * bool) list;
   crashes : (Site_id.t * Vtime.t) list;
-  start_at : Vtime.t;
   horizon : Vtime.t;
   trace_enabled : bool;
 }
@@ -22,7 +21,6 @@ let default_config ?(n = 3) ?(t_unit = Vtime.of_int 1000) () =
     seed = 1L;
     votes = [];
     crashes = [];
-    start_at = Vtime.zero;
     horizon = Vtime.of_int (50 * Vtime.to_int t_unit);
     trace_enabled = true;
   }
@@ -120,7 +118,7 @@ let run ?tap ?(obs = Obs.disabled) ?scratch (module P : Site.S) config =
              Network.crash net site)))
     config.crashes;
   ignore
-    (Engine.schedule_at engine ~at:config.start_at
+    (Engine.schedule_at engine ~at:Vtime.zero
        ~label:(Label.Static "request") (fun () ->
          P.begin_transaction sites.(0)));
   Engine.run ~until:config.horizon engine;

@@ -1,5 +1,5 @@
 (** Wires a protocol module to the simulated network, runs one
-    transaction to quiescence, and harvests the result.
+    transaction (requested at time 0) to quiescence, and harvests it.
 
     This is the experiment unit everything else builds on: the checker
     sweeps it over scenario grids, the benches time it, the examples
@@ -16,14 +16,13 @@ type config = {
       (** per-slave vote overrides; a slave not listed votes yes *)
   crashes : (Site_id.t * Vtime.t) list;
       (** site failures (Section 7 experiments only) *)
-  start_at : Vtime.t;  (** when the user's request reaches the master *)
   horizon : Vtime.t;  (** give-up time for the run *)
   trace_enabled : bool;
 }
 
 val default_config : ?n:int -> ?t_unit:Vtime.t -> unit -> config
 (** n = 3, t_unit = 1000 ticks, optimistic mode, no partition, uniform
-    delays, seed 1, all-yes votes, start at 0, horizon 50T, tracing on. *)
+    delays, seed 1, all-yes votes, no crashes, horizon 50T, tracing on. *)
 
 type site_result = {
   site : Site_id.t;
