@@ -66,9 +66,10 @@ let classify (fsa : M.t) =
             (List.map (Format.asprintf "%a" A.pp_site_state) states)))
   in
   (* m moves a slave into the one waiting state concurrent with a
-     commit, p; the master enters p1 by sending m.  Both exist: p is
-     entered by a transition ([Start] is the master's), and a slave is
-     in p only once the master has sent m. *)
+     commit, p; the master enters p1 by sending m.  Both transitions
+     exist: p is entered by some transition (never [Start], which
+     validation keeps to the master), and a slave occupies p only once
+     the master has sent m. *)
   let waiting = waiting_states fsa in
   match
     ( A.lemma1_violations analysis,

@@ -222,7 +222,7 @@ let make rule =
           decide_and_tell t Types.Commit ~reason:"term: re-prepared and committed"
       | Idle | Collecting _ -> ()
 
-    (* ---- 3PC's own transitions ----------------------------------------- *)
+    (* ---- the three-phase base flow -------------------------------------- *)
 
     (* Entering a waiting state arms its Fig. 5 timer unless a poll runs.
        Every poll sets the slot, so this timer fires with none running. *)
@@ -264,13 +264,12 @@ let make rule =
       (* termination traffic *)
       | Types.State_inquiry { coordinator }, _ ->
           Ctx.send t.ctx coordinator (Types.State_answer { phase = phase t })
-      | Types.State_answer { phase }, Collecting c ->
-          c.answers <- Site_id.Map.add envelope.src phase c.answers
-      | Types.State_answer _, Idle -> (
-          match rule with
-          | Quorum _ -> Ctx.log_site t.ctx tmpl_late_answer envelope.src
-          | Cooperative -> ())
-      | Types.State_answer _, Repreparing _ -> ()
+      | Types.State_answer { phase }, _ -> (
+          match (t.poll, rule) with
+          | Collecting c, _ ->
+              c.answers <- Site_id.Map.add envelope.src phase c.answers
+          | Idle, Quorum _ -> Ctx.log_site t.ctx tmpl_late_answer envelope.src
+          | Idle, Cooperative | Repreparing _, _ -> ())
       | Types.Ack, Repreparing r ->
           r.pending <- Site_id.Set.remove envelope.src r.pending;
           if Site_id.Set.is_empty r.pending then reprepared t
